@@ -62,6 +62,7 @@ from .search import (
     limit_matrix_Q,
     limit_schur,
     rationally_independent,
+    surds_independent,
     verify_limit,
 )
 from .spectra import (

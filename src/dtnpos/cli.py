@@ -19,7 +19,7 @@ import numpy as np
 from .assembly import assemble_full, assemble_outer
 from .catalog import catalog, catalog_names, catalog_raw
 from .errors import BudgetExhausted, DtnError, NoCycle, NumericallyMarginal
-from .graphs import MetricGraph, graph_to_json, load_graph, reduced_graph
+from .graphs import MetricGraph, graph_to_json, is_tree, load_graph, reduced_graph
 from .positivity import ClassifierConfig, classify
 from .search import (
     TargetSpec,
@@ -93,7 +93,7 @@ def cmd_reduce(args) -> int:
     payload = {
         "vertices": list(red.vertices),
         "edges": [{"u": e.u, "v": e.v, "kind": e.kind} for e in red.edges],
-        "is_tree": len(red.edges) == len(red.vertices) - 1,
+        "is_tree": is_tree(red),
     }
     _emit(args, _json_dump(payload))
     return EXIT_OK

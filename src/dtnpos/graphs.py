@@ -38,8 +38,8 @@ _SQRT_EXPR = re.compile(
 )
 
 
-def parse_length_expr(expr: str) -> float:
-    """Parse ``"a*sqrt(p)"`` (a rational, p positive integer) to a float.
+def parse_surd(expr: str) -> tuple[Fraction, int]:
+    """Parse ``"a*sqrt(p)"`` (a rational, p positive integer) to the exact pair (a, p).
 
     ``"sqrt(17)"`` and ``"3/2*sqrt(5)"`` are both accepted.
     """
@@ -50,6 +50,12 @@ def parse_length_expr(expr: str) -> float:
     p = int(m.group("p"))
     if p <= 0 or a <= 0:
         raise ValueError(f"length_expr {expr!r} must be strictly positive")
+    return a, p
+
+
+def parse_length_expr(expr: str) -> float:
+    """Value of a ``length_expr`` (see `parse_surd`) as a float."""
+    a, p = parse_surd(expr)
     return float(a) * math.sqrt(p)
 
 

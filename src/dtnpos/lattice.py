@@ -1,12 +1,14 @@
 """Small dense lattice routines: LLL reduction, Babai rounding, box enumeration.
 
-Dimensions here are tiny (one row per graph edge), so the textbook O(n^3)
-variants with full Gram-Schmidt recomputation are perfectly adequate.
+Dimensions here are tiny (one row per graph edge), so the bases stay dense
+numpy arrays.  LLL keeps its Gram-Schmidt data across size reductions: a size
+reduction leaves B* unchanged and updates one row of mu in place (Cohen, A
+Course in Computational Algebraic Number Theory, Alg. 2.6.3); only a swap
+recomputes the orthogonalization.  Box enumeration builds each slab of the
+box with array arithmetic instead of one tuple per vector.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -37,7 +39,8 @@ def lll_reduce(B: np.ndarray, delta: float = 0.99) -> np.ndarray:
             q = round(mu[k, j])
             if q != 0:
                 B[k] -= q * B[j]
-                Bs, mu = gram_schmidt(B)
+                mu[k, :j] -= q * mu[j, :j]
+                mu[k, j] -= q
         if Bs[k] @ Bs[k] >= (delta - mu[k, k - 1] ** 2) * (Bs[k - 1] @ Bs[k - 1]):
             k += 1
         else:
@@ -64,9 +67,16 @@ def enumerate_near(B: np.ndarray, target: np.ndarray, radius: int):
     """Yield lattice vectors v0 + c B for every integer box offset |c_i| <= radius.
 
     v0 is the Babai vector; the box covers (2 radius + 1)^n candidates, so keep
-    radius small.
+    radius small.  Vectors come in ``itertools.product`` order of the offsets
+    (c_0 slowest), the order callers have always seen, and stay a lazy stream
+    so that a consumer may stop early.  Each slab of fixed c_0 is one array:
+    the offsets of the remaining coordinates come from ``np.indices`` and
+    their combination with B[1:] is a single matmul shared by every slab.
     """
     v0 = babai_nearest(B, target)
     n = B.shape[0]
-    for offsets in product(range(-radius, radius + 1), repeat=n):
-        yield v0 + np.asarray(offsets, dtype=float) @ B
+    side = 2 * radius + 1
+    rest = np.indices((side,) * (n - 1)).reshape(n - 1, side ** (n - 1)).T - radius
+    tail = rest.astype(float) @ B[1:]
+    for c0 in range(-radius, radius + 1):
+        yield from (v0 + c0 * B[0]) + tail

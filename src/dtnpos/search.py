@@ -20,6 +20,7 @@ re-verified by direct evaluation in double precision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +38,7 @@ from .errors import (
     NoCycle,
     NotCommensurable,
 )
-from .graphs import MetricGraph, ReducedEdge, reduced_graph
+from .graphs import MetricGraph, ReducedEdge, is_tree, parse_surd, reduced_graph
 from .lattice import enumerate_near, lll_reduce
 from .positivity import (
     DEFAULT_CONFIG,
@@ -52,6 +53,7 @@ from .spectra import lambda_1
 # expected-candidate threshold separating plain scanning from the lattice solver
 SCAN_CAP = 200_000
 _SCAN_CHUNK = 2048
+_SCAN_BLOCK = 8  # scan chunks evaluated together once a level's first chunk missed
 _LATTICE_RADIUS = 2
 _LATTICE_ATTEMPTS_MAX = 10_000
 DEFAULT_LEVEL_CAP = 64
@@ -147,9 +149,12 @@ def rationally_independent(lengths: Sequence[float], max_den: int = 10 ** 6,
                            rel_tol: float = 3e-14) -> bool:
     """Heuristic probe for pairwise rational length ratios.
 
-    Quadratic surd ratios stay at least ~1/(c q^2) away from every fraction
-    with denominator q, so at q <= 1e6 the 3e-14 band cannot produce a false
-    alarm for them, while genuinely rational ratios land within a few ulps.
+    Genuinely rational ratios land within a few ulps of a fraction with
+    denominator <= max_den.  Irrational ratios can land that close too: a
+    quadratic surd is only ~1/(c q^2) away from its best fractions, which at
+    q ~ 1e6 is inside the 3e-14 band (sqrt(37) / (sqrt(41) / 2) sits 9.7e-15
+    from 1124819/592030), so this probe gives false alarms.  Lengths given as
+    surds are decided exactly by `surds_independent` instead.
     """
     n = len(lengths)
     for i in range(n):
@@ -161,10 +166,33 @@ def rationally_independent(lengths: Sequence[float], max_den: int = 10 ** 6,
     return True
 
 
-def _require_independent(lengths: Sequence[float], assert_independent: bool) -> None:
+def surds_independent(exprs: Sequence[str]) -> bool:
+    """Exact pairwise test for ``a*sqrt(p)`` lengths.
+
+    a sqrt(p) / (b sqrt(q)) is rational iff p q is a perfect square.
+    """
+    radicands = [parse_surd(x)[1] for x in exprs]
+    return not any(math.isqrt(p * q) ** 2 == p * q
+                   for p, q in itertools.combinations(radicands, 2))
+
+
+def _require_independent(g: MetricGraph | Sequence[float], assert_independent: bool) -> None:
+    """Raise IndependenceNotAsserted unless asserted or the lengths pass the test.
+
+    Exact when every edge of a graph carries a ``length_expr``; otherwise the
+    float heuristic `rationally_independent` decides.
+    """
+    if isinstance(g, MetricGraph):
+        edges, lengths = g.edges, g.lengths
+    else:
+        edges, lengths = (), list(g)
     if assert_independent or len(lengths) < 2:
         return
-    if not rationally_independent(lengths):
+    if edges and all(e.expr for e in edges):
+        independent = surds_independent([e.expr for e in edges])
+    else:
+        independent = rationally_independent(lengths)
+    if not independent:
         raise IndependenceNotAsserted()
 
 
@@ -179,17 +207,33 @@ def _phase_window(v: float, w: float) -> tuple[float, float] | None:
     return lo, hi
 
 
-def _window_residuals(lam: np.ndarray, lengths: Sequence[float],
-                      targets: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Residual max_e |sin - target_e| and the cos > 0 admissibility mask."""
+def _window_survivors(lam: np.ndarray, lengths: Sequence[float], targets: Sequence[float],
+                      w: float, cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates whose residual is below w or at most cap, and which of them are admissible.
+
+    A candidate's residual is max_e |sin(mu L_e) - target_e|; it is admissible
+    when that is below w and every cos(mu L_e) > 0.  Returns the positions of
+    those candidates (increasing), their residuals and the admissible mask.
+
+    A candidate is carried to the next edge only while its partial residual
+    stays below w or at most cap, and cos is taken only for candidates below w;
+    pass the most selective edges first.  Every residual that is returned comes
+    from the same elementwise operations as a full evaluation, so the pruning
+    changes no value.
+    """
     mu = np.sqrt(lam)
-    res = np.zeros_like(lam)
-    ok = np.ones(lam.shape, dtype=bool)
-    for L, v in zip(lengths, targets):
-        x = mu * L
-        res = np.maximum(res, np.abs(np.sin(x) - v))
-        ok &= np.cos(x) > 0.0
-    return res, ok
+    keep, bound = (np.less_equal, cap) if cap >= w else (np.less, w)
+    part = np.abs(np.sin(mu * lengths[0]) - targets[0])
+    idx = np.flatnonzero(keep(part, bound))
+    part = part[idx]
+    for L, v in zip(lengths[1:], targets[1:]):
+        part = np.maximum(part, np.abs(np.sin(mu[idx] * L) - v))
+        live = keep(part, bound)
+        idx, part = idx[live], part[live]
+    ok = part < w
+    for L in lengths:
+        ok[ok] = np.cos(mu[idx[ok]] * L) > 0.0
+    return idx, part, ok
 
 
 def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
@@ -220,27 +264,60 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
         density *= 2.0 * deltas[e]
     expected = 1.0 / density
 
-    def verify(ms: np.ndarray) -> tuple[float, float] | None:
-        lam = ((theta_c + 2.0 * math.pi * ms) / La) ** 2
-        res, ok = _window_residuals(lam, lengths, targets)
-        ok &= res < w
-        if ok.any():
-            i = int(np.argmax(ok))
-            meter.charge(i + 1)
-            meter.best_residual = min(meter.best_residual, float(res[i]))
-            return float(lam[i]), float(res[i])
-        meter.charge(len(ms))
-        meter.best_residual = min(meter.best_residual, float(res.min()))
+    # narrowest windows first: they prune the most; the anchor sits at its
+    # window center on every candidate and prunes nothing
+    order = sorted(others, key=lambda e: deltas[e]) + [anchor]
+    order_lengths = [lengths[e] for e in order]
+    order_targets = [targets[e] for e in order]
+
+    def chunks(n: int, size: int) -> list[int]:
+        """Lengths of the chunks that cover up to n candidates: each at most
+        size and the budget left, the last one the first to overrun it."""
+        out, room = [], meter.budget - meter.spent
+        while n > 0 and room >= 0:
+            take = min(size, n, max(1, room))
+            out.append(take)
+            n -= take
+            room -= take
+        return out
+
+    def verify(ms: np.ndarray, sizes: list[int],
+               prefix_best: bool = False) -> tuple[float, float] | None:
+        """Charge the chunks of ms in order up to the first admissible candidate.
+
+        A missed chunk folds its smallest residual into the meter's best; a
+        hit folds its own residual, and with prefix_best also those of the
+        misses before it in its chunk.
+        """
+        lam = ((theta_c + 2.0 * math.pi * ms[:sum(sizes)]) / La) ** 2
+        # the meter's best only falls from one chunk to the next, so its value
+        # now is a cap that keeps every candidate a later chunk still needs
+        idx, res, ok = _window_survivors(lam, order_lengths, order_targets, w,
+                                         meter.best_residual)
+        start = 0
+        for size in sizes:
+            lo, hi = np.searchsorted(idx, (start, start + size))
+            if ok[lo:hi].any():
+                j = lo + int(np.argmax(ok[lo:hi]))
+                meter.charge(int(idx[j]) - start + 1)
+                best = res[lo:j + 1].min() if prefix_best else res[j]
+                meter.best_residual = min(meter.best_residual, float(best))
+                return float(lam[idx[j]]), float(res[j])
+            meter.charge(size)
+            if hi > lo:
+                meter.best_residual = min(meter.best_residual, float(res[lo:hi].min()))
+            start += size
         return None
 
     if expected <= SCAN_CAP:
-        m = m_min
+        m, block = m_min, 1
         while True:
-            take = min(_SCAN_CHUNK, max(1, meter.budget - meter.spent))
-            hit = verify(np.arange(m, m + take, dtype=float))
+            sizes = chunks(block * _SCAN_CHUNK, _SCAN_CHUNK)
+            hit = verify(np.arange(m, m + sum(sizes), dtype=float), sizes)
             if hit is not None:
                 return hit
-            m += take
+            m += sum(sizes)
+            block = _SCAN_BLOCK
 
     # lattice route: solve frac(m' rho_e - psi_e) in (-delta_e, delta_e) with
     # m' = m - m_min, one CVP target per diameter-sized slab of the m'-axis
@@ -260,23 +337,28 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
         B[1 + i, 1 + i] = weights[i]
     B_red = lll_reduce(B)
 
-    seen: set[int] = set()
+    # multipliers m' tried by earlier attempts, sorted
+    seen = np.empty(0, dtype=np.int64)
     for attempt in range(_LATTICE_ATTEMPTS_MAX):
         m_target = (attempt + 0.5) * expected
         t = np.empty(d + 1)
         t[0] = c0 * m_target
         for i in range(d):
             t[1 + i] = weights[i] * psi[i]
-        cands = set()
-        for v in enumerate_near(B_red, t, _LATTICE_RADIUS):
-            m_prime = round(v[0] / c0)
-            if m_prime >= 0 and m_prime not in seen:
-                cands.add(m_prime)
-        seen.update(cands)
-        for m_prime in sorted(cands):
-            hit = verify(np.array([m_min + m_prime], dtype=float))
-            if hit is not None:
-                return hit
+        first = np.fromiter((v[0] for v in enumerate_near(B_red, t, _LATTICE_RADIUS)),
+                            dtype=float)
+        # sort-based unique: numpy's hash-based np.unique is ~50x slower on
+        # the mostly distinct multipliers of a wide box
+        cands = np.sort(np.rint(first / c0).astype(np.int64))
+        cands = cands[(cands >= 0) & (np.diff(cands, prepend=-1) != 0)]
+        cands = cands[~np.isin(cands, seen, assume_unique=True)]
+        seen = np.sort(np.concatenate((seen, cands)), kind="stable")
+        # chunks never exceed the remaining budget, so the charge (and the best
+        # residual) on exhaustion equals that of verifying one at a time
+        ms = (m_min + cands).astype(float)
+        hit = verify(ms, chunks(len(ms), len(ms)), prefix_best=True)
+        if hit is not None:
+            return hit
     raise RuntimeError("lattice enumeration failed to locate an admissible window")
 
 
@@ -298,12 +380,12 @@ def _sign_safe(targets: Sequence[float], w: float) -> bool:
 def kronecker_sequence(lengths, spec: TargetSpec, count: int, budget: int,
                        assert_independent: bool = False) -> KroneckerSequence:
     """Admissible lam_1 < lam_2 < ... for `count` consecutive feasible levels."""
+    _require_independent(lengths, assert_independent)
     if isinstance(lengths, MetricGraph):
         lengths = lengths.lengths
     lengths = [float(L) for L in lengths]
     if len(spec.gammas) != len(lengths):
         raise ValueError("one gamma per edge required")
-    _require_independent(lengths, assert_independent)
 
     meter = BudgetMeter(budget)
     lambdas, residuals, levels = [], [], []
@@ -421,7 +503,7 @@ def find_strongly_positive_above(g: MetricGraph, lam_hat: float, budget: int,
                                  assert_independent: bool = False,
                                  cfg: ClassifierConfig = DEFAULT_CONFIG) -> SearchResult:
     """First admissible lam > lam_hat (targets gamma = 1) classified strong."""
-    _require_independent(g.lengths, assert_independent)
+    _require_independent(g, assert_independent)
     spec = TargetSpec.uniform(1.0, len(g.edges))
     meter = BudgetMeter(budget)
     result = _hunt(g, spec, meter, lam_hat, TAG_STRONG, DEFAULT_LEVEL_CAP, cfg)
@@ -436,7 +518,7 @@ def find_not_eventually_positive_above(g: MetricGraph, lam_hat: float, budget: i
     """First admissible lam > lam_hat (targets gamma = -1) with no eventual positivity."""
     if g.n_outer < 2:
         raise ValueError("need at least two outer vertices")
-    _require_independent(g.lengths, assert_independent)
+    _require_independent(g, assert_independent)
     spec = TargetSpec.uniform(-1.0, len(g.edges))
     meter = BudgetMeter(budget)
     result = _hunt(g, spec, meter, lam_hat, TAG_NONE, DEFAULT_LEVEL_CAP, cfg)
@@ -527,10 +609,9 @@ def find_eventual_not_positive_above(g: MetricGraph, lam_hat: float, budget: int
     NoCycle is raised.  Candidate targets are screened by classifying their
     exact limit matrix before any budget is spent on them.
     """
-    red = reduced_graph(g)
-    if len(red.edges) == len(red.vertices) - 1:
+    if is_tree(reduced_graph(g)):
         raise NoCycle()
-    _require_independent(g.lengths, assert_independent)
+    _require_independent(g, assert_independent)
 
     meter = BudgetMeter(budget)
     screened_any = False

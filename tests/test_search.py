@@ -1,9 +1,12 @@
 """Kronecker-style sequences, asymptotic limit matrices, and the searches."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+
+import dtnpos.search
 
 from dtnpos import (
     BudgetExhausted,
@@ -24,10 +27,12 @@ from dtnpos import (
     limit_matrix_Q,
     limit_schur,
     rationally_independent,
+    surds_independent,
     validate,
     verify_limit,
 )
-from dtnpos.search import commensurable_base, parse_gamma
+from dtnpos.lattice import enumerate_near, lll_reduce
+from dtnpos.search import _window_survivors, commensurable_base, parse_gamma
 
 
 def test_target_spec_rejects_zero():
@@ -90,6 +95,165 @@ def test_kronecker_requires_independence():
     lengths = (1.0, 2.0)
     with pytest.raises(IndependenceNotAsserted):
         kronecker_sequence(lengths, TargetSpec.uniform(1.0, 2), count=1, budget=1000)
+
+
+def _surd_graph(vertices, edges, outer):
+    return validate({
+        "vertices": vertices,
+        "edges": [{"u": u, "v": v, "length_expr": x} for u, v, x in edges],
+        "outer": outer,
+    })
+
+
+def test_surd_lengths_decided_exactly():
+    # the float probe sees this ratio within 9.7e-15 of 1124819/592030
+    assert not rationally_independent((math.sqrt(37), 0.5 * math.sqrt(41)))
+    assert surds_independent(["sqrt(37)", "1/2*sqrt(41)"])
+    assert not surds_independent(["sqrt(8)", "3/2*sqrt(2)"])
+    assert not surds_independent(["sqrt(5)", "sqrt(12)", "1/2*sqrt(3)"])
+    g = _surd_graph(["a", "b", "c"], [("a", "b", "sqrt(37)"), ("b", "c", "1/2*sqrt(41)")],
+                    ["a", "c"])
+    seq = kronecker_sequence(g, TargetSpec.uniform(1.0, 2), count=2, budget=10**6)
+    assert len(seq.lambdas) == 2
+    # plain float lengths still go through the heuristic probe
+    with pytest.raises(IndependenceNotAsserted):
+        kronecker_sequence(g.lengths, TargetSpec.uniform(1.0, 2), count=1, budget=10**6)
+
+
+def test_surd_lengths_rational_ratio_rejected():
+    g = _surd_graph(["a", "b", "c"], [("a", "b", "sqrt(8)"), ("b", "c", "3/2*sqrt(2)")],
+                    ["a", "c"])
+    with pytest.raises(IndependenceNotAsserted):
+        find_strongly_positive_above(g, 1.0, budget=10**4)
+
+
+@pytest.mark.parametrize("n,radius", [(1, 2), (3, 1), (4, 2)])
+def test_enumerate_near_box_in_product_order(n, radius):
+    rng = np.random.default_rng(7)
+    B = lll_reduce(rng.normal(size=(n, n)) + 3.0 * np.eye(n))
+    target = rng.normal(size=n) * 5.0
+    vectors = list(enumerate_near(B, target, radius))
+    offsets = list(product(range(-radius, radius + 1), repeat=n))
+    assert len(vectors) == (2 * radius + 1) ** n == len(offsets)
+    v0 = vectors[offsets.index((0,) * n)]
+    scale = np.abs(B).max() * (1 + radius * n) + np.abs(v0).max()
+    for v, c in zip(vectors, offsets):
+        want = v0 + np.asarray(c, dtype=float) @ B
+        assert np.abs(v - want).max() <= 1e-12 * scale
+
+
+# a seven-edge surd graph whose level-2 windows take the lattice route
+CORE7 = (
+    ["v1", "v2", "v3", "v4", "v5", "v6", "v7"],
+    [("v1", "v2", "1/2*sqrt(2)"), ("v1", "v4", "1/2*sqrt(37)"), ("v1", "v5", "sqrt(31)"),
+     ("v2", "v3", "3/2*sqrt(11)"), ("v2", "v6", "1/2*sqrt(23)"), ("v3", "v7", "sqrt(17)"),
+     ("v5", "v6", "1/2*sqrt(43)")],
+    ["v1", "v2", "v3", "v4", "v5", "v6"],
+)
+
+
+@pytest.fixture
+def lattice_calls(monkeypatch):
+    calls = []
+
+    def counted(B):
+        calls.append(B.shape)
+        return lll_reduce(B)
+
+    monkeypatch.setattr(dtnpos.search, "lll_reduce", counted)
+    return calls
+
+
+def test_kronecker_lattice_route_frozen(lattice_calls):
+    g = _surd_graph(*CORE7)
+    seq = kronecker_sequence(g, TargetSpec.uniform(1.0, 7), count=2, budget=10**7)
+    assert lattice_calls == [(7, 7)]  # level 1 scans, level 2 solves a CVP
+    assert seq.levels == (1, 2)
+    assert seq.lambdas == pytest.approx((12019206.806539701, 648078826457.693), rel=1e-12)
+    assert seq.residuals == pytest.approx((0.9639584670410459, 0.21499548123747203), rel=1e-9)
+    assert seq.budget_used == 7343
+
+
+@pytest.mark.parametrize("budget,best", [(4072, 0.32380117629815885),
+                                         (5207, 0.25347401134834835)])
+def test_kronecker_lattice_route_budget_exhaustion(lattice_calls, budget, best):
+    g = _surd_graph(*CORE7)
+    with pytest.raises(BudgetExhausted) as exc:
+        kronecker_sequence(g, TargetSpec.uniform(1.0, 7), count=2, budget=budget)
+    assert lattice_calls == [(7, 7)]
+    assert exc.value.level == 2
+    assert exc.value.best_residual == pytest.approx(best, rel=1e-9)
+
+
+def test_kronecker_lattice_route_best_counts_misses_before_hit():
+    # the level-2 CVP attempt charges misses before its hit, and one of them
+    # has a lower residual (0.2268) than the hit itself (0.2402)
+    g = _surd_graph(
+        ["v1", "v2", "v3", "v4", "v5", "v6", "v7"],
+        [("v1", "v2", "sqrt(43)"), ("v1", "v4", "sqrt(3)"), ("v2", "v3", "sqrt(23)"),
+         ("v3", "v4", "sqrt(5)"), ("v3", "v6", "3/2*sqrt(7)"), ("v4", "v5", "sqrt(17)"),
+         ("v4", "v7", "1/2*sqrt(47)")],
+        ["v1", "v2", "v3", "v5", "v6", "v7"])
+    spec = TargetSpec.uniform(-1.0, 7)
+    seq = kronecker_sequence(g, spec, count=2, budget=10**6)
+    assert seq.residuals[1] == pytest.approx(0.24023622099813902, rel=1e-9)
+    assert seq.budget_used == 21381
+    with pytest.raises(BudgetExhausted) as exc:
+        kronecker_sequence(g, spec, count=3, budget=seq.budget_used)
+    assert exc.value.level == 3
+    assert exc.value.best_residual == pytest.approx(0.226800457186011, rel=1e-9)
+
+
+# a six-edge surd graph whose level-2 window takes a scan of ~340 chunks
+SCAN6 = (
+    ["v1", "v2", "v3", "v4", "v5", "v6"],
+    [("v1", "v2", "sqrt(19)"), ("v2", "v3", "1/2*sqrt(13)"), ("v2", "v5", "3/2*sqrt(23)"),
+     ("v3", "v4", "1/2*sqrt(47)"), ("v3", "v6", "1/2*sqrt(2)"), ("v4", "v5", "1/2*sqrt(37)")],
+    ["v1", "v3", "v4", "v5", "v6"],
+)
+
+
+def test_kronecker_scan_route_frozen(lattice_calls):
+    g = _surd_graph(*SCAN6)
+    seq = kronecker_sequence(g, TargetSpec.uniform(1.0, 6), count=2, budget=10**7)
+    assert lattice_calls == []
+    assert seq.lambdas == pytest.approx((3934879.691908792, 359183802463.12537), rel=1e-12)
+    assert seq.residuals == pytest.approx((0.29289321881345076, 0.2495449972556345), rel=1e-9)
+    assert seq.budget_used == 686173
+
+
+@pytest.mark.parametrize("budget,best", [(274469, 0.1346079784293343),
+                                         (528353, 0.12975145130236415)])
+def test_kronecker_scan_route_budget_exhaustion(budget, best):
+    g = _surd_graph(*SCAN6)
+    with pytest.raises(BudgetExhausted) as exc:
+        kronecker_sequence(g, TargetSpec.uniform(1.0, 6), count=2, budget=budget)
+    assert exc.value.level == 2
+    assert exc.value.best_residual == pytest.approx(best, rel=1e-9)
+
+
+def test_window_survivors_match_full_evaluation():
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n_edges = int(rng.integers(1, 8))
+        lengths = list(rng.uniform(0.3, 5.0, n_edges))
+        targets = list(rng.choice([1.0, 0.5, -0.5, 0.25, -1 / 3], n_edges))
+        w = 1.0 / int(rng.integers(1, 5)) ** 2
+        m = rng.uniform(1.0, 1e6) + np.arange(int(rng.integers(1, 3000)), dtype=float)
+        lam = ((0.7 + 2.0 * math.pi * m) / max(lengths)) ** 2
+        mu = np.sqrt(lam)
+        res = np.zeros_like(lam)
+        ok = np.ones(lam.shape, dtype=bool)
+        for L, v in zip(lengths, targets):
+            res = np.maximum(res, np.abs(np.sin(mu * L) - v))
+            ok &= np.cos(mu * L) > 0.0
+        ok &= res < w
+        cap = rng.choice([math.inf, float(rng.uniform(0.0, 1.0)), w, float(res.min())])
+        idx, part, admissible = _window_survivors(lam, lengths, targets, w, cap)
+        want = np.flatnonzero((res < w) | (res <= cap))
+        assert np.array_equal(idx, want)
+        assert np.array_equal(part, res[want])  # bitwise: same elementwise operations
+        assert np.array_equal(admissible, ok[want])
 
 
 def test_limit_matrix_is_signed_laplacian(lasso):
