@@ -9,6 +9,16 @@ with the hyperbolic continuation for lam < 0 and the common limit 1/L at
 lam = 0.  The full matrix carries -beta on off-diagonal edge positions and the
 sum of incident alphas on the diagonal; eliminating the inner vertices by a
 Schur complement yields the matrix on the outer vertices.
+
+Every function here takes lam as one float or as a 1-D array of parameters.
+An array is a leading stack axis: entries come back as (N, n, n) and each
+sample goes through exactly the operations a single float would, so the
+float call is the N = 1 case of the same code and the two agree bitwise.
+The contracts differ only at singular parameters.  A float at an edge pole
+raises AtPole and a float with a singular inner block raises
+InnerBlockSingular; a stack instead marks such samples in
+DtnMatrix.singular and fills their entries with NaN.  PatternViolation is
+raised in both cases.
 """
 
 from __future__ import annotations
@@ -17,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import AtPole, InnerBlockSingular, PatternViolation, PoleCluster
 from .graphs import MetricGraph, adjacency_pattern, reduced_graph
@@ -30,6 +39,8 @@ INNER_COND_MAX = 1e12
 SERIES_WINDOW = 1e-8
 # pattern zeros in the reduced matrix may carry elimination dust up to this
 PATTERN_TOL = 1e-12
+# largest stack that sweep and pole_scan hand to one assembly call
+STACK_CHUNK = 512
 
 # smallest positive subnormal float; beta is never exactly zero for finite lam
 TINY = 5e-324
@@ -37,17 +48,19 @@ TINY = 5e-324
 
 @dataclass(frozen=True)
 class EdgeCoefficients:
-    alpha: float
-    beta: float
-    at_pole: bool = False
+    alpha: float | np.ndarray
+    beta: float | np.ndarray
+    at_pole: bool | np.ndarray = False
 
 
 @dataclass(frozen=True, eq=False)
 class DtnMatrix:
-    lam: float
+    lam: float | np.ndarray
     dim: int
-    entries: np.ndarray
+    entries: np.ndarray  # (dim, dim), or (N, dim, dim) for a stack
     provenance: str  # "direct" | "schur(m,k)"
+    # stack only: samples at an edge pole or with a singular inner block
+    singular: np.ndarray | None = None
 
     def __array__(self, dtype=None, copy=None):
         if copy:
@@ -55,76 +68,120 @@ class DtnMatrix:
         return np.asarray(self.entries, dtype=dtype)
 
 
-def edge_alpha_beta(lam: float, length: float, raise_at_pole: bool = False) -> EdgeCoefficients:
-    """Coefficient pair (alpha, beta) for one edge.
+def edge_alpha_beta(lam, length, raise_at_pole: bool = False) -> EdgeCoefficients:
+    """Coefficient pair (alpha, beta) for one edge, or for broadcast arrays.
 
-    At a Dirichlet pole of the edge (sin(sqrt(lam) L) = 0, lam > 0) the result
-    carries at_pole=True with infinite entries, or raises AtPole on request.
+    lam and length broadcast against each other (assemble_full passes the
+    parameters as a column and the edge lengths as a row); two floats give
+    floats back.  At a Dirichlet pole of the edge (sin(sqrt(lam) L) = 0,
+    lam > 0) the result carries at_pole=True with infinite entries, or raises
+    AtPole on request.
     """
-    L = float(length)
-    w = lam * L * L
-    if abs(w) < SERIES_WINDOW:
+    lam_b = np.asarray(lam, dtype=float)
+    L = np.asarray(length, dtype=float)
+    w = lam_b * L * L
+    shape = w.shape
+    ones = np.ones(shape)  # broadcasts both inputs to the shape of w; exact
+    lam_b, L, w = (lam_b * ones).reshape(-1), (L * ones).reshape(-1), w.reshape(-1)
+    alpha = np.empty_like(w)
+    beta = np.empty_like(w)
+    at_pole = np.zeros(w.shape, dtype=bool)
+
+    series = np.abs(w) < SERIES_WINDOW
+    trig = ~series & (lam_b > 0)
+    hyp = ~series & ~trig
+
+    if series.any():
         # alpha = (1 - w/3 - w^2/45 - 2 w^3/945 + ...) / L
         # beta  = (1 + w/6 + 7 w^2/360 + 31 w^3/15120 + ...) / L
-        alpha = (1.0 - w / 3.0 - w * w / 45.0 - 2.0 * w ** 3 / 945.0) / L
-        beta = (1.0 + w / 6.0 + 7.0 * w * w / 360.0 + 31.0 * w ** 3 / 15120.0) / L
-        return EdgeCoefficients(alpha, beta)
+        ws, Ls = w[series], L[series]
+        alpha[series] = (1.0 - ws / 3.0 - ws * ws / 45.0 - 2.0 * ws ** 3 / 945.0) / Ls
+        beta[series] = (1.0 + ws / 6.0 + 7.0 * ws * ws / 360.0 + 31.0 * ws ** 3 / 15120.0) / Ls
 
-    if lam > 0:
-        r = math.sqrt(lam)
-        x = r * L
-        s = math.sin(x)
-        if abs(s) < POLE_TOL * max(1.0, x):
+    if trig.any():
+        r = np.sqrt(lam_b[trig])
+        x = r * L[trig]
+        s = np.sin(x)
+        hit = np.abs(s) < POLE_TOL * np.maximum(1.0, x)
+        poles = hit.any()
+        if poles:
             if raise_at_pole:
-                raise AtPole(lam, detail=f"sin({x!r}) = {s!r} below pole tolerance")
-            return EdgeCoefficients(math.inf, math.inf, at_pole=True)
-        alpha = r * math.cos(x) / s
-        beta = r / s
-    else:
-        s = math.sqrt(-lam)
-        x = s * L
-        if x > 350.0:
-            # sinh/cosh overflow past ~710; asymptotically coth -> 1, 1/sinh -> 2 e^{-x}
-            alpha = s / math.tanh(x)
-            beta = 2.0 * s * math.exp(-x)
-        else:
-            sh = math.sinh(x)
-            alpha = s * math.cosh(x) / sh
-            beta = s / sh
-        if beta == 0.0:
-            beta = TINY
+                k = int(np.argmax(hit))
+                raise AtPole(float(lam_b[trig][k]),
+                             detail=f"sin({float(x[k])!r}) = {float(s[k])!r} below pole tolerance")
+            s[hit] = math.inf  # keeps the division quiet; these entries become inf below
+        alpha[trig] = r * np.cos(x) / s
+        beta[trig] = r / s
+        if poles:
+            at_pole[trig] = hit
+            alpha[at_pole] = beta[at_pole] = math.inf
 
-    return EdgeCoefficients(alpha, beta)
+    if hyp.any():
+        s = np.sqrt(-lam_b[hyp])
+        x = s * L[hyp]
+        a = np.empty_like(x)
+        b = np.empty_like(x)
+        # sinh/cosh overflow past ~710; asymptotically coth -> 1, 1/sinh -> 2 e^{-x}
+        far = x > 350.0
+        a[far] = s[far] / np.tanh(x[far])
+        b[far] = 2.0 * s[far] * np.exp(-x[far])
+        near = ~far
+        sh = np.sinh(x[near])
+        a[near] = s[near] * np.cosh(x[near]) / sh
+        b[near] = s[near] / sh
+        b[b == 0.0] = TINY
+        alpha[hyp] = a
+        beta[hyp] = b
+
+    if not shape:
+        return EdgeCoefficients(float(alpha[0]), float(beta[0]), bool(at_pole[0]))
+    return EdgeCoefficients(alpha.reshape(shape), beta.reshape(shape), at_pole.reshape(shape))
 
 
-def assemble_full(g: MetricGraph, lam: float) -> DtnMatrix:
+def assemble_full(g: MetricGraph, lam) -> DtnMatrix:
     """Dirichlet-to-Neumann matrix with every vertex treated as a data vertex.
 
     Entries: D[k, j] = -beta_kj on edges, 0 otherwise; D[k, k] = sum of alpha
-    over edges at k.  Symmetric by construction (both off-diagonal positions
-    are written from the same float).
+    over edges at k, added in edge order.  Symmetric by construction (both
+    off-diagonal positions are written from the same float).  A float lam at
+    an edge pole raises AtPole naming the edge; in a stack the sample is
+    marked singular.
     """
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1:
+        raise ValueError("lam must be a float or a 1-D array")
+    single, lams = lams.ndim == 0, lams.reshape(-1)
+    coeff = edge_alpha_beta(lams[:, None], np.array(g.lengths))
     n = g.n_vertices
-    D = np.zeros((n, n))
-    diag = np.zeros(n)
-    for e, (i, j) in zip(g.edges, g.edge_indices):
-        try:
-            coeff = edge_alpha_beta(lam, e.length, raise_at_pole=True)
-        except AtPole:
-            raise AtPole(lam, edge=(e.u, e.v)) from None
-        D[i, j] = -coeff.beta
-        D[j, i] = -coeff.beta
-        diag[i] += coeff.alpha
-        diag[j] += coeff.alpha
-    D[np.diag_indices(n)] = diag
-    return DtnMatrix(lam=lam, dim=n, entries=D, provenance="direct")
+    ends = np.array(g.edge_indices).reshape(-1, 2)
+    D = np.zeros((lams.size, n, n))
+    D[:, ends[:, 0], ends[:, 1]] = -coeff.beta
+    D[:, ends[:, 1], ends[:, 0]] = -coeff.beta
+    diag = np.zeros((lams.size, n))
+    # unbuffered and in index order, so each vertex sums its alphas edge by edge
+    np.add.at(diag, (slice(None), ends.reshape(-1)), np.repeat(coeff.alpha, 2, axis=1))
+    D[:, np.arange(n), np.arange(n)] = diag
+
+    pole = coeff.at_pole.any(axis=1)
+    if single:
+        if pole[0]:
+            e = g.edges[int(np.argmax(coeff.at_pole[0]))]
+            raise AtPole(lam, edge=(e.u, e.v))
+        return DtnMatrix(lam=lam, dim=n, entries=D[0], provenance="direct")
+    D[pole] = np.nan
+    return DtnMatrix(lam=lams, dim=n, entries=D, provenance="direct", singular=pole)
 
 
 def schur_reduce(full: DtnMatrix, m: int) -> DtnMatrix:
     """Eliminate the trailing dim-m coordinates by the Schur complement.
 
     With the block split D = [[A, B], [B^T, C]] (A of size m) the result is
-    A - B C^{-1} B^T, symmetrized.  m = dim returns the input unchanged.
+    A - B C^{-1} B^T, symmetrized.  m = dim returns the input unchanged.  The
+    inner block C of every sample must pass a conditioning guard: its
+    smallest eigenvalue against the scale of the full matrix, and its
+    eigenvalue ratio against INNER_COND_MAX.  A single matrix that fails
+    raises InnerBlockSingular; in a stack the sample is marked singular.  The
+    passing samples are solved in one batched call.
     """
     n = full.dim
     if not 0 < m <= n:
@@ -132,40 +189,61 @@ def schur_reduce(full: DtnMatrix, m: int) -> DtnMatrix:
     if m == n:
         return full
 
-    D = full.entries
-    A = D[:m, :m]
-    B = D[:m, m:]
-    C = D[m:, m:]
+    single = full.entries.ndim == 2
+    stack = full.entries[None] if single else full.entries
+    singular = np.zeros(len(stack), dtype=bool)
+    if full.singular is not None:
+        singular |= full.singular
+    live = np.flatnonzero(~singular)
+    D = stack[live]
 
     # the ratio test alone cannot catch a singular 1x1 block, so the smallest
     # inner eigenvalue is also measured against the scale of the full matrix
-    ev = np.abs(np.linalg.eigvalsh(C))
-    scale = float(np.abs(D).max())
-    if ev.min() <= scale / INNER_COND_MAX or ev.max() / ev.min() > INNER_COND_MAX:
-        cond = math.inf if ev.min() == 0.0 else float(max(ev.max(), scale) / ev.min())
+    ev = np.abs(np.linalg.eigvalsh(D[:, m:, m:]))
+    ev_lo, ev_hi = ev.min(axis=1), ev.max(axis=1)
+    scale = np.abs(D).max(axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (ev_lo <= scale / INNER_COND_MAX) | (ev_hi / ev_lo > INNER_COND_MAX)
+    if single and bad[0]:
+        cond = math.inf if ev_lo[0] == 0.0 else float(max(ev_hi[0], scale[0]) / ev_lo[0])
         raise InnerBlockSingular(full.lam, cond)
+    singular[live[bad]] = True
 
-    X = scipy.linalg.solve(C, B.T, assume_a="sym")
-    S = A - B @ X
-    S = 0.5 * (S + S.T)
-    return DtnMatrix(lam=full.lam, dim=m, entries=S, provenance=f"schur({m},{n - m})")
+    D = D[~bad]
+    B = D[:, :m, m:]
+    X = np.linalg.solve(D[:, m:, m:], np.swapaxes(B, 1, 2))
+    S = D[:, :m, :m] - B @ X
+    S = 0.5 * (S + np.swapaxes(S, 1, 2))
+    provenance = f"schur({m},{n - m})"
+    if single:
+        return DtnMatrix(lam=full.lam, dim=m, entries=S[0], provenance=provenance)
+    out = np.full((len(stack), m, m), np.nan)
+    out[~singular] = S
+    return DtnMatrix(lam=full.lam, dim=m, entries=out, provenance=provenance,
+                     singular=singular)
 
 
-def assemble_outer(g: MetricGraph, lam: float) -> DtnMatrix:
-    """Dirichlet-to-Neumann matrix on the outer vertices.
+def assemble_outer(g: MetricGraph, lam) -> DtnMatrix:
+    """Dirichlet-to-Neumann matrix on the outer vertices, for a float or a stack.
 
     Assembles the full matrix and eliminates the inner block, then checks the
     support: off-diagonal entries away from reduced-graph edges must vanish up
-    to elimination dust (PatternViolation otherwise).
+    to elimination dust, PATTERN_TOL times the largest entry of their own
+    sample.  The first offending entry (in sample, row, column order) raises
+    PatternViolation.
     """
     out = schur_reduce(assemble_full(g, lam), g.n_outer)
     pattern = adjacency_pattern(reduced_graph(g))
+    forbidden = ~np.eye(out.dim, dtype=bool)
+    for k, j in pattern.allowed:
+        forbidden[k, j] = False
     S = out.entries
-    bound = PATTERN_TOL * np.abs(S).max()
-    for k in range(out.dim):
-        for j in range(out.dim):
-            if k != j and not pattern.permits(k, j) and abs(S[k, j]) > bound:
-                raise PatternViolation((k, j), float(S[k, j]), float(bound))
+    size = np.abs(S)
+    bound = PATTERN_TOL * size.max(axis=(-2, -1))
+    over = forbidden & (size > bound[..., None, None])  # NaN samples compare False
+    if over.any():
+        at = tuple(int(i) for i in np.argwhere(over)[0])
+        raise PatternViolation(at[-2:], float(S[at]), float(bound[at[:-2]]))
     return out
 
 

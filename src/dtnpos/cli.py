@@ -18,7 +18,7 @@ import numpy as np
 
 from .assembly import assemble_full, assemble_outer
 from .catalog import catalog, catalog_names, catalog_raw
-from .errors import BudgetExhausted, DtnError, NoCycle, NumericallyMarginal
+from .errors import BudgetExhausted, DtnError, NoCycle
 from .graphs import MetricGraph, graph_to_json, is_tree, load_graph, reduced_graph
 from .positivity import ClassifierConfig, classify
 from .search import (
@@ -305,9 +305,6 @@ def main(argv=None) -> int:
     except BudgetExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except NumericallyMarginal as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MARGINAL
     except DtnError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -94,20 +94,6 @@ class ResolutionTooLow(DtnError):
         )
 
 
-# --- classification ---------------------------------------------------------
-
-class NumericallyMarginal(DtnError):
-    """A decisive classification quantity is within tolerance of zero."""
-
-    def __init__(self, quantity: str, value: float, tolerance: float) -> None:
-        self.quantity = quantity
-        self.value = value
-        self.tolerance = tolerance
-        super().__init__(
-            f"classification is marginal: {quantity} = {value!r} within tolerance {tolerance!r}"
-        )
-
-
 # --- searches ---------------------------------------------------------------
 
 class BudgetExhausted(DtnError):

@@ -85,8 +85,12 @@ def _as_array(M) -> np.ndarray:
 
 
 def _offdiag(A: np.ndarray) -> np.ndarray:
-    mask = ~np.eye(A.shape[0], dtype=bool)
-    return A[mask]
+    mask = ~np.eye(A.shape[-1], dtype=bool)
+    return A[..., mask]
+
+
+def _transpose(A: np.ndarray) -> np.ndarray:
+    return np.swapaxes(A, -1, -2)
 
 
 def is_metzler(negM, cfg: ClassifierConfig = DEFAULT_CONFIG) -> MetzlerReport:
@@ -94,16 +98,23 @@ def is_metzler(negM, cfg: ClassifierConfig = DEFAULT_CONFIG) -> MetzlerReport:
 
     Entries within sign_tolerance * max|A| of zero count as zeros; entries
     below that but within marginal_factor of the band are flagged marginal
-    rather than decided.
+    rather than decided.  An (N, n, n) stack gets one report whose fields are
+    arrays over the samples.
     """
     A = _as_array(negM)
-    n = A.shape[0]
+    n = A.shape[-1]
     if n <= 1:
-        return MetzlerReport(True, False, 0.0, 0.0)
-    tol = cfg.sign_tolerance * float(np.abs(A).max())
-    margin = float(_offdiag(A).min())
+        if A.ndim == 2:
+            return MetzlerReport(True, False, 0.0, 0.0)
+        zeros = np.zeros(len(A))
+        return MetzlerReport(np.ones(len(A), dtype=bool), np.zeros(len(A), dtype=bool),
+                             zeros, zeros)
+    tol = cfg.sign_tolerance * np.abs(A).max(axis=(-2, -1))
+    margin = _offdiag(A).min(axis=-1)
     satisfied = margin >= -tol
-    marginal = (not satisfied) and margin > -cfg.marginal_factor * tol
+    marginal = ~satisfied & (margin > -cfg.marginal_factor * tol)
+    if A.ndim == 2:
+        return MetzlerReport(bool(satisfied), bool(marginal), float(margin), float(tol))
     return MetzlerReport(satisfied, marginal, margin, tol)
 
 
@@ -121,71 +132,106 @@ def is_irreducible(M, tol: float | None = None) -> bool:
     return ncomp == 1
 
 
-def _power_check(A: np.ndarray, cfg: ClassifierConfig) -> tuple[bool, int]:
-    """Strict positivity of (mu I + A)^k for some k <= power_k_max, by squaring."""
-    n = A.shape[0]
+def _irreducible_by_support(A: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """is_irreducible over a stack, called once per distinct support pattern.
+
+    A zero tolerance falls back to is_irreducible's own default band.
+    """
+    n = A.shape[-1]
+    tol = np.where(tol > 0, tol, DEFAULT_CONFIG.sign_tolerance * np.abs(A).max(axis=(1, 2)))
+    support = (np.abs(A) > tol[:, None, None]) & ~np.eye(n, dtype=bool)
+    keys = map(bytes, np.packbits(support.reshape(len(A), n * n), axis=1))
+    first: dict[bytes, int] = {}
+    rep = [first.setdefault(key, i) for i, key in enumerate(keys)]
+    verdict = {i: is_irreducible(A[i], tol=float(tol[i])) for i in first.values()}
+    return np.array([verdict[i] for i in rep], dtype=bool)
+
+
+def _power_check(A: np.ndarray, cfg: ClassifierConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Strict positivity of (mu I + A)^k for some k <= power_k_max, by squaring.
+
+    A is an (N, n, n) stack; returns per-sample (positive, k).  Each sample
+    leaves the squaring loop at its first strictly positive power.
+    """
+    N, n = len(A), A.shape[-1]
+    k_at = np.ones(N, dtype=int)
     if n == 1:
-        return True, 1
-    w = np.linalg.eigvalsh(0.5 * (A + A.T))
-    mu = 1.0 + float(np.abs(w).max())
-    P = mu * np.eye(n) + A
+        return np.ones(N, dtype=bool), k_at
+    ok = np.zeros(N, dtype=bool)
+    w = np.linalg.eigvalsh(0.5 * (A + _transpose(A)))
+    mu = 1.0 + np.abs(w).max(axis=1)
+    P = mu[:, None, None] * np.eye(n) + A
+    left = np.arange(N)
     k = 1
     while k <= cfg.power_k_max:
-        if P.min() > 0.0:
-            return True, k
+        done = P.min(axis=(1, 2)) > 0.0
+        if done.any():
+            ok[left[done]] = True
+            k_at[left[done]] = k
+            left, P = left[~done], P[~done]
+            if not left.size:
+                break
         P = P @ P
-        P /= np.abs(P).max()  # rescale to dodge overflow, positivity unaffected
+        P /= np.abs(P).max(axis=(1, 2))[:, None, None]  # rescale to dodge overflow
         k *= 2
-    return False, k
+    k_at[left] = k
+    return ok, k_at
 
 
-def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass:
+def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | list[SemigroupClass]:
     """Classify the positivity behavior of e^{-tM} for symmetric M.
 
     Tags: "strong" (positivity improving for every t > 0), "positive"
     (positive, not strongly), "eventual" (eventually strongly positive but not
     positive), "none" (not eventually positive), "marginal" (a sign decision
     fell inside the numerical ambiguity band).
+
+    An (m, m) matrix gives one SemigroupClass; an (N, m, m) stack of finite
+    matrices gives a list with one per sample, each with the tag and the
+    evidence that the matrix alone would get.
     """
     Mat = _as_array(M)
-    A = -Mat
+    single = Mat.ndim == 2
+    A = -(Mat[None] if single else Mat)
     metz = is_metzler(A, cfg)
-    evidence: dict = {
-        "metzler_margin": metz.margin,
-        "metzler_tolerance": metz.tolerance,
-    }
+    evidence = [{"metzler_margin": margin, "metzler_tolerance": tol}
+                for margin, tol in zip(metz.margin.tolist(), metz.tolerance.tolist())]
+    tags = [TAG_MARGINAL] * len(A)
 
-    if metz.satisfied:
-        irr = is_irreducible(A, tol=metz.tolerance if metz.tolerance > 0 else None)
-        evidence["irreducible"] = irr
-        if irr:
-            ok, k = _power_check(A, cfg)
-            evidence["power_positive"] = ok
-            evidence["power_k"] = k
-        return SemigroupClass(TAG_STRONG if irr else TAG_POSITIVE, evidence)
-
-    if metz.marginal:
-        return SemigroupClass(TAG_MARGINAL, evidence)
+    pos = np.flatnonzero(metz.satisfied)
+    if pos.size:
+        irr = _irreducible_by_support(A[pos], metz.tolerance[pos])
+        for i, flag in zip(pos.tolist(), irr.tolist()):
+            evidence[i]["irreducible"] = flag
+            tags[i] = TAG_STRONG if flag else TAG_POSITIVE
+        strong = pos[irr]
+        ok, k = _power_check(A[strong], cfg)
+        for i, flag, power in zip(strong.tolist(), ok.tolist(), k.tolist()):
+            evidence[i]["power_positive"] = flag
+            evidence[i]["power_k"] = power
 
     # not Metzler: decide by the spectral projection onto the top eigenvalue of A
-    w, V = np.linalg.eigh(0.5 * (A + A.T))
-    s = float(w[-1])
-    thresh = cfg.projection_tol * max(1.0, abs(s))
-    sel = w >= s - thresh
-    P = V[:, sel] @ V[:, sel].T
-    tol_p = cfg.sign_tolerance * float(np.abs(P).max())
-    min_p = float(P.min())
-    evidence.update({
-        "spectral_bound": s,
-        "projection_rank": int(sel.sum()),
-        "min_projection": min_p,
-        "projection_tolerance": tol_p,
-    })
-    if min_p > tol_p:
-        return SemigroupClass(TAG_EVENTUAL, evidence)
-    if min_p < -tol_p:
-        return SemigroupClass(TAG_NONE, evidence)
-    return SemigroupClass(TAG_MARGINAL, evidence)
+    rest = np.flatnonzero(~metz.satisfied & ~metz.marginal)
+    if rest.size:
+        B = A[rest]
+        w, V = np.linalg.eigh(0.5 * (B + _transpose(B)))
+        s = w[:, -1]
+        sel = w >= (s - cfg.projection_tol * np.maximum(1.0, np.abs(s)))[:, None]
+        P = (V * sel[:, None, :]) @ _transpose(V)
+        tol_p = cfg.sign_tolerance * np.abs(P).max(axis=(1, 2))
+        min_p = P.min(axis=(1, 2))
+        for i, s_i, rank, lo, tol in zip(rest.tolist(), s.tolist(), sel.sum(axis=1).tolist(),
+                                          min_p.tolist(), tol_p.tolist()):
+            evidence[i].update({
+                "spectral_bound": s_i,
+                "projection_rank": rank,
+                "min_projection": lo,
+                "projection_tolerance": tol,
+            })
+            tags[i] = TAG_EVENTUAL if lo > tol else TAG_NONE if lo < -tol else TAG_MARGINAL
+
+    out = [SemigroupClass(tag, ev) for tag, ev in zip(tags, evidence)]
+    return out[0] if single else out
 
 
 def _time_grid(Mat: np.ndarray, cfg: ClassifierConfig) -> np.ndarray:

@@ -6,7 +6,7 @@ Two reference spectra:
   listed with multiplicity in closed form;
 * the spectrum with Dirichlet data on the outer vertices and continuity +
   Kirchhoff conditions on the inner ones, computed by a P1 finite element
-  discretization of each edge.
+  discretization of each edge and a banded generalized eigensolver.
 
 The assembled outer matrix is singular on a discrete set of parameters: the
 edge poles together with the inner-block Kirchhoff eigenvalues.  pole_scan
@@ -15,14 +15,17 @@ locates both kinds inside a window.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.cython_lapack
+import scipy.sparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from .assembly import assemble_full
-from .errors import ResolutionTooLow
+from .assembly import STACK_CHUNK, assemble_full
+from .errors import AtPole, ResolutionTooLow
 from .graphs import MetricGraph
 
 DEFAULT_RESOLUTION = 32
@@ -52,51 +55,118 @@ def dirichlet_spectrum_full(g: MetricGraph, lambda_max: float) -> SpectrumList:
     return SpectrumList(values=tuple(sorted(vals)), kind="dirichlet-full")
 
 
-def _fem_matrices(g: MetricGraph, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """P1 stiffness and mass matrices, outer-vertex rows/columns eliminated.
+def _fem_entries(g: MetricGraph, resolution: float):
+    """P1 stiffness and mass contributions, outer-vertex rows/columns eliminated.
 
     Each edge gets max(1, ceil(resolution * L)) equal elements; vertex degrees
     of freedom are shared, outer vertices carry homogeneous Dirichlet data.
+    Returns (n, rows, cols, k, m): the number of free degrees of freedom
+    (vertices n_outer..n-1 first, then edge-interior nodes, shifted by
+    n_outer) and one (row, col, stiffness, mass) contribution per entry
+    touched by an element, in element order.  Summed in that order they give
+    every entry bitwise, whatever storage they are summed into.
     """
-    n_vert = g.n_vertices
-    m = g.n_outer
-
-    # global numbering: vertices 0..n-1, then edge-interior nodes
-    n_dof = n_vert
-    interior_start = []
-    n_elems = []
-    for e in g.edges:
+    n_dof = g.n_vertices
+    p, q, h = [], [], []
+    for (i, j), e in zip(g.edge_indices, g.edges):
         ne = max(1, math.ceil(resolution * e.length))
-        n_elems.append(ne)
-        interior_start.append(n_dof)
+        nodes = np.concatenate(([i], np.arange(n_dof, n_dof + ne - 1), [j]))
         n_dof += ne - 1
+        p.append(nodes[:-1])
+        q.append(nodes[1:])
+        h.append(np.full(ne, e.length / ne))
+    p, q, h = np.concatenate(p), np.concatenate(q), np.concatenate(h)
+    # per element: (p, p), (q, q), (p, q), (q, p)
+    rows = np.stack([p, q, p, q], axis=1).ravel()
+    cols = np.stack([p, q, q, p], axis=1).ravel()
+    w = 1.0 / h
+    k = np.stack([w, w, -w, -w], axis=1).ravel()
+    m = np.stack([h / 3.0, h / 3.0, h / 6.0, h / 6.0], axis=1).ravel()
+    free = (rows >= g.n_outer) & (cols >= g.n_outer)
+    return (n_dof - g.n_outer, rows[free] - g.n_outer, cols[free] - g.n_outer,
+            k[free], m[free])
 
-    K = np.zeros((n_dof, n_dof))
-    M = np.zeros((n_dof, n_dof))
-    for (i, j), e, ne, start in zip(g.edge_indices, g.edges, n_elems, interior_start):
-        h = e.length / ne
-        nodes = [i] + list(range(start, start + ne - 1)) + [j]
-        for a in range(ne):
-            p, q = nodes[a], nodes[a + 1]
-            K[p, p] += 1.0 / h
-            K[q, q] += 1.0 / h
-            K[p, q] -= 1.0 / h
-            K[q, p] -= 1.0 / h
-            M[p, p] += h / 3.0
-            M[q, q] += h / 3.0
-            M[p, q] += h / 6.0
-            M[q, p] += h / 6.0
 
-    keep = np.arange(m, n_dof)
-    return K[np.ix_(keep, keep)], M[np.ix_(keep, keep)]
+def _fem_matrices(g: MetricGraph, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense P1 stiffness and mass matrices (see _fem_entries), as a reference."""
+    n, rows, cols, k, m = _fem_entries(g, resolution)
+    K = np.zeros((n, n))
+    M = np.zeros((n, n))
+    np.add.at(K, (rows, cols), k)
+    np.add.at(M, (rows, cols), m)
+    return K, M
+
+
+def _lapack(name: str, n_args: int):
+    """A routine of scipy's Cython LAPACK table, callable with ctypes pointers.
+
+    Every argument of a LAPACK routine is passed by pointer.
+    """
+    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
+    # private prototypes: setting restype on ctypes.pythonapi's shared
+    # function objects would change them for every other user
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    address = get_pointer(capsule, get_name(capsule))
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
+
+
+# generalized symmetric-definite banded eigensolver, selected eigenvalues;
+# scipy.linalg.lapack does not wrap it
+_dsbgvx = _lapack("dsbgvx", 25)
 
 
 def _fem_eigenvalues(g: MetricGraph, count: int, resolution: float) -> np.ndarray:
-    K, M = _fem_matrices(g, resolution)
-    if K.shape[0] < count:
+    """The `count` lowest eigenvalues of the P1 pencil (K, M), ascending.
+
+    K and M have the sparsity of the discretized graph.  A reverse
+    Cuthill-McKee ordering turns them into band matrices whose half-bandwidth
+    kd is a few nodes (1-3 on the usual graphs, where a dense order has n),
+    and LAPACK dsbgvx reduces the banded pencil and bisects for the wanted
+    eigenvalues: O(n^2 kd) work instead of the O(n^3) of a dense solve.  It
+    solves M x = mu K x for the largest mu = 1/lambda: the reduction then
+    factors K, and its roundoff is relative to mu_max = 1/lambda_1, so the
+    lowest lambda come out more accurate than from a dense (K, M) solve,
+    whose roundoff is relative to the largest lambda.  K is positive
+    definite since every graph has an outer vertex.
+    """
+    n, rows, cols, k, m = _fem_entries(g, resolution)
+    if n < count:
         raise ResolutionTooLow(math.inf, math.nan)
-    w = scipy.linalg.eigh(K, M, eigvals_only=True)
-    return w[:count]
+    pattern = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    order = np.empty(n, dtype=np.intp)
+    order[reverse_cuthill_mckee(pattern, symmetric_mode=True)] = np.arange(n)
+    r, c = order[rows], order[cols]
+    upper = r <= c
+    r, c, k, m = r[upper], c[upper], k[upper], m[upper]
+    kd = int((c - r).max())
+    # LAPACK upper band storage: A[i, j] sits at band[kd + i - j, j]
+    mass = np.zeros((kd + 1, n), order="F")
+    stiffness = np.zeros((kd + 1, n), order="F")
+    np.add.at(mass, (kd + r - c, c), m)
+    np.add.at(stiffness, (kd + r - c, c), k)
+
+    mu = np.empty(n)
+    unused = np.empty(1)
+    work = np.empty(7 * n)
+    iwork = np.empty(5 * n, dtype=np.intc)
+    ifail = np.empty(n, dtype=np.intc)
+    found, info = ctypes.c_int(0), ctypes.c_int(0)
+    char = lambda x: ctypes.byref(ctypes.c_char(x))
+    int_ = lambda x: ctypes.byref(ctypes.c_int(x))
+    real = lambda x: ctypes.byref(ctypes.c_double(x))
+    ptr = lambda a: a.ctypes.data_as(ctypes.c_void_p)
+    # eigenvalues only, indices n-count+1..n, tolerance 2 * safe minimum (most accurate)
+    _dsbgvx(char(b"N"), char(b"I"), char(b"U"), int_(n), int_(kd), int_(kd),
+            ptr(mass), int_(kd + 1), ptr(stiffness), int_(kd + 1), ptr(unused), int_(1),
+            real(0.0), real(0.0), int_(n - count + 1), int_(n), real(2.0 * np.finfo(float).tiny),
+            ctypes.byref(found), ptr(mu), ptr(unused), int_(1),
+            ptr(work), ptr(iwork), ptr(ifail), ctypes.byref(info))
+    if info.value != 0 or found.value != count:
+        raise np.linalg.LinAlgError(f"dsbgvx failed (info={info.value}, found {found.value} of {count})")
+    return 1.0 / mu[count - 1::-1]
 
 
 def kirchhoff_spectrum(g: MetricGraph, count: int = 1,
@@ -128,11 +198,16 @@ def lambda_1(g: MetricGraph, resolution: float = DEFAULT_RESOLUTION) -> float:
     return kirchhoff_spectrum(g, count=1, resolution=resolution).values[0]
 
 
-def _inner_det_sign(g: MetricGraph, lam: float) -> int:
+def _inner_det_signs(g: MetricGraph, lams: np.ndarray) -> np.ndarray:
+    """Sign of det C, the inner block of the full matrix, at every parameter of lams."""
     m = g.n_outer
-    C = assemble_full(g, lam).entries[m:, m:]
-    sign, _ = np.linalg.slogdet(C)
-    return int(sign)
+    signs = np.empty(len(lams))
+    for at in range(0, len(lams), STACK_CHUNK):
+        full = assemble_full(g, lams[at:at + STACK_CHUNK])
+        if full.singular.any():
+            raise AtPole(float(full.lam[np.argmax(full.singular)]))
+        signs[at:at + STACK_CHUNK], _ = np.linalg.slogdet(full.entries[:, m:, m:])
+    return signs
 
 
 def pole_scan(g: MetricGraph, lo: float, hi: float, samples: int = 2000) -> list[float]:
@@ -140,9 +215,13 @@ def pole_scan(g: MetricGraph, lo: float, hi: float, samples: int = 2000) -> list
 
     Edge poles come in closed form.  Inner-block singularities are found by
     tracking the sign of det C on a grid between consecutive edge poles and
-    bisecting each change down to width 1e-10 * max(1, lam).  Some edge poles
-    are removable for the reduced map; they are still reported because the
-    assembly itself breaks down there.
+    bisecting each change down to width 1e-10 * max(1, lam).  The grids of all
+    segments form one stack, assembled STACK_CHUNK samples per call; the
+    brackets are then bisected in lockstep, one stacked call per round, each
+    bracket taking the same midpoints and stopping at the same width as it
+    would alone.  Some edge
+    poles are removable for the reduced map; they are still reported because
+    the assembly itself breaks down there.  Returns plain floats, sorted.
     """
     if not hi > lo:
         raise ValueError("empty scan range")
@@ -155,30 +234,34 @@ def pole_scan(g: MetricGraph, lo: float, hi: float, samples: int = 2000) -> list
     if g.n_outer == g.n_vertices:
         return edge_poles
 
-    inner_poles: list[float] = []
+    grids = []
     breakpoints = [lo] + edge_poles + [hi]
     for a, b in zip(breakpoints[:-1], breakpoints[1:]):
         margin = 1e-7 * max(1.0, abs(a), abs(b))
         aa, bb = a + margin, b - margin
         if bb <= aa:
             continue
-        n_grid = max(8, int(samples * (b - a) / (hi - lo)))
-        grid = np.linspace(aa, bb, n_grid)
-        signs = [_inner_det_sign(g, x) for x in grid]
-        for x0, x1, s0, s1 in zip(grid[:-1], grid[1:], signs[:-1], signs[1:]):
-            if s0 == 0 or s0 * s1 >= 0:
-                continue
-            left, right, s_left = x0, x1, s0
-            while right - left > POLE_BISECT_TOL * max(1.0, left):
-                mid = 0.5 * (left + right)
-                s_mid = _inner_det_sign(g, mid)
-                if s_mid == 0:
-                    left = right = mid
-                    break
-                if s_mid == s_left:
-                    left = mid
-                else:
-                    right = mid
-            inner_poles.append(0.5 * (left + right))
+        grids.append(np.linspace(aa, bb, max(8, int(samples * (b - a) / (hi - lo)))))
+    if not grids:
+        return edge_poles
+    grid = np.concatenate(grids)
+    signs = _inner_det_signs(g, grid)
+    # a bracket is a sign change between neighbours of the same segment
+    same_segment = np.ones(len(grid) - 1, dtype=bool)
+    same_segment[np.cumsum([len(x) for x in grids[:-1]], dtype=int) - 1] = False
+    s0, s1 = signs[:-1], signs[1:]
+    bracket = np.flatnonzero(same_segment & (s0 != 0) & (s0 * s1 < 0))
 
-    return sorted(edge_poles + inner_poles)
+    left, right, s_left = grid[bracket], grid[bracket + 1], s0[bracket]
+    active = right - left > POLE_BISECT_TOL * np.maximum(1.0, left)
+    while active.any():
+        at = np.flatnonzero(active)
+        mid = 0.5 * (left[at] + right[at])
+        s_mid = _inner_det_signs(g, mid)
+        hit = s_mid == 0
+        same = s_mid == s_left[at]
+        left[at] = np.where(hit | same, mid, left[at])
+        right[at] = np.where(hit | ~same, mid, right[at])
+        active[at] = ~hit & (right[at] - left[at] > POLE_BISECT_TOL * np.maximum(1.0, left[at]))
+
+    return sorted(edge_poles + (0.5 * (left + right)).tolist())

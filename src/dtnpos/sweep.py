@@ -9,8 +9,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .assembly import assemble_outer
-from .errors import AtPole, InnerBlockSingular
+from .assembly import STACK_CHUNK, assemble_outer
 from .graphs import MetricGraph
 from .positivity import DEFAULT_CONFIG, ClassifierConfig, classify
 from .spectra import pole_scan
@@ -39,28 +38,34 @@ def sweep(g: MetricGraph, lo: float, hi: float, steps: int,
           scan_samples: int = 2000) -> list[SweepRecord]:
     """Classify the outer matrix on a uniform grid of `steps` samples.
 
-    The sign pattern flips exactly at a pole, so classifications remain valid
-    arbitrarily close to one; near_pole flags only the tight zone where the
-    assembly loses precision.  Samples where the assembly itself breaks down
-    get the tag "pole" and NaN eigenvalues.
+    The grid is the stack axis: each chunk of STACK_CHUNK samples is
+    assembled, reduced, pattern-checked and classified by one call each, so
+    memory stays bounded for any number of steps.  The sign pattern flips
+    exactly at a pole, so classifications remain valid arbitrarily close to
+    one; near_pole flags only the tight zone where the assembly loses
+    precision.  Samples that the assembly marks singular (an edge pole or a
+    singular inner block) get the tag "pole" and NaN eigenvalues.
     """
     if steps < 2:
         raise ValueError("need at least two samples")
     grid = np.linspace(lo, hi, steps)
-    poles = pole_scan(g, lo, hi, samples=scan_samples)
+    poles = np.array(pole_scan(g, lo, hi, samples=scan_samples))
+    reach = 1e-9 * np.maximum(1.0, np.abs(poles))
 
     m = g.n_outer
     records = []
-    for lam in grid:
-        lam = float(lam)
-        near = any(abs(lam - p) <= 1e-9 * max(1.0, abs(p)) for p in poles)
-        try:
-            D = assemble_outer(g, lam)
-        except (AtPole, InnerBlockSingular):
-            records.append(SweepRecord(lam, (math.nan,) * m, TAG_POLE, True))
-            continue
-        eigs = tuple(float(x) for x in np.linalg.eigvalsh(D.entries))
-        records.append(SweepRecord(lam, eigs, classify(D, cfg).tag, near))
+    for at in range(0, steps, STACK_CHUNK):
+        lams = grid[at:at + STACK_CHUNK]
+        near = (np.abs(lams[:, None] - poles) <= reach).any(axis=1)
+        D = assemble_outer(g, lams)
+        live = D.entries[~D.singular]
+        eigs = iter(np.linalg.eigvalsh(live).tolist())
+        verdicts = iter(classify(live, cfg))
+        for lam, close, singular in zip(lams.tolist(), near.tolist(), D.singular.tolist()):
+            if singular:
+                records.append(SweepRecord(lam, (math.nan,) * m, TAG_POLE, True))
+            else:
+                records.append(SweepRecord(lam, tuple(next(eigs)), next(verdicts).tag, close))
     return records
 
 

@@ -19,9 +19,13 @@ from dtnpos import (
     catalog,
     edge_alpha_beta,
     pole_residue_probe,
+    pole_scan,
     schur_reduce,
     validate,
 )
+from dtnpos.assembly import STACK_CHUNK
+
+from conftest import random_surd_graph
 
 SQRT17 = math.sqrt(17)
 
@@ -191,3 +195,82 @@ def test_pole_cluster_detected():
     )
     with pytest.raises(PoleCluster):
         pole_residue_probe(g, 1, 0)
+
+
+def stack_grid(g, rng, spread=40):
+    """Parameters that reach every branch: the series window at 0, the far
+    hyperbolic branch (sqrt(-lam) L > 350), exact edge poles, the scanned
+    inner singularities, and random samples in between."""
+    far = -((400.0 / min(g.lengths)) ** 2)
+    edge_poles = [(math.pi * k / L) ** 2 for L in g.lengths for k in (1, 2)]
+    return np.concatenate([
+        [0.0, 1e-12, -1e-12, far, 10.0 * far],
+        edge_poles,
+        pole_scan(g, 0.0, 30.0),
+        rng.uniform(-40.0, 80.0, spread),
+    ])
+
+
+def assert_stack_matches_single(g, grid):
+    """assemble_outer over the stack equals a loop of single-lambda calls:
+    bitwise entries where the loop succeeds, the singular mask where it raises."""
+    D = assemble_outer(g, grid)
+    assert D.entries.shape == (len(grid), g.n_outer, g.n_outer)
+    assert np.array_equal(D.lam, grid)
+    for k, lam in enumerate(grid.tolist()):
+        try:
+            one = assemble_outer(g, lam)
+        except (AtPole, InnerBlockSingular):
+            assert D.singular[k], f"lam={lam!r} raises alone but is not masked"
+            assert np.isnan(D.entries[k]).all()
+            continue
+        assert not D.singular[k], f"lam={lam!r} is masked but assembles alone"
+        assert np.array_equal(D.entries[k], one.entries), f"lam={lam!r}"
+    return D
+
+
+@pytest.mark.parametrize("name", ["interval", "path-3", "lasso-4", "star-5", "braid-5",
+                                  "two-cluster"])
+def test_stack_matches_single_catalog(name):
+    g = catalog(name)
+    grid = stack_grid(g, np.random.default_rng(len(name)))
+    if name == "path-3":
+        grid = np.append(grid, (math.pi / 2) ** 2 / 17.0)  # singular inner block
+    D = assert_stack_matches_single(g, grid)
+    assert D.singular.any() and not D.singular.all()
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+def test_stack_matches_single_random(seed):
+    rng = np.random.default_rng(seed)
+    g = random_surd_graph(rng)
+    assert_stack_matches_single(g, stack_grid(g, rng, spread=25))
+
+
+def test_stack_longer_than_a_chunk(lasso):
+    grid = np.linspace(-6.0, 45.0, STACK_CHUNK + 5)
+    assert_stack_matches_single(lasso, grid)
+
+
+def test_stack_edge_coefficients_match_single():
+    lams = np.array([0.0, 3e-9, -3e-9, 2.5, math.pi**2, -1e6, -4.0e6, 50.0])
+    got = edge_alpha_beta(lams, 1.0)
+    for k, lam in enumerate(lams.tolist()):
+        one = edge_alpha_beta(lam, 1.0)
+        assert (got.alpha[k], got.beta[k], got.at_pole[k]) == (one.alpha, one.beta, one.at_pole)
+    assert got.at_pole.tolist() == [False] * 4 + [True] + [False] * 3
+
+
+def test_stack_full_marks_poles_float_raises(path3):
+    pole = (math.pi / SQRT17) ** 2
+    full = assemble_full(path3, np.array([1.0, pole]))
+    assert full.singular.tolist() == [False, True]
+    assert np.isnan(full.entries[1]).all()
+    with pytest.raises(AtPole):
+        assemble_full(path3, pole)
+
+
+def test_stack_rejects_two_dimensional_lambda(path3):
+    with pytest.raises(ValueError):
+        assemble_full(path3, np.ones((2, 2)))

@@ -11,12 +11,16 @@ from hypothesis import assume, given, settings, strategies as st
 from dtnpos import (
     ClassifierConfig,
     assemble_outer,
+    catalog,
     classify,
     expm_oracle,
     group_positivity_probe,
     is_irreducible,
     is_metzler,
 )
+
+from conftest import random_surd_graph
+
 
 def _eventual_matrix():
     # the top eigenvector v is strictly positive but the generator fails to
@@ -173,3 +177,52 @@ def test_classify_shift_invariant(seed, c):
     tag = classify(M).tag
     assume(tag != "marginal")
     assert classify(M + c * np.eye(3)).tag == tag
+
+
+def assert_stack_classifies_like_singles(stack, cfg=ClassifierConfig()):
+    got = classify(stack, cfg)
+    assert isinstance(got, list) and len(got) == len(stack)
+    for M, verdict in zip(stack, got):
+        one = classify(M, cfg)
+        assert verdict.tag == one.tag
+        assert verdict.evidence == one.evidence
+    return {v.tag for v in got}
+
+
+@pytest.mark.parametrize("name", ["interval", "lasso-4", "star-5", "braid-5", "two-cluster"])
+def test_stack_classify_matches_single_on_sweeps(name):
+    D = assemble_outer(catalog(name), np.linspace(-5.0, 60.0, 240))
+    tags = assert_stack_classifies_like_singles(D.entries[~D.singular])
+    assert "strong" in tags
+
+
+def test_stack_classify_covers_every_tag():
+    pairs = np.stack([CASES["strong"], CASES["positive"], CASES["none"],
+                      np.array([[-1.0, 5e-11], [5e-11, -1.0]]), np.zeros((2, 2))])
+    triples = np.stack([CASES["eventual"], 3.0 * CASES["eventual"], -np.eye(3)])
+    tags = assert_stack_classifies_like_singles(pairs)
+    tags |= assert_stack_classifies_like_singles(triples)
+    assert tags == {"strong", "positive", "none", "eventual", "marginal"}
+    assert assert_stack_classifies_like_singles(np.array([[[0.0]], [[2.0]]])) == {"strong"}
+    assert classify(np.zeros((0, 3, 3))) == []
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    tol=st.sampled_from([1e-11, 1e-3, 0.0]),
+)
+def test_stack_classify_matches_single_random(n, seed, tol):
+    # mixed stacks: generic symmetric, Metzler with random sparsity (several
+    # support patterns, some reducible), and reduced matrices of a surd graph
+    rng = np.random.default_rng(seed)
+    mats = [_symmetric(rng.normal(size=n * n), n) for _ in range(6)]
+    for _ in range(6):
+        A = np.abs(_symmetric(rng.normal(size=n * n), n)) * (rng.random((n, n)) < 0.5)
+        A = np.triu(A, 1) + np.triu(A, 1).T + np.diag(rng.normal(size=n))
+        mats.append(-A)
+    assert_stack_classifies_like_singles(np.stack(mats), ClassifierConfig(sign_tolerance=tol))
+    g = random_surd_graph(rng)
+    D = assemble_outer(g, rng.uniform(-10.0, 60.0, 30))
+    assert_stack_classifies_like_singles(D.entries[~D.singular])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dtnpos import (
     ResolutionTooLow,
@@ -14,6 +15,9 @@ from dtnpos import (
     pole_scan,
     validate,
 )
+from dtnpos.spectra import _fem_eigenvalues, _fem_matrices
+
+from conftest import random_surd_graph
 
 SQRT17 = math.sqrt(17)
 PI2 = math.pi**2
@@ -63,6 +67,80 @@ def test_kirchhoff_spectrum_neumann_tip(interval):
 def test_kirchhoff_spectrum_path3(path3):
     got = kirchhoff_spectrum(path3, count=1, resolution=32)
     assert got.values[0] == pytest.approx((math.pi / 2) ** 2 / 17, rel=2e-4)
+
+
+def _pendant_pair():
+    # two unit pendants hang off the outer vertex a and decouple: every
+    # pendant eigenvalue ((k + 1/2) pi)^2 is double, in the FEM as well
+    return validate({
+        "vertices": ["a", "b", "t1", "t2"],
+        "edges": [
+            {"u": "a", "v": "b", "length": math.sqrt(2)},
+            {"u": "a", "v": "t1", "length": 1.0},
+            {"u": "a", "v": "t2", "length": 1.0},
+        ],
+        "outer": ["a"],
+    })
+
+
+def _fem_matrices_loop(g, resolution):
+    """Element-by-element assembly, the reference for the array version."""
+    n_dof = g.n_vertices
+    starts, counts = [], []
+    for e in g.edges:
+        counts.append(max(1, math.ceil(resolution * e.length)))
+        starts.append(n_dof)
+        n_dof += counts[-1] - 1
+    K = np.zeros((n_dof, n_dof))
+    M = np.zeros((n_dof, n_dof))
+    for (i, j), e, ne, start in zip(g.edge_indices, g.edges, counts, starts):
+        h = e.length / ne
+        nodes = [i] + list(range(start, start + ne - 1)) + [j]
+        for p, q in zip(nodes[:-1], nodes[1:]):
+            K[p, p] += 1.0 / h
+            K[q, q] += 1.0 / h
+            K[p, q] -= 1.0 / h
+            K[q, p] -= 1.0 / h
+            M[p, p] += h / 3.0
+            M[q, q] += h / 3.0
+            M[p, q] += h / 6.0
+            M[q, p] += h / 6.0
+    m = g.n_outer
+    return K[m:, m:], M[m:, m:]
+
+
+def test_fem_matrices_equal_element_loop():
+    rng = np.random.default_rng(5)
+    graphs = [catalog(name) for name in ("interval", "lasso-4", "two-cluster")]
+    graphs += [random_surd_graph(rng) for _ in range(4)] + [_pendant_pair()]
+    for g in graphs:
+        for resolution in (2, 16):
+            K, M = _fem_matrices(g, resolution)
+            K_ref, M_ref = _fem_matrices_loop(g, resolution)
+            assert np.array_equal(K, K_ref) and np.array_equal(M, M_ref)
+
+
+@pytest.mark.parametrize("resolution", [8, 32])
+def test_banded_fem_eigenvalues_match_dense_solve(resolution):
+    rng = np.random.default_rng(11)
+    graphs = [catalog(name) for name in ("interval", "path-3", "lasso-4", "star-5",
+                                         "braid-5", "two-cluster")]
+    graphs += [random_surd_graph(rng) for _ in range(8)] + [_pendant_pair()]
+    for g in graphs:
+        K, M = _fem_matrices(g, resolution)
+        count = min(10, K.shape[0])
+        want = scipy.linalg.eigh(K, M, eigvals_only=True)[:count]
+        got = _fem_eigenvalues(g, count, resolution)
+        assert got == pytest.approx(want, rel=1e-9)
+
+
+def test_banded_fem_keeps_double_eigenvalues():
+    got = _fem_eigenvalues(_pendant_pair(), 5, 32)
+    # (pi / (2 sqrt 2))^2 from the a-b edge, then the double (pi / 2)^2
+    assert got[0] == pytest.approx((math.pi / 2) ** 2 / 2, rel=1e-3)
+    assert got[1] == pytest.approx((math.pi / 2) ** 2, rel=1e-3)
+    assert got[2] == pytest.approx(got[1], rel=1e-12)
+    assert got[3] > got[2] * (1 + 1e-6)
 
 
 def test_resolution_too_low(interval):
@@ -115,3 +193,34 @@ def test_pole_scan_path3(path3):
 def test_pole_scan_empty_window(interval):
     assert pole_scan(interval, 0.0, 5.0) == []
     assert pole_scan(interval, -10.0, 0.0) == []
+
+
+def test_pole_scan_returns_plain_floats(path3, lasso):
+    # inner poles come out of the bisection, edge poles out of the closed form;
+    # both must be Python floats
+    for g, hi in ((path3, 4.0), (lasso, 20.0)):
+        got = pole_scan(g, 0.0, hi)
+        assert len(got) > 3
+        assert all(type(p) is float for p in got)
+
+
+# pole_scan(lasso-4, 0, 150) before the scan was stacked: every midpoint of
+# the lockstep bisection must match the one-bracket-at-a-time loop exactly
+LASSO_POLES_150 = [
+    0.90921946974582, 1.4099434858699083, 1.9739208802178716, 2.5057445021952214,
+    3.289868133696453, 5.019182804527363, 5.639773943479633, 7.895683520871486,
+    8.451985319354229, 9.869604401089358, 11.930654395447156, 12.689491372829172,
+    13.159472534785811, 16.125159062916293, 17.765287921960844, 22.500496658566874,
+    22.559095773918532, 29.60881320326808, 30.621876149017147, 31.582734083485946,
+    34.72974645487617, 35.24858714674771, 39.47841760435743, 45.310688104706585,
+    49.348022005446786, 50.75796549131669, 50.92926334910139, 52.637890139143245,
+    62.50695839469354, 69.08723080762552, 71.06115168784338, 74.52601841264988,
+    82.24670334241131, 84.57731556553748, 88.82643960980423, 90.23638309567413,
+    94.4588506317456, 96.7221231306757, 108.4278673810309, 114.20542235546255,
+    118.43525281307232, 122.79703251197606, 126.33093633394378, 136.56436996102394,
+    140.99434858699084,
+]
+
+
+def test_pole_scan_frozen_lasso(lasso):
+    assert pole_scan(lasso, 0.0, 150.0) == LASSO_POLES_150

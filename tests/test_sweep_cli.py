@@ -1,6 +1,7 @@
 """Sweep output formats, band reports, and command-line behavior."""
 
 import csv
+import importlib
 import io
 import json
 import math
@@ -8,8 +9,24 @@ import math
 import numpy as np
 import pytest
 
-from dtnpos import Band, SweepRecord, catalog, report, sweep, write_csv, write_json
+import dtnpos
+from dtnpos import (
+    AtPole,
+    Band,
+    InnerBlockSingular,
+    SweepRecord,
+    assemble_outer,
+    catalog,
+    classify,
+    report,
+    sweep,
+    write_csv,
+    write_json,
+)
 from dtnpos.cli import main
+
+# the package re-exports the function sweep under the submodule's name
+sweep_module = importlib.import_module("dtnpos.sweep")
 
 
 def test_sweep_record_grid(interval):
@@ -254,3 +271,82 @@ class TestCli:
         assert rc == 0
         vals = json.loads(capsys.readouterr().out)["values"]
         assert vals == pytest.approx([math.pi**2, 4 * math.pi**2], rel=1e-12)
+
+
+# report(sweep(g, -5, 60, 400)) before the sweep was stacked, as (lo, hi, tag, count)
+FROZEN_BANDS = {
+    "two-cluster": [
+        (-5.0, 0.7017543859649118, "strong", 36),
+        (0.8646616541353378, 5.263157894736841, "none", 28),
+        (5.426065162907268, 5.5889724310776945, "eventual", 2),
+        (5.75187969924812, 9.82456140350877, "strong", 26),
+        (9.987468671679197, 39.473684210526315, "none", 182),
+        (39.63659147869674, 50.71428571428571, "strong", 69),
+        (50.87719298245614, 60.0, "none", 57),
+    ],
+    "lasso-4": [
+        (-5.0, 0.8646616541353378, "strong", 37),
+        (1.0275689223057638, 5.5889724310776945, "none", 29),
+        (5.75187969924812, 7.8696741854636585, "strong", 14),
+        (8.032581453634084, 8.358395989974937, "none", 3),
+        (8.521303258145362, 11.127819548872179, "eventual", 17),
+        (11.290726817042607, 22.531328320802004, "none", 70),
+        (22.69423558897243, 29.536340852130323, "eventual", 43),
+        (29.69924812030075, 30.51378446115288, "strong", 6),
+        (30.67669172932331, 34.58646616541353, "none", 25),
+        (34.749373433583955, 35.238095238095234, "eventual", 4),
+        (35.40100250626566, 50.87719298245614, "none", 96),
+        (51.040100250626566, 51.20300751879699, "eventual", 2),
+        (51.365914786967416, 52.506265664160395, "strong", 8),
+        (52.669172932330824, 53.8095238095238, "eventual", 8),
+        (53.97243107769423, 60.0, "none", 38),
+    ],
+    "star-5": [
+        (-5.0, 0.7017543859649118, "strong", 36),
+        (0.8646616541353378, 60.0, "none", 364),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_BANDS))
+def test_sweep_bands_frozen(name):
+    got = [(b.lo, b.hi, b.tag, b.count) for b in report(sweep(catalog(name), -5.0, 60.0, 400))]
+    assert got == FROZEN_BANDS[name]
+
+
+def test_sweep_chunks_match_single_samples(monkeypatch, path3):
+    # a tiny chunk puts chunk boundaries between poles, pole rows and plain
+    # rows; every record must equal the one built from a single-lambda call
+    monkeypatch.setattr(sweep_module, "STACK_CHUNK", 7)
+    lo, hi = -3.0, 4.0
+    records = sweep(path3, lo, hi, 64)
+    poles = dtnpos.pole_scan(path3, lo, hi)
+    for rec in records:
+        try:
+            D = assemble_outer(path3, rec.lam)
+        except (AtPole, InnerBlockSingular):
+            assert rec.tag == "pole" and rec.near_pole
+            continue
+        assert rec.eigenvalues == tuple(np.linalg.eigvalsh(D.entries).tolist())
+        assert rec.tag == classify(D).tag
+        assert rec.near_pole == any(abs(rec.lam - p) <= 1e-9 * max(1.0, abs(p)) for p in poles)
+
+
+def test_sweep_hits_inner_pole_between_chunks(monkeypatch, path3):
+    # the inner singularity (pi/2)^2/17 is a grid sample at the start of the
+    # second chunk
+    monkeypatch.setattr(sweep_module, "STACK_CHUNK", 4)
+    lam = (math.pi / 2) ** 2 / 17.0
+    records = sweep(path3, lam - 0.4, lam + 0.4, 9)
+    assert records[4].lam == pytest.approx(lam, abs=1e-15)
+    assert records[4].tag == "pole" and records[4].near_pole
+    assert all(r.tag != "pole" for i, r in enumerate(records) if i != 4)
+
+
+def test_public_names_are_not_modules():
+    import types
+
+    assert all(hasattr(dtnpos, name) for name in dtnpos.__all__)
+    modules = [name for name in dtnpos.__all__
+               if isinstance(getattr(dtnpos, name), types.ModuleType)]
+    assert modules == []
