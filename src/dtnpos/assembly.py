@@ -68,14 +68,14 @@ class DtnMatrix:
         return np.asarray(self.entries, dtype=dtype)
 
 
-def edge_alpha_beta(lam, length, raise_at_pole: bool = False) -> EdgeCoefficients:
+def edge_alpha_beta(lam, length) -> EdgeCoefficients:
     """Coefficient pair (alpha, beta) for one edge, or for broadcast arrays.
 
     lam and length broadcast against each other (assemble_full passes the
     parameters as a column and the edge lengths as a row); two floats give
     floats back.  At a Dirichlet pole of the edge (sin(sqrt(lam) L) = 0,
-    lam > 0) the result carries at_pole=True with infinite entries, or raises
-    AtPole on request.
+    lam > 0) the result carries at_pole=True with infinite entries; it never
+    raises.
     """
     lam_b = np.asarray(lam, dtype=float)
     L = np.asarray(length, dtype=float)
@@ -105,10 +105,6 @@ def edge_alpha_beta(lam, length, raise_at_pole: bool = False) -> EdgeCoefficient
         hit = np.abs(s) < POLE_TOL * np.maximum(1.0, x)
         poles = hit.any()
         if poles:
-            if raise_at_pole:
-                k = int(np.argmax(hit))
-                raise AtPole(float(lam_b[trig][k]),
-                             detail=f"sin({float(x[k])!r}) = {float(s[k])!r} below pole tolerance")
             s[hit] = math.inf  # keeps the division quiet; these entries become inf below
         alpha[trig] = r * np.cos(x) / s
         beta[trig] = r / s
@@ -233,10 +229,7 @@ def assemble_outer(g: MetricGraph, lam) -> DtnMatrix:
     PatternViolation.
     """
     out = schur_reduce(assemble_full(g, lam), g.n_outer)
-    pattern = adjacency_pattern(reduced_graph(g))
-    forbidden = ~np.eye(out.dim, dtype=bool)
-    for k, j in pattern.allowed:
-        forbidden[k, j] = False
+    forbidden = ~adjacency_pattern(reduced_graph(g))
     S = out.entries
     size = np.abs(S)
     bound = PATTERN_TOL * size.max(axis=(-2, -1))

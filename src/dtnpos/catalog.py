@@ -87,11 +87,7 @@ def catalog_names() -> list[str]:
 
 
 def catalog(name: str) -> MetricGraph:
-    try:
-        raw = _CATALOG[name]
-    except KeyError:
-        raise KeyError(f"unknown catalog graph {name!r}; known: {', '.join(catalog_names())}") from None
-    return validate(raw)
+    return validate(catalog_raw(name))
 
 
 def catalog_raw(name: str) -> dict:

@@ -46,14 +46,12 @@ class EmptyOuterSet(GraphValidationError):
 class AtPole(DtnError):
     """lambda lies in the per-edge Dirichlet spectrum within tolerance."""
 
-    def __init__(self, lam: float, edge: object = None, detail: str = "") -> None:
+    def __init__(self, lam: float, edge: object = None) -> None:
         self.lam = lam
         self.edge = edge
         msg = f"lambda={lam!r} is at a pole"
         if edge is not None:
             msg += f" of edge {edge!r}"
-        if detail:
-            msg += f" ({detail})"
         super().__init__(msg)
 
 
@@ -111,7 +109,7 @@ class IndependenceNotAsserted(DtnError):
     def __init__(self) -> None:
         super().__init__(
             "rational independence of the edge lengths must be asserted by the caller "
-            "(pass independence_asserted=True / --assert-independent)"
+            "(pass assert_independent=True / --assert-independent)"
         )
 
 

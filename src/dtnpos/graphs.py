@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -110,17 +110,7 @@ class MetricGraph:
 
     def with_outer(self, outer: Sequence[VertexId]) -> "MetricGraph":
         """Same metric graph with a different outer set, revalidated."""
-        return validate(
-            {
-                "vertices": list(self.vertices),
-                "edges": [
-                    {"u": e.u, "v": e.v, "length": e.length}
-                    | ({"length_expr": e.expr} if e.expr else {})
-                    for e in self.edges
-                ],
-                "outer": list(outer),
-            }
-        )
+        return validate(graph_to_json(self) | {"outer": list(outer)})
 
 
 @dataclass(frozen=True)
@@ -148,13 +138,13 @@ class ReducedGraph:
         return tuple((self._index[e.u], self._index[e.v]) for e in self.edges)
 
 
-@dataclass(frozen=True)
-class AdjacencyPattern:
-    n: int
-    allowed: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-
-    def permits(self, k: int, j: int) -> bool:
-        return k == j or (k, j) in self.allowed
+def _adjacency(vertices: Iterable[VertexId], edges: Iterable[Edge | ReducedEdge]) -> dict[VertexId, set]:
+    """Neighbor sets of the undirected graph with these vertices and edges."""
+    adjacency: dict[VertexId, set] = {v: set() for v in vertices}
+    for e in edges:
+        adjacency[e.u].add(e.v)
+        adjacency[e.v].add(e.u)
+    return adjacency
 
 
 def _components(vertex_list: Sequence[VertexId], adjacency: Mapping[VertexId, set]) -> list[list[VertexId]]:
@@ -186,15 +176,7 @@ def validate(raw: Mapping | MetricGraph) -> MetricGraph:
     raises NotSimple, Disconnected, NonPositiveLength, EmptyOuterSet.
     """
     if isinstance(raw, MetricGraph):
-        raw = {
-            "vertices": list(raw.vertices),
-            "edges": [
-                {"u": e.u, "v": e.v, "length": e.length}
-                | ({"length_expr": e.expr} if e.expr else {})
-                for e in raw.edges
-            ],
-            "outer": list(raw.outer),
-        }
+        raw = graph_to_json(raw)
 
     if not isinstance(raw, Mapping):
         raise GraphValidationError("graph description must be a JSON object")
@@ -246,11 +228,7 @@ def validate(raw: Mapping | MetricGraph) -> MetricGraph:
     if len(set(outer)) != len(outer):
         raise NotSimple(next(v for v in outer if outer.count(v) > 1))
 
-    adjacency: dict[VertexId, set] = {v: set() for v in vertices}
-    for e in edges:
-        adjacency[e.u].add(e.v)
-        adjacency[e.v].add(e.u)
-
+    adjacency = _adjacency(vertices, edges)
     comps = _components(vertices, adjacency)
     if len(comps) > 1:
         raise Disconnected(comps[1][0])
@@ -293,11 +271,7 @@ def reduced_graph(g: MetricGraph) -> ReducedGraph:
     A pair joined both ways carries kind "both" but counts as a single edge.
     """
     outer_set = set(g.outer)
-    adjacency: dict[VertexId, set] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        adjacency[e.u].add(e.v)
-        adjacency[e.v].add(e.u)
-
+    adjacency = _adjacency(g.vertices, g.edges)
     direct: set[frozenset] = {
         e.pair for e in g.edges if e.u in outer_set and e.v in outer_set
     }
@@ -328,8 +302,9 @@ def is_tree(r: ReducedGraph) -> bool:
     return len(r.edges) == len(r.vertices) - 1
 
 
-def has_cycle(r: ReducedGraph) -> bool:
-    return not is_tree(r)
+def is_connected(vertices: Sequence[VertexId], edges: Iterable[Edge | ReducedEdge]) -> bool:
+    """Whether the graph with these vertices and edges is connected."""
+    return len(_components(vertices, _adjacency(vertices, edges))) == 1
 
 
 def graph_laplacian(g: MetricGraph | ReducedGraph) -> np.ndarray:
@@ -347,9 +322,6 @@ def graph_laplacian(g: MetricGraph | ReducedGraph) -> np.ndarray:
     return lap
 
 
-def adjacency_pattern(r: ReducedGraph) -> AdjacencyPattern:
-    allowed = set()
-    for i, j in r.edge_indices:
-        allowed.add((i, j))
-        allowed.add((j, i))
-    return AdjacencyPattern(n=len(r.vertices), allowed=frozenset(allowed))
+def adjacency_pattern(r: ReducedGraph) -> np.ndarray:
+    """Support mask of matrices on r: True on the diagonal and on both positions of each edge."""
+    return (graph_laplacian(r) != 0) | np.eye(len(r.vertices), dtype=bool)

@@ -29,17 +29,18 @@ from .assembly import DtnMatrix
 class ClassifierConfig:
     # off-diagonal sign decisions use sign_tolerance * max|M| as the zero band
     sign_tolerance: float = 1e-11
-    # entries between tol and marginal_factor * tol below zero are ambiguous
-    marginal_factor: float = 10.0
-    # eigenvalues within projection_tol * max(1, |s|) of the top one share its eigenspace
-    projection_tol: float = 1e-9
-    power_k_max: int = 64
-    oracle_times: int = 24
-    oracle_t_lo: float = 1e-3
-    oracle_t_hi: float = 1e4
 
 
 DEFAULT_CONFIG = ClassifierConfig()
+
+# entries between tol and MARGINAL_FACTOR * tol below zero are ambiguous
+MARGINAL_FACTOR = 10.0
+# eigenvalues within PROJECTION_TOL * max(1, |s|) of the top one share its eigenspace
+PROJECTION_TOL = 1e-9
+# the oracle samples ORACLE_TIMES times from ORACLE_T_LO to ORACLE_T_HI over the spectral scale
+ORACLE_TIMES = 24
+ORACLE_T_LO = 1e-3
+ORACLE_T_HI = 1e4
 
 # printable tags, also used in CSV/JSON output
 TAG_STRONG = "strong"
@@ -97,7 +98,7 @@ def is_metzler(negM, cfg: ClassifierConfig = DEFAULT_CONFIG) -> MetzlerReport:
     """Check the generator for non-negative off-diagonal entries.
 
     Entries within sign_tolerance * max|A| of zero count as zeros; entries
-    below that but within marginal_factor of the band are flagged marginal
+    below that but within MARGINAL_FACTOR of the band are flagged marginal
     rather than decided.  An (N, n, n) stack gets one report whose fields are
     arrays over the samples.
     """
@@ -112,7 +113,7 @@ def is_metzler(negM, cfg: ClassifierConfig = DEFAULT_CONFIG) -> MetzlerReport:
     tol = cfg.sign_tolerance * np.abs(A).max(axis=(-2, -1))
     margin = _offdiag(A).min(axis=-1)
     satisfied = margin >= -tol
-    marginal = ~satisfied & (margin > -cfg.marginal_factor * tol)
+    marginal = ~satisfied & (margin > -MARGINAL_FACTOR * tol)
     if A.ndim == 2:
         return MetzlerReport(bool(satisfied), bool(marginal), float(margin), float(tol))
     return MetzlerReport(satisfied, marginal, margin, tol)
@@ -147,37 +148,6 @@ def _irreducible_by_support(A: np.ndarray, tol: np.ndarray) -> np.ndarray:
     return np.array([verdict[i] for i in rep], dtype=bool)
 
 
-def _power_check(A: np.ndarray, cfg: ClassifierConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Strict positivity of (mu I + A)^k for some k <= power_k_max, by squaring.
-
-    A is an (N, n, n) stack; returns per-sample (positive, k).  Each sample
-    leaves the squaring loop at its first strictly positive power.
-    """
-    N, n = len(A), A.shape[-1]
-    k_at = np.ones(N, dtype=int)
-    if n == 1:
-        return np.ones(N, dtype=bool), k_at
-    ok = np.zeros(N, dtype=bool)
-    w = np.linalg.eigvalsh(0.5 * (A + _transpose(A)))
-    mu = 1.0 + np.abs(w).max(axis=1)
-    P = mu[:, None, None] * np.eye(n) + A
-    left = np.arange(N)
-    k = 1
-    while k <= cfg.power_k_max:
-        done = P.min(axis=(1, 2)) > 0.0
-        if done.any():
-            ok[left[done]] = True
-            k_at[left[done]] = k
-            left, P = left[~done], P[~done]
-            if not left.size:
-                break
-        P = P @ P
-        P /= np.abs(P).max(axis=(1, 2))[:, None, None]  # rescale to dodge overflow
-        k *= 2
-    k_at[left] = k
-    return ok, k_at
-
-
 def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | list[SemigroupClass]:
     """Classify the positivity behavior of e^{-tM} for symmetric M.
 
@@ -204,11 +174,6 @@ def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | list
         for i, flag in zip(pos.tolist(), irr.tolist()):
             evidence[i]["irreducible"] = flag
             tags[i] = TAG_STRONG if flag else TAG_POSITIVE
-        strong = pos[irr]
-        ok, k = _power_check(A[strong], cfg)
-        for i, flag, power in zip(strong.tolist(), ok.tolist(), k.tolist()):
-            evidence[i]["power_positive"] = flag
-            evidence[i]["power_k"] = power
 
     # not Metzler: decide by the spectral projection onto the top eigenvalue of A
     rest = np.flatnonzero(~metz.satisfied & ~metz.marginal)
@@ -216,7 +181,7 @@ def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | list
         B = A[rest]
         w, V = np.linalg.eigh(0.5 * (B + _transpose(B)))
         s = w[:, -1]
-        sel = w >= (s - cfg.projection_tol * np.maximum(1.0, np.abs(s)))[:, None]
+        sel = w >= (s - PROJECTION_TOL * np.maximum(1.0, np.abs(s)))[:, None]
         P = (V * sel[:, None, :]) @ _transpose(V)
         tol_p = cfg.sign_tolerance * np.abs(P).max(axis=(1, 2))
         min_p = P.min(axis=(1, 2))
@@ -234,15 +199,14 @@ def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | list
     return out[0] if single else out
 
 
-def _time_grid(Mat: np.ndarray, cfg: ClassifierConfig) -> np.ndarray:
+def _time_grid(Mat: np.ndarray) -> np.ndarray:
     scale = float(np.abs(np.linalg.eigvalsh(0.5 * (Mat + Mat.T))).max())
     if scale == 0.0:
         scale = 1.0
-    return np.geomspace(cfg.oracle_t_lo / scale, cfg.oracle_t_hi / scale,
-                        cfg.oracle_times)
+    return np.geomspace(ORACLE_T_LO / scale, ORACLE_T_HI / scale, ORACLE_TIMES)
 
 
-def expm_oracle(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> OracleReport:
+def expm_oracle(M) -> OracleReport:
     """Sample e^{-tM} on a geometric time grid and read off strict positivity.
 
     The generator is shifted by its top eigenvalue before exponentiation
@@ -256,7 +220,7 @@ def expm_oracle(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> OracleReport:
     w = np.linalg.eigvalsh(A)
     A_shift = A - float(w[-1]) * np.eye(n)
 
-    times = _time_grid(Mat, cfg)
+    times = _time_grid(Mat)
     strict = []
     for t in times:
         E = scipy.linalg.expm(t * A_shift)
@@ -275,7 +239,7 @@ def expm_oracle(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> OracleReport:
                         strict=tuple(strict), ambiguous=ambiguous)
 
 
-def group_positivity_probe(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> GroupProbe:
+def group_positivity_probe(M) -> GroupProbe:
     """Check entrywise positivity of e^{-tM} for both time directions.
 
     Membership in a positive group forces a diagonal generator, so the probe
@@ -285,7 +249,7 @@ def group_positivity_probe(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> GroupPr
     n = Mat.shape[0]
     A = -0.5 * (Mat + Mat.T)
     w = np.linalg.eigvalsh(A)
-    times = _time_grid(Mat, cfg)
+    times = _time_grid(Mat)
     ok = True
     for t in times:
         for sign in (1.0, -1.0):

@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .assembly import assemble_full, assemble_outer
+from .assembly import DtnMatrix, assemble_full, assemble_outer, schur_reduce
 from .errors import (
     AtPole,
     BudgetExhausted,
@@ -38,7 +38,7 @@ from .errors import (
     NoCycle,
     NotCommensurable,
 )
-from .graphs import MetricGraph, ReducedEdge, is_tree, parse_surd, reduced_graph
+from .graphs import MetricGraph, is_connected, is_tree, parse_surd, reduced_graph
 from .lattice import enumerate_near, lll_reduce
 from .positivity import (
     DEFAULT_CONFIG,
@@ -134,6 +134,8 @@ class BudgetMeter:
     """Counts evaluated candidates; raises once the allowance is spent."""
 
     def __init__(self, budget: int):
+        if budget < 0:
+            raise ValueError(f"budget must be non-negative, got {budget}")
         self.budget = int(budget)
         self.spent = 0
         self.best_residual = math.inf
@@ -281,13 +283,12 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
             room -= take
         return out
 
-    def verify(ms: np.ndarray, sizes: list[int],
-               prefix_best: bool = False) -> tuple[float, float] | None:
+    def verify(ms: np.ndarray, sizes: list[int]) -> tuple[float, float] | None:
         """Charge the chunks of ms in order up to the first admissible candidate.
 
-        A missed chunk folds its smallest residual into the meter's best; a
-        hit folds its own residual, and with prefix_best also those of the
-        misses before it in its chunk.
+        Every charged candidate folds its residual into the meter's best: a
+        missed chunk all of its own, a hit its own and those of the misses
+        before it in its chunk.
         """
         lam = ((theta_c + 2.0 * math.pi * ms[:sum(sizes)]) / La) ** 2
         # the meter's best only falls from one chunk to the next, so its value
@@ -300,8 +301,7 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
             if ok[lo:hi].any():
                 j = lo + int(np.argmax(ok[lo:hi]))
                 meter.charge(int(idx[j]) - start + 1)
-                best = res[lo:j + 1].min() if prefix_best else res[j]
-                meter.best_residual = min(meter.best_residual, float(best))
+                meter.best_residual = min(meter.best_residual, float(res[lo:j + 1].min()))
                 return float(lam[idx[j]]), float(res[j])
             meter.charge(size)
             if hi > lo:
@@ -356,16 +356,16 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
         # chunks never exceed the remaining budget, so the charge (and the best
         # residual) on exhaustion equals that of verifying one at a time
         ms = (m_min + cands).astype(float)
-        hit = verify(ms, chunks(len(ms), len(ms)), prefix_best=True)
+        hit = verify(ms, chunks(len(ms), len(ms)))
         if hit is not None:
             return hit
     raise RuntimeError("lattice enumeration failed to locate an admissible window")
 
 
-def _first_feasible_level(spec: TargetSpec, w_of=lambda l: 1.0 / l ** 2) -> int:
+def _first_feasible_level(spec: TargetSpec) -> int:
     level = 1
     while level < 10 ** 6:
-        if all(_phase_window(v, w_of(level)) is not None
+        if all(_phase_window(v, 1.0 / level ** 2) is not None
                for v in spec.level_targets(level)):
             return level
         level += 1
@@ -380,6 +380,8 @@ def _sign_safe(targets: Sequence[float], w: float) -> bool:
 def kronecker_sequence(lengths, spec: TargetSpec, count: int, budget: int,
                        assert_independent: bool = False) -> KroneckerSequence:
     """Admissible lam_1 < lam_2 < ... for `count` consecutive feasible levels."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     _require_independent(lengths, assert_independent)
     if isinstance(lengths, MetricGraph):
         lengths = lengths.lengths
@@ -424,17 +426,14 @@ def limit_matrix_Q(g: MetricGraph, spec: TargetSpec) -> np.ndarray:
 
 
 def limit_schur(g: MetricGraph, spec: TargetSpec) -> np.ndarray:
-    """Limit matrix reduced to the outer vertices (Schur complement of Q)."""
-    Q = limit_matrix_Q(g, spec)
-    m = g.n_outer
-    if m == g.n_vertices:
-        return Q
-    A = Q[:m, :m]
-    B = Q[:m, m:]
-    C = Q[m:, m:]
-    X = np.linalg.solve(C, B.T)
-    S = A - B @ X
-    return 0.5 * (S + S.T)
+    """Limit matrix reduced to the outer vertices (Schur complement of Q).
+
+    Q is the limit lam -> inf, so a singular inner block raises
+    InnerBlockSingular at lambda=inf.
+    """
+    Q = DtnMatrix(lam=math.inf, dim=g.n_vertices, entries=limit_matrix_Q(g, spec),
+                  provenance="limit")
+    return schur_reduce(Q, g.n_outer).entries
 
 
 @dataclass(frozen=True)
@@ -527,26 +526,6 @@ def find_not_eventually_positive_above(g: MetricGraph, lam_hat: float, budget: i
     return result
 
 
-def _reduced_minus_edge_connected(edges: Sequence[ReducedEdge], n: int,
-                                  index: dict, drop: ReducedEdge) -> bool:
-    adj = {i: set() for i in range(n)}
-    for e in edges:
-        if e is drop:
-            continue
-        i, j = index[e.u], index[e.v]
-        adj[i].add(j)
-        adj[j].add(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == n
-
-
 def _eventual_candidates(g: MetricGraph) -> Iterator[TargetSpec]:
     """Target specs whose limit should sit in the eventual class, best first.
 
@@ -564,8 +543,8 @@ def _eventual_candidates(g: MetricGraph) -> Iterator[TargetSpec]:
     for re_edge in red.edges:
         if re_edge.kind == "through-inner":
             continue
-        if re_edge.kind == "direct" and not _reduced_minus_edge_connected(
-                red.edges, len(red.vertices), idx, re_edge):
+        if re_edge.kind == "direct" and not is_connected(
+                red.vertices, [e for e in red.edges if e is not re_edge]):
             continue
         e_pos = next(i for i, e in enumerate(g.edges) if e.pair == re_edge.pair)
         deleted = list(TargetSpec.uniform(1.0, n_e).gammas)
@@ -618,7 +597,7 @@ def find_eventual_not_positive_above(g: MetricGraph, lam_hat: float, budget: int
     for spec in _eventual_candidates(g):
         try:
             tag = classify(limit_schur(g, spec), cfg).tag
-        except np.linalg.LinAlgError:
+        except InnerBlockSingular:
             continue
         if tag != TAG_EVENTUAL:
             continue

@@ -34,8 +34,7 @@ class Band:
 
 
 def sweep(g: MetricGraph, lo: float, hi: float, steps: int,
-          cfg: ClassifierConfig = DEFAULT_CONFIG,
-          scan_samples: int = 2000) -> list[SweepRecord]:
+          cfg: ClassifierConfig = DEFAULT_CONFIG) -> list[SweepRecord]:
     """Classify the outer matrix on a uniform grid of `steps` samples.
 
     The grid is the stack axis: each chunk of STACK_CHUNK samples is
@@ -49,7 +48,7 @@ def sweep(g: MetricGraph, lo: float, hi: float, steps: int,
     if steps < 2:
         raise ValueError("need at least two samples")
     grid = np.linspace(lo, hi, steps)
-    poles = np.array(pole_scan(g, lo, hi, samples=scan_samples))
+    poles = np.array(pole_scan(g, lo, hi))
     reach = 1e-9 * np.maximum(1.0, np.abs(poles))
 
     m = g.n_outer

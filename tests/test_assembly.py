@@ -76,9 +76,9 @@ def test_beta_never_underflows_to_zero():
     assert got.alpha == pytest.approx(2000.0, rel=1e-12)
 
 
-def test_pole_raises():
+def test_pole_raises(interval):
     with pytest.raises(AtPole):
-        edge_alpha_beta(math.pi**2, 1.0, raise_at_pole=True)
+        assemble_full(interval, math.pi**2)
     flagged = edge_alpha_beta(math.pi**2, 1.0)
     assert flagged.at_pole
 

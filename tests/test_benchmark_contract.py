@@ -1,0 +1,44 @@
+"""The names the benchmark under benchmark/ needs from the program.
+
+The tracer patches program functions by module and attribute name, the
+verifier imports program internals, and `inputs.build` calls the program
+while it builds a workload.  A rename or deletion in src/ breaks those at run
+time only, so each is exercised here.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmark"
+
+
+def load(name, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve(monkeypatch):
+    tracing = load("tracing", monkeypatch)
+    wraps = list(tracing.WRAPS) + [tracing.ORACLE_WRAP]
+    missing = [(module, attr) for module, attr, *_ in wraps
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert missing == []
+
+
+def test_verifier_imports(monkeypatch):
+    verify = load("verify", monkeypatch)
+    assert verify.assemble_outer is not None
+
+
+@pytest.mark.parametrize("workload", ["sweep", "spectra", "search"])
+def test_inputs_build(monkeypatch, workload):
+    inputs = load("inputs", monkeypatch)
+    built = inputs.build(workload, 1)
+    assert built.requests

@@ -11,7 +11,6 @@ from dtnpos import (
     catalog,
     catalog_names,
     graph_laplacian,
-    has_cycle,
     is_tree,
     load_graph,
     reduced_graph,
@@ -24,7 +23,7 @@ from dtnpos.errors import (
     NonPositiveLength,
     NotSimple,
 )
-from dtnpos.graphs import graph_to_json, parse_length_expr
+from dtnpos.graphs import graph_to_json, is_connected, parse_length_expr
 
 
 def _raw(vertices, edges, outer):
@@ -201,7 +200,6 @@ def test_reduced_graph_frozen(name):
     r = reduced_graph(catalog(name))
     assert [(e.u, e.v, e.kind) for e in r.edges] == edges
     assert is_tree(r) == tree
-    assert has_cycle(r) != tree
 
 
 def test_star_reduces_to_complete_graph(star5):
@@ -212,10 +210,10 @@ def test_star_reduces_to_complete_graph(star5):
 
 def test_adjacency_pattern(braid):
     pat = adjacency_pattern(reduced_graph(braid))
-    assert pat.permits(0, 1) and pat.permits(1, 0)
-    assert pat.permits(1, 2)
-    assert not pat.permits(0, 2)  # v1 and v3 share no reduced edge
-    assert pat.permits(2, 2)  # diagonal always allowed
+    assert pat[0, 1] and pat[1, 0]
+    assert pat[1, 2]
+    assert not pat[0, 2]  # v1 and v3 share no reduced edge
+    assert pat[2, 2]  # diagonal always allowed
 
 
 def test_graph_laplacian_interval(interval):
@@ -255,7 +253,7 @@ def test_random_tree_invariants(raw):
     L = graph_laplacian(g)
     assert np.all(L.sum(axis=1) == 0)
     r = reduced_graph(g)
-    assert is_tree(r) != has_cycle(r)
+    assert is_connected(r.vertices, r.edges)
     # reduced vertices are exactly the outer ones, in canonical order
     assert r.vertices == g.outer
 

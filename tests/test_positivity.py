@@ -34,6 +34,19 @@ def _eventual_matrix():
     return -A
 
 
+def power_positive(M) -> bool:
+    """Reference for a strong verdict: (mu I + A)^(n-1) > 0 entrywise, A = -M.
+
+    mu exceeds the spectral radius, so mu I + A is non-negative wherever A is
+    Metzler, and irreducibility makes its (n-1)-th power strictly positive
+    (Perron-Frobenius).  Scaled by 1/mu to keep the powers bounded.
+    """
+    A = -np.asarray(M, dtype=float)
+    n = len(A)
+    mu = 1.0 + np.abs(np.linalg.eigvalsh(0.5 * (A + A.T))).max()
+    return bool(np.linalg.matrix_power(np.eye(n) + A / mu, n - 1).min() > 0.0)
+
+
 CASES = {
     "strong": np.array([[1.0, -2.0], [-2.0, 1.0]]),
     "positive": np.diag([1.0, 2.0]),
@@ -62,9 +75,10 @@ def test_oracle_matches_classifier(tag):
 
 
 def test_classify_accepts_dtn_matrix(interval):
-    out = classify(assemble_outer(interval, 2.0))
+    D = assemble_outer(interval, 2.0)
+    out = classify(D)
     assert out.tag == "strong"
-    assert out.evidence["power_positive"]
+    assert power_positive(D.entries)
 
 
 def test_metzler_dust_band():
@@ -161,6 +175,7 @@ def test_metzler_random_is_strong(n, seed):
     np.fill_diagonal(A, rng.normal(size=n))
     M = -A
     assert classify(M).tag == "strong"
+    assert power_positive(M)
     assert expm_oracle(M).klass == "strict_all"
 
 
@@ -186,6 +201,8 @@ def assert_stack_classifies_like_singles(stack, cfg=ClassifierConfig()):
         one = classify(M, cfg)
         assert verdict.tag == one.tag
         assert verdict.evidence == one.evidence
+        if verdict.tag == "strong":
+            assert power_positive(M)
     return {v.tag for v in got}
 
 

@@ -32,7 +32,7 @@ from dtnpos import (
     verify_limit,
 )
 from dtnpos.lattice import enumerate_near, lll_reduce
-from dtnpos.search import _window_survivors, commensurable_base, parse_gamma
+from dtnpos.search import _phase_window, _window_survivors, commensurable_base, parse_gamma
 
 
 def test_target_spec_rejects_zero():
@@ -93,7 +93,8 @@ def test_kronecker_budget_exhaustion(lasso):
 
 def test_kronecker_requires_independence():
     lengths = (1.0, 2.0)
-    with pytest.raises(IndependenceNotAsserted):
+    # the message names the keyword the searches really take
+    with pytest.raises(IndependenceNotAsserted, match="pass assert_independent=True"):
         kronecker_sequence(lengths, TargetSpec.uniform(1.0, 2), count=1, budget=1000)
 
 
@@ -230,6 +231,34 @@ def test_kronecker_scan_route_budget_exhaustion(budget, best):
         kronecker_sequence(g, TargetSpec.uniform(1.0, 6), count=2, budget=budget)
     assert exc.value.level == 2
     assert exc.value.best_residual == pytest.approx(best, rel=1e-9)
+
+
+def test_kronecker_scan_route_best_counts_misses_before_hit(path3):
+    # brute force: walk the scan candidates one at a time in scan order and
+    # keep the residual of every candidate charged within the budget
+    spec, budget = TargetSpec.uniform(1.0, 2), 21
+    lengths = list(path3.lengths)
+    anchor = max(range(len(lengths)), key=lambda e: lengths[e])
+    charged, lam_prev, level = [], 0.0, 1
+    while len(charged) < budget:
+        targets, w = spec.level_targets(level), 1.0 / level ** 2
+        lo, hi = _phase_window(targets[anchor], w)
+        theta = 0.5 * (lo + hi)
+        m = max(1, math.floor((math.sqrt(lam_prev) * lengths[anchor] - theta) / (2.0 * math.pi)) + 1)
+        while len(charged) < budget:
+            lam = ((theta + 2.0 * math.pi * m) / lengths[anchor]) ** 2
+            x = math.sqrt(lam) * np.array(lengths)
+            charged.append(float(np.abs(np.sin(x) - targets).max()))
+            if charged[-1] < w and (np.cos(x) > 0.0).all():
+                lam_prev, level = lam, level + 1
+                break
+            m += 1
+    with pytest.raises(BudgetExhausted) as exc:
+        kronecker_sequence(path3, spec, count=4, budget=budget, assert_independent=True)
+    assert exc.value.level == level == 3
+    assert exc.value.best_residual == pytest.approx(min(charged), rel=1e-12)
+    # a miss before the level-3 hit; the hit alone has 0.1589
+    assert exc.value.best_residual == pytest.approx(0.02300362194134231, rel=1e-9)
 
 
 def test_window_survivors_match_full_evaluation():

@@ -5,6 +5,10 @@ import importlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -202,6 +206,23 @@ class TestCli:
             ]
         )
         assert rc == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["kronecker", "--graph", "catalog:lasso-4", "--gamma", "1,1,1,1", "--budget", "-1"],
+        ["find-positive", "--graph", "catalog:path-3", "--above", "1", "--budget", "-5",
+         "--assert-independent"],
+        ["kronecker", "--graph", "catalog:lasso-4", "--gamma", "1,1,1,1", "--count", "0"],
+    ])
+    def test_rejects_negative_budget_and_empty_count(self, argv):
+        # a child process with a timeout, so a search that never charges its
+        # budget fails the test instead of hanging it
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-m", "dtnpos.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
     def test_find_positive(self, capsys):
         rc = main(
