@@ -137,7 +137,7 @@ def cmd_classify(args) -> int:
 
 def cmd_poles(args) -> int:
     g = _load(args)
-    poles = pole_scan(g, args.lo, args.hi, samples=args.samples)
+    poles = pole_scan(g, args.lo, args.hi)
     _emit(args, _json_dump({"poles": poles}))
     return EXIT_OK
 
@@ -231,38 +231,44 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, floats=())
         p.add_argument("--graph", help="graph JSON file, or catalog:NAME")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the classifier sign tolerance")
+        real(p, "--tol", default=None, help="override the classifier sign tolerance")
         return p
+
+    def real(p, flag, **kw):
+        # a float option; main() rejects inf and nan with EXIT_ERROR, where an
+        # argparse type error would exit 2, the code of EXIT_NO_CYCLE
+        action = p.add_argument(flag, type=float, **kw)
+        p.set_defaults(floats=p.get_default("floats") + ((action.dest, flag),))
 
     add("validate", cmd_validate, help="check a graph file and print its canonical form")
     add("reduce", cmd_reduce, help="print the reduced graph on the outer vertices")
 
     p = add("spectrum", cmd_spectrum, help="reference spectra of the graph")
     p.add_argument("--kind", choices=["full", "kirchhoff"], default="kirchhoff")
-    p.add_argument("--lambda-max", dest="lambda_max", type=float, default=None)
+    real(p, "--lambda-max", dest="lambda_max", default=None)
     p.add_argument("--count", type=int, default=5)
-    p.add_argument("--resolution", type=float, default=32)
+    real(p, "--resolution", default=32)
 
     p = add("assemble", cmd_assemble, help="assemble the matrix at one parameter")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    real(p, "--lambda", dest="lam", required=True)
     p.add_argument("--full", action="store_true", help="keep inner vertices")
     p.add_argument("--format", choices=["csv", "json"], default="json")
 
     p = add("classify", cmd_classify, help="positivity class at one parameter")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
+    real(p, "--lambda", dest="lam", required=True)
 
     p = add("poles", cmd_poles, help="assembly singularities in a window")
-    p.add_argument("--from", dest="lo", type=float, required=True)
-    p.add_argument("--to", dest="hi", type=float, required=True)
-    p.add_argument("--samples", type=int, default=2000)
+    real(p, "--from", dest="lo", required=True)
+    real(p, "--to", dest="hi", required=True)
+    p.add_argument("--samples", type=int, default=None,
+                   help="ignored: the scan counts poles by inertia and samples no grid")
 
     p = add("sweep", cmd_sweep, help="classify along a parameter grid")
-    p.add_argument("--from", dest="lo", type=float, required=True)
-    p.add_argument("--to", dest="hi", type=float, required=True)
+    real(p, "--from", dest="lo", required=True)
+    real(p, "--to", dest="hi", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--report", action="store_true", help="print merged class bands")
@@ -273,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("find-eventual", cmd_find_eventual, "parameter that is eventually positive only"),
     ]:
         p = add(name, fn, help=blurb)
-        p.add_argument("--above", type=float, required=True)
+        real(p, "--above", required=True)
         p.add_argument("--budget", type=int, default=10 ** 7)
         p.add_argument("--assert-independent", action="store_true",
                        help="skip the rational-dependence probe")
@@ -286,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assert-independent", action="store_true")
 
     p = add("commensurable", cmd_commensurable, help="shifted family for commensurable lengths")
-    p.add_argument("--mu", type=float, required=True)
+    real(p, "--mu", required=True)
     p.add_argument("--p", required=True, help="comma list of shift indices")
 
     p = add("catalog", cmd_catalog, help="print a named example graph")
@@ -298,6 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for dest, flag in args.floats:
+            value = getattr(args, dest)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{flag} must be a finite number, got {value!r}")
         return args.fn(args)
     except NoCycle as exc:
         print(f"error: {exc}", file=sys.stderr)

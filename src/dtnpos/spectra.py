@@ -10,7 +10,9 @@ Two reference spectra:
 
 The assembled outer matrix is singular on a discrete set of parameters: the
 edge poles together with the inner-block Kirchhoff eigenvalues.  pole_scan
-locates both kinds inside a window.
+locates both kinds inside a window: the edge poles in closed form, once each,
+and the inner ones by counting the negative eigenvalues of the inner block
+(its inertia), which gives each with its multiplicity and needs no grid.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ class SpectrumList:
 
 def dirichlet_spectrum_full(g: MetricGraph, lambda_max: float) -> SpectrumList:
     """All eigenvalues (pi k / L_e)^2 <= lambda_max, with multiplicity."""
+    if not math.isfinite(lambda_max):
+        raise ValueError(f"lambda_max must be finite, got {lambda_max!r}")
     vals: list[float] = []
     for e in g.edges:
         k = 1
@@ -55,10 +59,15 @@ def dirichlet_spectrum_full(g: MetricGraph, lambda_max: float) -> SpectrumList:
     return SpectrumList(values=tuple(sorted(vals)), kind="dirichlet-full")
 
 
+def _elements(g: MetricGraph, resolution: float) -> list[int]:
+    """Element count of every edge, max(1, ceil(resolution * L))."""
+    return [max(1, math.ceil(resolution * e.length)) for e in g.edges]
+
+
 def _fem_entries(g: MetricGraph, resolution: float):
     """P1 stiffness and mass contributions, outer-vertex rows/columns eliminated.
 
-    Each edge gets max(1, ceil(resolution * L)) equal elements; vertex degrees
+    Each edge gets _elements(g, resolution) equal elements; vertex degrees
     of freedom are shared, outer vertices carry homogeneous Dirichlet data.
     Returns (n, rows, cols, k, m): the number of free degrees of freedom
     (vertices n_outer..n-1 first, then edge-interior nodes, shifted by
@@ -68,8 +77,7 @@ def _fem_entries(g: MetricGraph, resolution: float):
     """
     n_dof = g.n_vertices
     p, q, h = [], [], []
-    for (i, j), e in zip(g.edge_indices, g.edges):
-        ne = max(1, math.ceil(resolution * e.length))
+    for (i, j), e, ne in zip(g.edge_indices, g.edges, _elements(g, resolution)):
         nodes = np.concatenate(([i], np.arange(n_dof, n_dof + ne - 1), [j]))
         n_dof += ne - 1
         p.append(nodes[:-1])
@@ -176,9 +184,16 @@ def kirchhoff_spectrum(g: MetricGraph, count: int = 1,
     A halved-resolution recomputation estimates the discretization error of
     lambda_1 (P1 elements converge at order h^2, so the drift between the two
     meshes is about three times the fine-mesh error); past 1 percent the
-    result is refused as under-resolved.
+    result is refused as under-resolved, and so is a resolution whose halving
+    leaves every edge's element count, and with it the estimate, unchanged.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if not 0 < resolution < math.inf:
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     fine = _fem_eigenvalues(g, count, resolution)
+    if _elements(g, resolution) == _elements(g, resolution / 2.0):
+        raise ResolutionTooLow(math.inf, float(fine[0]))
     coarse = _fem_eigenvalues(g, 1, resolution / 2.0)
     estimate = abs(fine[0] - coarse[0]) / 3.0
     if estimate > RESOLUTION_DRIFT_MAX * fine[0]:
@@ -198,70 +213,70 @@ def lambda_1(g: MetricGraph, resolution: float = DEFAULT_RESOLUTION) -> float:
     return kirchhoff_spectrum(g, count=1, resolution=resolution).values[0]
 
 
-def _inner_det_signs(g: MetricGraph, lams: np.ndarray) -> np.ndarray:
-    """Sign of det C, the inner block of the full matrix, at every parameter of lams."""
+def _inner_negative_counts(g: MetricGraph, lams: np.ndarray, low: np.ndarray,
+                           high: np.ndarray) -> np.ndarray:
+    """Negative eigenvalues of C, the inner block of the full matrix, at each of lams.
+
+    Each count is known to lie in [low, high].  Where that leaves two values,
+    the sign of det C = (-1)^neg decides through slogdet, a fraction of the
+    cost of eigvalsh, which counts elsewhere.  Zero does not count as negative.
+    """
     m = g.n_outer
-    signs = np.empty(len(lams))
+    counts = np.empty(len(lams), dtype=int)
     for at in range(0, len(lams), STACK_CHUNK):
-        full = assemble_full(g, lams[at:at + STACK_CHUNK])
+        part = slice(at, at + STACK_CHUNK)
+        full = assemble_full(g, lams[part])
         if full.singular.any():
             raise AtPole(float(full.lam[np.argmax(full.singular)]))
-        signs[at:at + STACK_CHUNK], _ = np.linalg.slogdet(full.entries[:, m:, m:])
-    return signs
+        C, lo, hi, out = full.entries[:, m:, m:], low[part], high[part], counts[part]
+        pair = hi - lo == 1
+        sign, _ = np.linalg.slogdet(C[pair])
+        out[pair] = lo[pair] + (sign == -(-1.0) ** lo[pair])
+        out[~pair] = np.clip((np.linalg.eigvalsh(C[~pair]) < 0).sum(axis=1), lo[~pair], hi[~pair])
+    return counts
 
 
-def pole_scan(g: MetricGraph, lo: float, hi: float, samples: int = 2000) -> list[float]:
+def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
     """Locate the singular parameters of the outer assembly inside (lo, hi).
 
-    Edge poles come in closed form.  Inner-block singularities are found by
-    tracking the sign of det C on a grid between consecutive edge poles and
-    bisecting each change down to width 1e-10 * max(1, lam).  The grids of all
-    segments form one stack, assembled STACK_CHUNK samples per call; the
-    brackets are then bisected in lockstep, one stacked call per round, each
-    bracket taking the same midpoints and stopping at the same width as it
-    would alone.  Some edge
-    poles are removable for the reduced map; they are still reported because
-    the assembly itself breaks down there.  Returns plain floats, sorted.
+    Edge poles come in closed form, once each; some are removable for the
+    reduced map but still reported, since the assembly breaks down there.
+    Between consecutive edge poles C(lam) decreases strictly in the Loewner
+    order, so by Sylvester's law of inertia a bracket (a, b) holds exactly
+    neg C(b) - neg C(a) inner poles, with multiplicity.  Each round cuts
+    every bracket at its quarter points in one stacked count and drops the
+    pieces without a pole; one narrower than POLE_BISECT_TOL * max(1, lam)
+    reports its midpoint once per pole it holds.  Returns sorted plain floats.
     """
-    if not hi > lo:
-        raise ValueError("empty scan range")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("the scan range must be finite and nonempty")
 
     edge_poles = []
     for p in dirichlet_spectrum_full(g, hi).values:
         if lo < p < hi and not any(abs(p - q) <= 1e-12 * max(1.0, p) for q in edge_poles):
             edge_poles.append(p)
-
     if g.n_outer == g.n_vertices:
         return edge_poles
 
-    grids = []
-    breakpoints = [lo] + edge_poles + [hi]
-    for a, b in zip(breakpoints[:-1], breakpoints[1:]):
-        margin = 1e-7 * max(1.0, abs(a), abs(b))
-        aa, bb = a + margin, b - margin
-        if bb <= aa:
-            continue
-        grids.append(np.linspace(aa, bb, max(8, int(samples * (b - a) / (hi - lo)))))
-    if not grids:
-        return edge_poles
-    grid = np.concatenate(grids)
-    signs = _inner_det_signs(g, grid)
-    # a bracket is a sign change between neighbours of the same segment
-    same_segment = np.ones(len(grid) - 1, dtype=bool)
-    same_segment[np.cumsum([len(x) for x in grids[:-1]], dtype=int) - 1] = False
-    s0, s1 = signs[:-1], signs[1:]
-    bracket = np.flatnonzero(same_segment & (s0 != 0) & (s0 * s1 < 0))
+    # one bracket per segment between edge poles, kept clear of them
+    ends = np.array([lo] + edge_poles + [hi])
+    margin = 1e-7 * np.maximum(1.0, np.maximum(np.abs(ends[:-1]), np.abs(ends[1:])))
+    left, right = ends[:-1] + margin, ends[1:] - margin
+    left, right = left[right > left], right[right > left]
+    low, high = np.split(_inner_negative_counts(
+        g, np.concatenate([left, right]), np.zeros(2 * len(left), dtype=int),
+        np.full(2 * len(left), g.n_vertices - g.n_outer)), 2)
 
-    left, right, s_left = grid[bracket], grid[bracket + 1], s0[bracket]
-    active = right - left > POLE_BISECT_TOL * np.maximum(1.0, left)
-    while active.any():
-        at = np.flatnonzero(active)
-        mid = 0.5 * (left[at] + right[at])
-        s_mid = _inner_det_signs(g, mid)
-        hit = s_mid == 0
-        same = s_mid == s_left[at]
-        left[at] = np.where(hit | same, mid, left[at])
-        right[at] = np.where(hit | ~same, mid, right[at])
-        active[at] = ~hit & (right[at] - left[at] > POLE_BISECT_TOL * np.maximum(1.0, left[at]))
-
-    return sorted(edge_poles + (0.5 * (left + right)).tolist())
+    inner = []
+    while len(left):
+        done = right - left <= POLE_BISECT_TOL * np.maximum(1.0, left)
+        inner += np.repeat(0.5 * (left + right)[done], (high - low)[done]).tolist()
+        live = ~done & (high > low)
+        left, right, low, high = left[live], right[live], low[live], high[live]
+        cuts = left[:, None] + (right - left)[:, None] * np.array([0.25, 0.5, 0.75])
+        mid = _inner_negative_counts(g, cuts.ravel(), np.repeat(low, 3), np.repeat(high, 3))
+        x = np.column_stack([left, cuts, right])
+        n = np.column_stack([low, mid.reshape(-1, 3), high])
+        held = n[:, 1:] > n[:, :-1]
+        left, right, low, high = x[:, :-1][held], x[:, 1:][held], n[:, :-1][held], n[:, 1:][held]
+    return sorted(edge_poles + inner)

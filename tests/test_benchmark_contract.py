@@ -1,9 +1,10 @@
 """The names the benchmark under benchmark/ needs from the program.
 
 The tracer patches program functions by module and attribute name, the
-verifier imports program internals, and `inputs.build` calls the program
-while it builds a workload.  A rename or deletion in src/ breaks those at run
-time only, so each is exercised here.
+verifier imports program internals, `inputs.build` calls the program while it
+builds a workload, and every request is an argv for the command line.  A
+rename or deletion in src/ breaks those at run time only, so each is
+exercised here.
 """
 
 import importlib
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from dtnpos.cli import build_parser
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -42,3 +45,17 @@ def test_inputs_build(monkeypatch, workload):
     inputs = load("inputs", monkeypatch)
     built = inputs.build(workload, 1)
     assert built.requests
+
+
+@pytest.mark.parametrize("workload", ["sweep", "spectra", "search"])
+def test_request_argv_parses(monkeypatch, workload):
+    # argparse exits on an unknown or deleted flag, such as the --samples
+    # that every poles request passes
+    inputs = load("inputs", monkeypatch)
+    parser = build_parser()
+    for req in inputs.build(workload, 1).requests:
+        try:
+            args = parser.parse_args(req.argv)
+        except SystemExit:
+            pytest.fail(f"the command line rejects the {req.slot} request {req.argv}")
+        assert args.command == req.kind

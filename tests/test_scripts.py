@@ -1,5 +1,6 @@
 """Smoke tests of the example scripts: each runs as its own process on a catalog graph."""
 
+import math
 import os
 import subprocess
 import sys
@@ -23,7 +24,15 @@ def test_interval_bands():
     assert lines[0] == "# catalog:path-3: 200 samples on (-5.0, 60.0)"
     bands = [line for line in lines if line.startswith("[")]
     assert [b.split("]")[1].split()[0] for b in bands] == ["strong", "none", "strong"]
-    assert lines[-1].startswith("# singular parameters: 0.145141241217, ")
+    # path-3 on (-5, 60): edge poles (pi k)^2 of v1-v2 and (pi k)^2 / 17 of
+    # v2-v3, inner poles ((k + 1/2) pi)^2 / 17 of the free tip v3
+    assert lines[-1].startswith("# singular parameters: ")
+    got = [float(x) for x in lines[-1].split(":", 1)[1].split(",")]
+    want = sorted([math.pi ** 2, (2 * math.pi) ** 2]
+                  + [(math.pi * k) ** 2 / 17 for k in range(1, 11)]
+                  + [((k + 0.5) * math.pi) ** 2 / 17 for k in range(10)])
+    assert len(got) == len(want)
+    assert all(abs(p - q) <= 1e-10 * max(1.0, q) for p, q in zip(got, want))
 
 
 def test_regime_hunt():

@@ -5,17 +5,20 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from dtnpos import (
     ResolutionTooLow,
+    assemble_outer,
     catalog,
     dirichlet_spectrum_full,
     kirchhoff_spectrum,
     lambda_1,
     pole_scan,
+    sweep,
     validate,
 )
-from dtnpos.spectra import _fem_eigenvalues, _fem_matrices
+from dtnpos.spectra import POLE_BISECT_TOL, _elements, _fem_eigenvalues, _fem_matrices
 
 from conftest import random_surd_graph
 
@@ -204,9 +207,25 @@ def test_pole_scan_returns_plain_floats(path3, lasso):
         assert all(type(p) is float for p in got)
 
 
-# pole_scan(lasso-4, 0, 150) before the scan was stacked: every midpoint of
-# the lockstep bisection must match the one-bracket-at-a-time loop exactly
+# pole_scan(lasso-4, 0, 150) by inertia counting with quarter cuts
 LASSO_POLES_150 = [
+    0.9092194697530616, 1.4099434858699083, 1.9739208802178716, 2.5057445022335205,
+    3.289868133696453, 5.019182804477209, 5.639773943479633, 7.895683520871486,
+    8.4519853191612, 9.869604401089358, 11.930654395994285, 12.689491372829172,
+    13.159472534785811, 16.12515906238011, 17.765287921960844, 22.500496658476866,
+    22.559095773918532, 29.60881320326808, 30.621876150230467, 31.582734083485946,
+    34.729746455711535, 35.24858714674771, 39.47841760435743, 45.3106881041586,
+    49.348022005446786, 50.75796549131669, 50.92926334822599, 52.637890139143245,
+    62.50695839580037, 69.08723080762552, 71.06115168784338, 74.52601841113659,
+    82.24670334241131, 84.57731556589377, 88.82643960980423, 90.23638309567413,
+    94.45885063043096, 96.7221231306757, 108.42786737787263, 114.20542235546255,
+    118.43525281307232, 122.79703251225887, 126.33093633394378, 136.56436995715234,
+    140.99434858699084,
+]
+
+# the same scan by the earlier sign grid and bisection: a different route to
+# the same poles, each within the bisection tolerance
+LASSO_POLES_150_GRID = [
     0.90921946974582, 1.4099434858699083, 1.9739208802178716, 2.5057445021952214,
     3.289868133696453, 5.019182804527363, 5.639773943479633, 7.895683520871486,
     8.451985319354229, 9.869604401089358, 11.930654395447156, 12.689491372829172,
@@ -223,4 +242,108 @@ LASSO_POLES_150 = [
 
 
 def test_pole_scan_frozen_lasso(lasso):
-    assert pole_scan(lasso, 0.0, 150.0) == LASSO_POLES_150
+    got = pole_scan(lasso, 0.0, 150.0)
+    assert got == LASSO_POLES_150
+    assert len(got) == len(LASSO_POLES_150_GRID)
+    for p, q in zip(got, LASSO_POLES_150_GRID):
+        assert abs(p - q) <= POLE_BISECT_TOL * max(1.0, q)
+
+
+def _pendant_graph():
+    # o1-o2 plus two unit pendants at o1: the pendant tips carry a double
+    # inner pole at ((2k - 1) pi / 2)^2, where det C touches zero without
+    # changing sign, and o1-o2 shares the pendants' edge poles (pi k)^2
+    return validate({
+        "vertices": ["o1", "o2", "a", "b"],
+        "edges": [
+            {"u": "o1", "v": "o2", "length": 1.0},
+            {"u": "o1", "v": "a", "length": 1.0},
+            {"u": "o1", "v": "b", "length": 1.0},
+        ],
+        "outer": ["o1", "o2"],
+    })
+
+
+def test_pole_scan_counts_double_pole():
+    g = _pendant_graph()
+    got = pole_scan(g, 0.5, 12.0)
+    want = [(math.pi / 2) ** 2, (math.pi / 2) ** 2, PI2]
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert abs(p - q) <= POLE_BISECT_TOL * max(1.0, q)
+    # a sample 5e-10 away from the double pole is regular but near_pole
+    lam = (math.pi / 2) ** 2 * (1.0 + 5e-10)
+    records = sweep(g, lam - 1.0, lam + 1.0, 3)
+    assert records[1].tag != "pole" and records[1].near_pole
+    assert not records[0].near_pole and not records[2].near_pole
+
+
+def test_pole_scan_rejects_non_finite_window(interval):
+    for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            pole_scan(interval, lo, hi)
+
+
+def test_spectrum_arguments_rejected(two_cluster):
+    with pytest.raises(ValueError):
+        dirichlet_spectrum_full(two_cluster, math.inf)
+    with pytest.raises(ValueError):
+        dirichlet_spectrum_full(two_cluster, math.nan)
+    with pytest.raises(ValueError):
+        kirchhoff_spectrum(two_cluster, count=0)
+    for resolution in (0.0, -4.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            kirchhoff_spectrum(two_cluster, resolution=resolution)
+
+
+def test_resolution_without_coarser_mesh(two_cluster):
+    # below one element per edge length, halving the resolution changes no
+    # element count, so the drift estimate would read 0 by construction
+    assert _elements(two_cluster, 0.25) == _elements(two_cluster, 0.125)
+    with pytest.raises(ResolutionTooLow):
+        kirchhoff_spectrum(two_cluster, resolution=0.25)
+
+
+FEM_RESOLUTION = 64
+FEM_WINDOW = 20.0
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_inner_pole_count_matches_fem(seed):
+    # the inner poles are the Kirchhoff eigenvalues off the edge poles, with
+    # multiplicity.  P1 elements overestimate each eigenvalue v by about
+    # v^2 h^2 / 12; examples with an inner pole that close to an edge pole or
+    # to the window end are skipped, since the FEM cannot tell them apart
+    g = random_surd_graph(np.random.default_rng(seed), 3, 6)
+    poles = pole_scan(g, 0.0, FEM_WINDOW)
+    edge = np.array(dirichlet_spectrum_full(g, FEM_WINDOW).values)
+    tol = lambda v: v * v / FEM_RESOLUTION**2 / 4.0 + 1e-9
+    inner = [p for p in poles if not len(edge) or np.abs(edge - p).min() > 1e-9 * max(1.0, p)]
+    assume(all(abs(p - q) > tol(max(p, q)) for p in inner for q in [*edge, FEM_WINDOW]))
+
+    n = sum(_elements(g, FEM_RESOLUTION)) - len(g.edges) + g.n_vertices - g.n_outer
+    count = min(n, int(sum(g.lengths) * math.sqrt(FEM_WINDOW) / math.pi) + 10)
+    fem = _fem_eigenvalues(g, count, FEM_RESOLUTION)
+    assert fem[-1] > FEM_WINDOW
+    at_edge = lambda v: len(edge) and np.any((edge - 1e-9 <= v) & (v <= edge + tol(v)))
+    assert len([v for v in fem if v < FEM_WINDOW and not at_edge(v)]) == len(inner)
+
+
+@given(seed=st.integers(0, 2**32 - 1), gap=st.floats(0.0, 1.0),
+       t1=st.floats(0.1, 0.7), step=st.floats(0.0, 1.0))
+@settings(max_examples=40, deadline=None)
+def test_dtn_eigenvalues_decrease_between_poles(seed, gap, t1, step):
+    # D(lam) decreases strictly in the Loewner order between consecutive
+    # poles, so does each of its sorted eigenvalues; the two samples sit at
+    # fractions t1 < t2 of the gap, at least 0.1 apart and from its ends
+    g = random_surd_graph(np.random.default_rng(seed), 3, 6)
+    ends = [-5.0] + pole_scan(g, -5.0, 20.0) + [20.0]
+    k = min(int(gap * (len(ends) - 1)), len(ends) - 2)
+    a, b = ends[k], ends[k + 1]
+    assume(b - a > 1e-6 * max(1.0, abs(b)))
+    t2 = t1 + 0.1 + step * (0.7 - t1)
+    D = assemble_outer(g, np.array([a + t1 * (b - a), a + t2 * (b - a)]))
+    assert not D.singular.any()
+    before, after = np.linalg.eigvalsh(D.entries)
+    assert np.all(after < before)

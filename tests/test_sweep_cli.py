@@ -224,6 +224,40 @@ class TestCli:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv, named", [
+        (["poles", "--graph", "catalog:lasso-4", "--from", "0", "--to", "inf"], "--to"),
+        (["sweep", "--graph", "catalog:lasso-4", "--from", "0", "--to", "inf", "--steps", "5"],
+         "--to"),
+        (["spectrum", "--graph", "catalog:lasso-4", "--kind", "full", "--lambda-max", "inf"],
+         "--lambda-max"),
+        (["assemble", "--graph", "catalog:lasso-4", "--lambda", "nan"], "--lambda"),
+        (["classify", "--graph", "catalog:lasso-4", "--lambda", "inf"], "--lambda"),
+        (["find-positive", "--graph", "catalog:path-3", "--above=-inf"], "--above"),
+        (["sweep", "--graph", "catalog:path-3", "--from", "0", "--to", "1", "--steps", "5",
+          "--tol", "nan"], "--tol"),
+        (["spectrum", "--graph", "catalog:two-cluster", "--count", "0"], "count"),
+        (["spectrum", "--graph", "catalog:two-cluster", "--resolution", "0"], "resolution"),
+        (["spectrum", "--graph", "catalog:two-cluster", "--resolution", "0.25"], "resolution"),
+    ])
+    def test_rejects_non_finite_and_degenerate_options(self, argv, named):
+        # a child process with a timeout: an infinite window once looped forever
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run([sys.executable, "-m", "dtnpos.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and named in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+    def test_poles_ignores_samples(self, capsys):
+        assert main(["poles", "--graph", "catalog:path-3", "--from", "0", "--to", "4"]) == 0
+        plain = capsys.readouterr().out
+        assert main(["poles", "--graph", "catalog:path-3", "--from", "0", "--to", "4",
+                     "--samples", "7"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_find_positive(self, capsys):
         rc = main(
             ["find-positive", "--graph", "catalog:path-3", "--above", "30", "--budget", "100000"]
