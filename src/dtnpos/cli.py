@@ -1,14 +1,19 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 invalid input or internal failure, 2 the requested
-search needs a cycle in the reduced graph, 3 search budget exhausted,
-4 a classification landed in the numerically marginal band.
+Exit codes: 0 success (and --help), 1 invalid input, a command-line usage
+error included, or internal failure, 2 the requested search needs a cycle in
+the reduced graph, 3 search budget exhausted, 4 a classification landed in
+the numerically marginal band.
+
+The argument parser is built once per process and reused by every main()
+call; each call still parses into a fresh namespace.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -222,6 +227,7 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dtnpos",
@@ -238,8 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     def real(p, flag, **kw):
-        # a float option; main() rejects inf and nan with EXIT_ERROR, where an
-        # argparse type error would exit 2, the code of EXIT_NO_CYCLE
+        # a float option; float() accepts inf and nan, so main() rejects them
         action = p.add_argument(flag, type=float, **kw)
         p.set_defaults(floats=p.get_default("floats") + ((action.dest, flag),))
 
@@ -302,7 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which is the code of EXIT_NO_CYCLE
+        if exc.code == 2:
+            return EXIT_ERROR
+        raise
     try:
         for dest, flag in args.floats:
             value = getattr(args, dest)

@@ -4,8 +4,9 @@ Dimensions here are tiny (one row per graph edge), so the bases stay dense
 numpy arrays.  LLL keeps its Gram-Schmidt data across size reductions: a size
 reduction leaves B* unchanged and updates one row of mu in place (Cohen, A
 Course in Computational Algebraic Number Theory, Alg. 2.6.3); only a swap
-recomputes the orthogonalization.  Box enumeration builds each slab of the
-box with array arithmetic instead of one tuple per vector.
+recomputes the orthogonalization.  Box enumeration streams the box as array
+slabs, one per value of the first offset, so a consumer pays one Python step
+per slab instead of one per vector.
 """
 
 from __future__ import annotations
@@ -64,14 +65,15 @@ def babai_nearest(B: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def enumerate_near(B: np.ndarray, target: np.ndarray, radius: int):
-    """Yield lattice vectors v0 + c B for every integer box offset |c_i| <= radius.
+    """Yield the lattice vectors v0 + c B, |c_i| <= radius, as one array slab per c_0.
 
     v0 is the Babai vector; the box covers (2 radius + 1)^n candidates, so keep
-    radius small.  Vectors come in ``itertools.product`` order of the offsets
-    (c_0 slowest), the order callers have always seen, and stay a lazy stream
-    so that a consumer may stop early.  Each slab of fixed c_0 is one array:
-    the offsets of the remaining coordinates come from ``np.indices`` and
-    their combination with B[1:] is a single matmul shared by every slab.
+    radius small.  The stream is lazy and holds 2 radius + 1 slabs, one per
+    c_0 from -radius to radius: slab c_0 is the ((2 radius + 1)^(n-1), n)
+    array of the vectors with that first offset.  Concatenated, the slab rows
+    come in ``itertools.product`` order of the offsets (c_0 slowest).  The
+    offsets of the remaining coordinates come from ``np.indices``, and their
+    combination with B[1:] is a single matmul shared by every slab.
     """
     v0 = babai_nearest(B, target)
     n = B.shape[0]
@@ -79,4 +81,4 @@ def enumerate_near(B: np.ndarray, target: np.ndarray, radius: int):
     rest = np.indices((side,) * (n - 1)).reshape(n - 1, side ** (n - 1)).T - radius
     tail = rest.astype(float) @ B[1:]
     for c0 in range(-radius, radius + 1):
-        yield from (v0 + c0 * B[0]) + tail
+        yield (v0 + c0 * B[0]) + tail

@@ -19,8 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
 
 from .assembly import DtnMatrix
 
@@ -120,17 +118,25 @@ def is_metzler(negM, cfg: ClassifierConfig = DEFAULT_CONFIG) -> MetzlerReport:
 
 
 def is_irreducible(M, tol: float | None = None) -> bool:
-    """Strong connectivity of the off-diagonal support graph."""
+    """Strong connectivity of the off-diagonal support graph.
+
+    With S the support, (I + S)^k has a nonzero (i, j) entry iff j is reachable
+    from i in at most k steps, so the graph is strongly connected iff
+    (I + S)^(n-1) has no zero entry.  Boolean squaring reaches k >= n - 1 in
+    ceil(log2(n - 1)) matrix products.
+    """
     A = _as_array(M)
     n = A.shape[0]
     if n <= 1:
         return True
     if tol is None:
         tol = DEFAULT_CONFIG.sign_tolerance * float(np.abs(A).max())
-    support = (np.abs(A) > tol) & ~np.eye(n, dtype=bool)
-    ncomp, _ = scipy.sparse.csgraph.connected_components(
-        scipy.sparse.csr_matrix(support), directed=True, connection="strong")
-    return ncomp == 1
+    reach = (np.abs(A) > tol) | np.eye(n, dtype=bool)
+    k = 1
+    while k < n - 1:
+        reach = reach @ reach
+        k *= 2
+    return bool(reach.all())
 
 
 def _irreducible_by_support(A: np.ndarray, tol: np.ndarray) -> np.ndarray:

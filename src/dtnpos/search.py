@@ -345,8 +345,9 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
         t[0] = c0 * m_target
         for i in range(d):
             t[1 + i] = weights[i] * psi[i]
-        first = np.fromiter((v[0] for v in enumerate_near(B_red, t, _LATTICE_RADIUS)),
-                            dtype=float)
+        # copy each box slab's first column, so that no view keeps the whole slab alive
+        first = np.concatenate([slab[:, 0].copy()
+                                for slab in enumerate_near(B_red, t, _LATTICE_RADIUS)])
         # sort-based unique: numpy's hash-based np.unique is ~50x slower on
         # the mostly distinct multipliers of a wide box
         cands = np.sort(np.rint(first / c0).astype(np.int64))

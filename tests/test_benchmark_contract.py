@@ -7,14 +7,17 @@ rename or deletion in src/ breaks those at run time only, so each is
 exercised here.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
 import sys
 from pathlib import Path
 
 import pytest
 
-from dtnpos.cli import build_parser
+import dtnpos.search
+from dtnpos.cli import build_parser, main
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmark"
 
@@ -59,3 +62,26 @@ def test_request_argv_parses(monkeypatch, workload):
         except SystemExit:
             pytest.fail(f"the command line rejects the {req.slot} request {req.argv}")
         assert args.command == req.kind
+
+
+def test_traced_lattice_request(monkeypatch):
+    # the tracer drives enumerate_near as a generator and counts what it
+    # yields: one slab per value of the first box offset
+    tracing = load("tracing", monkeypatch)
+    argv = ["kronecker", "--graph", "catalog:braid-5", "--gamma=1,1,1,1,1", "--count", "4"]
+
+    def run(call):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = call(argv)
+        return rc, out.getvalue()
+
+    plain = run(main)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traced = run(lambda a: tracer.call(tracing.ROOT, "cli", main, a))
+    assert traced == plain and plain[0] == 0
+    calls = tracer.summary(tracing.ROOT)["lattice.enumerate_near"]["calls"]
+    assert calls > 0
+    side = 2 * dtnpos.search._LATTICE_RADIUS + 1
+    assert tracer.counts["lattice.enumerate_near.vectors"] == side * calls

@@ -6,6 +6,8 @@ several tests drive both and compare.
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import assume, given, settings, strategies as st
 
 from dtnpos import (
@@ -103,6 +105,43 @@ def test_irreducible():
     blocks = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert not is_irreducible(blocks)
     assert is_irreducible(np.array([[5.0]]))
+
+
+def _strongly_connected(support: np.ndarray) -> bool:
+    """Reference: strong connectivity by Tarjan's algorithm in scipy's csgraph."""
+    ncomp, _ = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(support), directed=True, connection="strong")
+    return ncomp == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    zeros=st.floats(min_value=0.0, max_value=0.95),
+    in_band=st.floats(min_value=0.0, max_value=0.5),
+    symmetric=st.booleans(),
+    explicit_tol=st.booleans(),
+)
+def test_irreducible_matches_strong_components(n, seed, zeros, in_band, symmetric,
+                                               explicit_tol):
+    # off-diagonal entries are zero, inside the tolerance band (a zero to the
+    # support) or clearly outside it, with either sign; the unit diagonal
+    # fixes max|A| = 1, so the default band is sign_tolerance itself
+    rng = np.random.default_rng(seed)
+    band = ClassifierConfig().sign_tolerance
+    kind = rng.choice(3, size=(n, n), p=[zeros, (1 - zeros) * in_band,
+                                         (1 - zeros) * (1 - in_band)])
+    sign = rng.choice([-1.0, 1.0], size=(n, n))
+    A = np.where(kind == 1, rng.uniform(0.0, 1.0, size=(n, n)) * band,
+                 rng.uniform(0.01, 1.0, size=(n, n))) * sign
+    A[kind == 0] = 0.0
+    if symmetric:
+        A = np.triu(A, 1) + np.triu(A, 1).T
+    np.fill_diagonal(A, 1.0)
+    tol = 0.5 * band if explicit_tol else None
+    support = (np.abs(A) > (band if tol is None else tol)) & ~np.eye(n, dtype=bool)
+    assert is_irreducible(A, tol=tol) == _strongly_connected(support)
 
 
 def test_block_metzler_is_positive_not_strong():

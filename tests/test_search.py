@@ -31,7 +31,7 @@ from dtnpos import (
     validate,
     verify_limit,
 )
-from dtnpos.lattice import enumerate_near, lll_reduce
+from dtnpos.lattice import babai_nearest, enumerate_near, lll_reduce
 from dtnpos.search import _phase_window, _window_survivors, commensurable_base, parse_gamma
 
 
@@ -133,10 +133,16 @@ def test_enumerate_near_box_in_product_order(n, radius):
     rng = np.random.default_rng(7)
     B = lll_reduce(rng.normal(size=(n, n)) + 3.0 * np.eye(n))
     target = rng.normal(size=n) * 5.0
-    vectors = list(enumerate_near(B, target, radius))
+    side = 2 * radius + 1
+    slabs = list(enumerate_near(B, target, radius))
+    assert len(slabs) == side
+    assert all(slab.shape == (side ** (n - 1), n) for slab in slabs)
+    # the slab rows, concatenated, are the per-vector stream in product order
+    vectors = np.concatenate(slabs)
     offsets = list(product(range(-radius, radius + 1), repeat=n))
-    assert len(vectors) == (2 * radius + 1) ** n == len(offsets)
+    assert len(vectors) == side ** n == len(offsets)
     v0 = vectors[offsets.index((0,) * n)]
+    assert np.array_equal(v0, babai_nearest(B, target))
     scale = np.abs(B).max() * (1 + radius * n) + np.abs(v0).max()
     for v, c in zip(vectors, offsets):
         want = v0 + np.asarray(c, dtype=float) @ B

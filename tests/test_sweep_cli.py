@@ -27,7 +27,7 @@ from dtnpos import (
     write_csv,
     write_json,
 )
-from dtnpos.cli import main
+from dtnpos.cli import build_parser, main
 
 # the package re-exports the function sweep under the submodule's name
 sweep_module = importlib.import_module("dtnpos.sweep")
@@ -111,6 +111,15 @@ def test_report_splits_at_pole():
         (0.0, 0.0, "strong"),
         (2.0, 2.0, "strong"),
     ]
+
+
+def _cli(argv, timeout):
+    """Run the command line in a fresh child process; returns the completed process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "dtnpos.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 class TestCli:
@@ -216,11 +225,7 @@ class TestCli:
     def test_rejects_negative_budget_and_empty_count(self, argv):
         # a child process with a timeout, so a search that never charges its
         # budget fails the test instead of hanging it
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-m", "dtnpos.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+        proc = _cli(argv, timeout=60)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
@@ -241,15 +246,71 @@ class TestCli:
     ])
     def test_rejects_non_finite_and_degenerate_options(self, argv, named):
         # a child process with a timeout: an infinite window once looped forever
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run([sys.executable, "-m", "dtnpos.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=10)
+        proc = _cli(argv, timeout=10)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: ") and named in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        # argparse reads a value that starts with "-" as a flag
+        ["find-positive", "--graph", "catalog:path-3", "--above", "-inf"],
+        ["find-positive", "--graph", "catalog:path-3", "--above", "30", "--no-such-flag"],
+        ["find-positive", "--graph", "catalog:path-3"],
+        ["sweep", "--graph", "catalog:path-3", "--from", "0", "--to", "1", "--steps", "x"],
+        ["no-such-command"],
+    ])
+    def test_usage_error_exits_1(self, argv):
+        # argparse's own exit code for a usage error is 2, the no-cycle code
+        proc = _cli(argv, timeout=30)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_help_exits_0_and_no_cycle_exits_2(self):
+        proc = _cli(["find-eventual", "--help"], timeout=30)
+        assert proc.returncode == 0 and "--above" in proc.stdout
+        proc = _cli(["find-eventual", "--graph", "catalog:path-3", "--above", "5"], timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        # options given to one call must not carry over to the next call,
+        # which omits them
+        sweep_argv = ["sweep", "--graph", "catalog:lasso-4", "--from", "-2", "--to", "40",
+                      "--steps", "30", "--report"]
+        search_argv = ["find-positive", "--graph", "catalog:path-3", "--above", "30",
+                       "--budget", "100000"]
+        out = str(tmp_path / "sweep.csv")
+        sequence = [
+            ["classify", "--graph", "catalog:path-3", "--lambda", "15.0", "--tol", "0.333"],
+            ["classify", "--graph", "catalog:path-3", "--lambda", "15.0"],
+            sweep_argv + ["--out", out, "--tol", "0.1"],
+            sweep_argv,
+            search_argv + ["--assert-independent"],
+            search_argv,
+        ]
+
+        def take_out():
+            if not os.path.exists(out):
+                return None
+            with open(out, encoding="utf-8") as f:
+                text = f.read()
+            os.remove(out)
+            return text
+
+        in_process = []
+        for argv in sequence:
+            rc = main(argv)
+            in_process.append((rc, capsys.readouterr().out, take_out()))
+        fresh = []
+        for argv in sequence:
+            proc = _cli(argv, timeout=60)
+            fresh.append((proc.returncode, proc.stdout, take_out()))
+        assert in_process == fresh
+        assert in_process[0][0] == 4 and in_process[1][0] == 0
+        assert in_process[2][2] is not None and in_process[3][2] is None
 
     def test_poles_ignores_samples(self, capsys):
         assert main(["poles", "--graph", "catalog:path-3", "--from", "0", "--to", "4"]) == 0
