@@ -1,17 +1,23 @@
 """Small dense lattice routines: LLL reduction, Babai rounding, box enumeration.
 
-Dimensions here are tiny (one row per graph edge), so the bases stay dense
-numpy arrays.  LLL keeps its Gram-Schmidt data across size reductions: a size
-reduction leaves B* unchanged and updates one row of mu in place (Cohen, A
-Course in Computational Algebraic Number Theory, Alg. 2.6.3); only a swap
-recomputes the orthogonalization.  Box enumeration streams the box as array
-slabs, one per value of the first offset, so a consumer pays one Python step
-per slab instead of one per vector.
+Dimensions here are tiny (one row per graph edge), so LLL runs on plain
+Python floats.  It keeps its Gram-Schmidt data (mu and the squared norms of
+B*) up to date instead of recomputing it: a size reduction updates one row of
+mu, and a swap of two neighbouring rows updates mu and two norms in O(n)
+(Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.3).
+Those updates drift on badly scaled bases, so the result is checked once
+against a fresh orthogonalization, and reduction resumes from the fresh data
+when the check fails (the safeguard of Schnorr & Euchner, 1994).  Box
+enumeration streams the box as array slabs, one per value of the first
+offset, so a consumer pays one Python step per slab instead of one per vector.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# Lovasz constant of lll_reduce
+DELTA = 0.99
 
 
 def gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -29,26 +35,60 @@ def gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Bs, mu
 
 
-def lll_reduce(B: np.ndarray, delta: float = 0.99) -> np.ndarray:
-    """Lenstra-Lenstra-Lovasz reduction of the row basis B."""
-    B = np.array(B, dtype=float)
-    n = B.shape[0]
-    Bs, mu = gram_schmidt(B)
+def lll_reduce(B: np.ndarray) -> np.ndarray:
+    """Lenstra-Lenstra-Lovasz reduction of the row basis B, with constant DELTA.
+
+    The loop updates mu and the squared Gram-Schmidt norms in place, on a
+    swap too (Cohen, Alg. 2.6.3).  When it ends, a fresh ``gram_schmidt`` of
+    the result runs one more pass of the loop's own tests (every
+    ``round(mu[k][j]) == 0`` and the Lovasz inequality); reduction resumes
+    from the fresh data until such a pass changes nothing (Schnorr & Euchner,
+    1994).  A well-scaled basis costs two orthogonalizations.
+    """
+    rows = np.array(B, dtype=float).tolist()
+    while True:
+        Bs, mu = gram_schmidt(np.array(rows))
+        if not _lll_pass(rows, mu.tolist(), [float(v @ v) for v in Bs]):
+            return np.array(rows)
+
+
+def _lll_pass(B: list, mu: list, norms: list) -> bool:
+    """Reduce the rows B in place from k = 1, given their Gram-Schmidt mu and
+    squared norms; True if any row changed."""
+    n = len(B)
+    changed = False
     k = 1
     while k < n:
+        Bk, muk = B[k], mu[k]
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
+            q = round(muk[j])
             if q != 0:
-                B[k] -= q * B[j]
-                mu[k, :j] -= q * mu[j, :j]
-                mu[k, j] -= q
-        if Bs[k] @ Bs[k] >= (delta - mu[k, k - 1] ** 2) * (Bs[k - 1] @ Bs[k - 1]):
+                Bk = B[k] = [x - q * y for x, y in zip(Bk, B[j])]
+                muj = mu[j]
+                for i in range(j):
+                    muk[i] -= q * muj[i]
+                muk[j] -= q
+                changed = True
+        m = muk[k - 1]
+        if norms[k] >= (DELTA - m ** 2) * norms[k - 1]:
             k += 1
-        else:
-            B[[k - 1, k]] = B[[k, k - 1]]
-            Bs, mu = gram_schmidt(B)
-            k = max(k - 1, 1)
-    return B
+            continue
+        # swap rows k - 1 and k: only mu's rows and columns k - 1, k and the
+        # two norms change
+        changed = True
+        B[k - 1], B[k] = Bk, B[k - 1]
+        mu[k - 1][:k - 1], muk[:k - 1] = muk[:k - 1], mu[k - 1][:k - 1]
+        norm = norms[k] + m * m * norms[k - 1]
+        muk[k - 1] = m * norms[k - 1] / norm
+        norms[k] = norms[k - 1] * norms[k] / norm
+        norms[k - 1] = norm
+        for i in range(k + 1, n):
+            mui = mu[i]
+            t = mui[k]
+            mui[k] = mui[k - 1] - m * t
+            mui[k - 1] = t + muk[k - 1] * mui[k]
+        k = max(k - 1, 1)
+    return changed
 
 
 def babai_nearest(B: np.ndarray, target: np.ndarray) -> np.ndarray:

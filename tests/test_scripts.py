@@ -6,16 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, returncode=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc.stdout.splitlines()
 
 
@@ -48,3 +50,16 @@ def test_limit_convergence():
     assert lines[1].split() == ["level", "lambda", "window", "defect", "limit", "error"]
     assert len(lines) == 6
     assert lines[-1].endswith("(decreasing)")
+
+
+def test_lattice_scaling():
+    lines = run_script("lattice_scaling.py", "--edges", "6", "7")
+    assert lines[0].split() == ["edges", "seconds", "budget_used", "lambda"]
+    rows = [line.split() for line in lines[1:]]
+    assert [(r[0], r[2]) for r in rows] == [("6", "110968"), ("7", "48710")]
+    assert float(rows[1][3]) == pytest.approx(4.165228250588749e+20, rel=1e-12)
+
+
+def test_lattice_scaling_refuses_ten_edges():
+    # refused before any work: ten edges would not fit the enumeration box
+    assert run_script("lattice_scaling.py", "--edges", "10", returncode=1) == []

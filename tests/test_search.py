@@ -5,7 +5,9 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dtnpos.lattice
 import dtnpos.search
 
 from dtnpos import (
@@ -31,7 +33,7 @@ from dtnpos import (
     validate,
     verify_limit,
 )
-from dtnpos.lattice import babai_nearest, enumerate_near, lll_reduce
+from dtnpos.lattice import DELTA, babai_nearest, enumerate_near, gram_schmidt, lll_reduce
 from dtnpos.search import _phase_window, _window_survivors, commensurable_base, parse_gamma
 
 
@@ -209,6 +211,153 @@ def test_kronecker_lattice_route_best_counts_misses_before_hit():
         kronecker_sequence(g, spec, count=3, budget=seq.budget_used)
     assert exc.value.level == 3
     assert exc.value.best_residual == pytest.approx(0.226800457186011, rel=1e-9)
+
+
+def _lll_reference(B):
+    """LLL that recomputes the whole Gram-Schmidt basis on every swap.
+
+    The loop lll_reduce replaced; it makes 1 + (number of swaps)
+    orthogonalizations and serves as the bitwise reference.
+    """
+    B = np.array(B, dtype=float)
+    n = B.shape[0]
+    Bs, mu = dtnpos.lattice.gram_schmidt(B)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k, j])
+            if q != 0:
+                B[k] -= q * B[j]
+                mu[k, :j] -= q * mu[j, :j]
+                mu[k, j] -= q
+        if Bs[k] @ Bs[k] >= (DELTA - mu[k, k - 1] ** 2) * (Bs[k - 1] @ Bs[k - 1]):
+            k += 1
+        else:
+            B[[k - 1, k]] = B[[k, k - 1]]
+            Bs, mu = dtnpos.lattice.gram_schmidt(B)
+            k = max(k - 1, 1)
+    return B
+
+
+def _lll_inputs(monkeypatch, lengths, count):
+    """Run a gamma = 1 kronecker_sequence; returns it and copies of the bases
+    it hands to lll_reduce."""
+    bases = []
+
+    def recorded(B):
+        bases.append(np.array(B))
+        return lll_reduce(B)
+
+    with monkeypatch.context() as m:
+        m.setattr(dtnpos.search, "lll_reduce", recorded)
+        seq = kronecker_sequence(lengths, TargetSpec.uniform(1.0, len(lengths)), count=count,
+                                 budget=10**7, assert_independent=True)
+    return seq, bases
+
+
+def _assert_lll_reduced(B):
+    """A fresh Gram-Schmidt of B passes the LLL loop's own tests."""
+    Bs, mu = gram_schmidt(B)
+    norms = [float(v @ v) for v in Bs]
+    for k in range(1, len(B)):
+        assert all(round(mu[k, j]) == 0 for j in range(k)), (k, mu[k, :k])
+        assert norms[k] >= (DELTA - mu[k, k - 1] ** 2) * norms[k - 1], k
+
+
+def _int_det(M):
+    """Exact determinant of an integer matrix (Bareiss elimination)."""
+    M = [[int(x) for x in row] for row in M]
+    n, sign, prev = len(M), 1, 1
+    for k in range(n - 1):
+        if M[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if M[i][k] != 0), None)
+            if swap is None:
+                return 0
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[-1][-1]
+
+
+def _assert_same_lattice(B, reduced):
+    """reduced = U B for an integer U with |det U| = 1."""
+    U = np.linalg.solve(B.T, reduced.T).T
+    R = np.rint(U)
+    assert np.abs(U - R).max() <= 0.1
+    assert abs(_int_det(R)) == 1
+
+
+def test_lll_matches_swap_recompute_reference(monkeypatch, braid, star5):
+    # CORE7 is the benchmark's core-7edge-2 graph; braid-5 and star-5 share
+    # their lengths, so their count-4 levels hand LLL the same two bases
+    _, bases = _lll_inputs(monkeypatch, _surd_graph(*CORE7).lengths, 2)
+    for g in (braid, star5):
+        bases += _lll_inputs(monkeypatch, g.lengths, 4)[1]
+    assert [B.shape for B in bases] == [(7, 7)] + [(5, 5)] * 4
+    for B in bases:
+        assert np.array_equal(lll_reduce(B), _lll_reference(B))
+
+
+def test_lll_orthogonalizes_at_most_twice(monkeypatch):
+    (B,) = _lll_inputs(monkeypatch, _surd_graph(*CORE7).lengths, 2)[1]
+    calls = []
+
+    def counted(B):
+        calls.append(1)
+        return gram_schmidt(B)
+
+    monkeypatch.setattr(dtnpos.lattice, "gram_schmidt", counted)
+    lll_reduce(B)
+    assert len(calls) <= 2  # the seed and the fresh check
+    calls.clear()
+    _lll_reference(B)
+    assert len(calls) == 129  # one more for each of its 128 swaps
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=9),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    log_ratio=st.floats(min_value=0.0, max_value=16.0),
+)
+def test_lll_post_condition_on_search_shaped_bases(n, seed, log_ratio):
+    # the shape _solve_level builds: row 0 is (c0, w_e rho_e), row e holds w_e
+    # on the diagonal, with c0 tiny against the weights
+    rng = np.random.default_rng(seed)
+    w = 10.0 ** rng.uniform(0.0, 3.0, n - 1)
+    B = np.diag(np.concatenate(([w.max() / 10.0 ** log_ratio], w)))
+    B[0, 1:] = w * rng.uniform(0.0, 1.0, n - 1)
+    reduced = lll_reduce(B)
+    _assert_lll_reduced(reduced)
+    _assert_same_lattice(B, reduced)
+
+
+def test_lll_nine_edge_level4_frozen(monkeypatch):
+    # sqrt of the first nine primes: the level-4 basis spans a scale ratio of
+    # 3e15 and the in-place updates drift there; without the fresh check LLL
+    # stops on an unreduced basis (max |mu| 1.29) and the search charges
+    # 1224931 candidates instead of 1082721
+    lengths = [math.sqrt(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23)]
+    seq, bases = _lll_inputs(monkeypatch, lengths, 4)
+    assert seq.levels == (1, 2, 3, 4)
+    assert seq.lambdas == pytest.approx((2020817673.5694602, 4.979908188648249e+17,
+                                         1.7887490375604488e+22, 8.431526689947808e+26),
+                                        rel=1e-12)
+    assert seq.budget_used == 1082721
+    assert len(bases) == 3  # levels 2-4 take the lattice route
+    for B in bases[:2]:
+        assert np.array_equal(lll_reduce(B), _lll_reference(B))
+    B = bases[2]
+    scale = np.abs(B[B != 0])
+    assert scale.max() / scale.min() > 3e15
+    reduced = lll_reduce(B)
+    _assert_lll_reduced(reduced)
+    _assert_same_lattice(B, reduced)
+    assert np.linalg.norm(reduced, axis=1) == pytest.approx(
+        np.linalg.norm(_lll_reference(B), axis=1), rel=1e-9)
 
 
 # a six-edge surd graph whose level-2 window takes a scan of ~340 chunks
