@@ -4,8 +4,9 @@ For each n, runs kronecker_sequence on the lengths sqrt(p) of the first n
 primes with every gamma = 1 for four levels, and prints the wall time, the
 candidates charged (budget_used) and the last level's lambda.  Levels past
 the scan cap take the lattice route, whose enumeration box holds 5^n
-vectors, so n is capped at 9: at n = 10 one box slab alone is 5^9 x 10
-floats (156 MB), and every CVP attempt keeps up to 5^10 more multipliers.
+vectors, so n is capped at 9: at n = 10 every CVP attempt rounds, sorts and
+keeps up to 5^10 multipliers (78 MB per array), and the multipliers seen by
+earlier attempts grow by as many each time.
 
 Example:
     python3 scripts/lattice_scaling.py --edges 6 7 8 9

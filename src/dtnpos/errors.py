@@ -118,6 +118,31 @@ class NoCycle(DtnError):
         super().__init__("the reduced graph is a tree: no cycle edge to perturb")
 
 
+class NoEventualTarget(DtnError):
+    def __init__(self) -> None:
+        super().__init__("no candidate target reached the eventual class in the limit")
+
+
+class LatticeBoxTooLarge(DtnError):
+    """The lattice route's enumeration box would exceed its size bound."""
+
+    def __init__(self, size: int, bound: int, n_edges: int) -> None:
+        self.size = size
+        self.bound = bound
+        super().__init__(
+            f"lattice enumeration box of {size} vectors for {n_edges} edges exceeds "
+            f"the bound of {bound}"
+        )
+
+
+class LatticeSearchFailed(DtnError):
+    def __init__(self, attempts: int) -> None:
+        self.attempts = attempts
+        super().__init__(
+            f"lattice enumeration failed to locate an admissible window in {attempts} attempts"
+        )
+
+
 class NotCommensurable(DtnError):
     def __init__(self, detail: str) -> None:
         super().__init__(f"edge lengths are not commensurable: {detail}")

@@ -9,7 +9,9 @@ Those updates drift on badly scaled bases, so the result is checked once
 against a fresh orthogonalization, and reduction resumes from the fresh data
 when the check fails (the safeguard of Schnorr & Euchner, 1994).  Box
 enumeration streams the box as array slabs, one per value of the first
-offset, so a consumer pays one Python step per slab instead of one per vector.
+offset, so a consumer pays one Python step per slab instead of one per vector;
+the offsets part of the box is built by broadcast sums, for as few leading
+coordinates as the consumer reads.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ def gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return Bs, mu
 
 
-def lll_reduce(B: np.ndarray) -> np.ndarray:
+def lll_reduce(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lenstra-Lenstra-Lovasz reduction of the row basis B, with constant DELTA.
 
     The loop updates mu and the squared Gram-Schmidt norms in place, on a
@@ -44,12 +46,16 @@ def lll_reduce(B: np.ndarray) -> np.ndarray:
     ``round(mu[k][j]) == 0`` and the Lovasz inequality); reduction resumes
     from the fresh data until such a pass changes nothing (Schnorr & Euchner,
     1994).  A well-scaled basis costs two orthogonalizations.
+
+    Returns the reduced basis and its B*, the B* of that last check, which
+    ``babai_nearest`` takes so that no CVP attempt orthogonalizes again.
     """
     rows = np.array(B, dtype=float).tolist()
     while True:
-        Bs, mu = gram_schmidt(np.array(rows))
+        reduced = np.array(rows)
+        Bs, mu = gram_schmidt(reduced)
         if not _lll_pass(rows, mu.tolist(), [float(v @ v) for v in Bs]):
-            return np.array(rows)
+            return reduced, Bs
 
 
 def _lll_pass(B: list, mu: list, norms: list) -> bool:
@@ -91,12 +97,12 @@ def _lll_pass(B: list, mu: list, norms: list) -> bool:
     return changed
 
 
-def babai_nearest(B: np.ndarray, target: np.ndarray) -> np.ndarray:
+def babai_nearest(B: np.ndarray, Bs: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Nearest-plane rounding of target onto the lattice spanned by the rows of B.
 
-    Works best on an LLL-reduced basis; returns the lattice vector.
+    Bs is the Gram-Schmidt basis B* of B.  Works best on an LLL-reduced basis;
+    returns the lattice vector.
     """
-    Bs, _ = gram_schmidt(B)
     w = np.asarray(target, dtype=float).copy()
     for i in range(B.shape[0] - 1, -1, -1):
         c = round((w @ Bs[i]) / (Bs[i] @ Bs[i]))
@@ -104,21 +110,35 @@ def babai_nearest(B: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.asarray(target, dtype=float) - w
 
 
-def enumerate_near(B: np.ndarray, target: np.ndarray, radius: int):
+def box_offsets(B: np.ndarray, radius: int) -> np.ndarray:
+    """The combinations c_1 B[1] + ... + c_{n-1} B[n-1], |c_i| <= radius, one row each.
+
+    Rows come in ``itertools.product`` order of (c_1, ..., c_{n-1}), c_1
+    slowest.  Each row is the sum over i in increasing order, built by
+    broadcasting one basis row at a time, so it needs no index matrix.  Pass
+    a column slice of B (``B[:, :k]``) to build those coordinates alone.
+    """
+    side = np.arange(-radius, radius + 1, dtype=float)[:, None]
+    acc = np.zeros((1, B.shape[1]))
+    for row in B[1:]:
+        acc = (acc[:, None, :] + side * row).reshape(-1, B.shape[1])
+    return acc
+
+
+def enumerate_near(B: np.ndarray, Bs: np.ndarray, target: np.ndarray, radius: int,
+                   offsets: np.ndarray):
     """Yield the lattice vectors v0 + c B, |c_i| <= radius, as one array slab per c_0.
 
-    v0 is the Babai vector; the box covers (2 radius + 1)^n candidates, so keep
-    radius small.  The stream is lazy and holds 2 radius + 1 slabs, one per
-    c_0 from -radius to radius: slab c_0 is the ((2 radius + 1)^(n-1), n)
-    array of the vectors with that first offset.  Concatenated, the slab rows
-    come in ``itertools.product`` order of the offsets (c_0 slowest).  The
-    offsets of the remaining coordinates come from ``np.indices``, and their
-    combination with B[1:] is a single matmul shared by every slab.
+    v0 is the Babai vector of target (Bs is the B* of B); the box covers
+    (2 radius + 1)^n candidates, so keep radius small.  The stream is lazy and
+    holds 2 radius + 1 slabs, one per c_0 from -radius to radius: slab c_0 is
+    the ((2 radius + 1)^(n-1), k) array of the vectors with that first
+    offset.  Concatenated, the slab rows come in ``itertools.product`` order
+    of the offsets (c_0 slowest).  ``offsets`` is ``box_offsets`` of B, or of
+    its first k columns to stream those coordinates alone; it depends on the
+    basis only, so a caller that enumerates around many targets builds it once.
     """
-    v0 = babai_nearest(B, target)
-    n = B.shape[0]
-    side = 2 * radius + 1
-    rest = np.indices((side,) * (n - 1)).reshape(n - 1, side ** (n - 1)).T - radius
-    tail = rest.astype(float) @ B[1:]
+    v0 = babai_nearest(B, Bs, target)
+    k = offsets.shape[1]
     for c0 in range(-radius, radius + 1):
-        yield (v0 + c0 * B[0]) + tail
+        yield (v0[:k] + c0 * B[0, :k]) + offsets

@@ -16,6 +16,16 @@ constraints are solved as a closest-vector problem on a small lattice instead
 (LLL + Babai + box enumeration).  Either way every candidate that gets
 evaluated is charged against the caller's budget, and found windows are always
 re-verified by direct evaluation in double precision.
+
+Candidates are ruled out by arithmetic before any sin is taken: at multiplier
+m the phase of edge e is 2 pi (m rho_e + beta_e), and the window an edge
+allows at the meter's current cap is one interval of that phase's distance
+from a quarter turn (`_arc_survivors`).  The interval is widened by a margin
+that bounds the float error of the evaluated phase, so the filter drops no
+candidate the evaluation would keep, and every charge and residual is
+bitwise that of evaluating every candidate.  With no residual known yet the
+cap is infinite and nothing can be ruled out, so a level's first scan chunk
+covers only a few expected counts.
 """
 
 from __future__ import annotations
@@ -34,12 +44,15 @@ from .errors import (
     BudgetExhausted,
     IndependenceNotAsserted,
     InnerBlockSingular,
+    LatticeBoxTooLarge,
+    LatticeSearchFailed,
     MuOutOfRange,
     NoCycle,
+    NoEventualTarget,
     NotCommensurable,
 )
 from .graphs import MetricGraph, is_connected, is_tree, parse_surd, reduced_graph
-from .lattice import enumerate_near, lll_reduce
+from .lattice import box_offsets, enumerate_near, lll_reduce
 from .positivity import (
     DEFAULT_CONFIG,
     TAG_EVENTUAL,
@@ -54,7 +67,11 @@ from .spectra import lambda_1
 SCAN_CAP = 200_000
 _SCAN_CHUNK = 2048
 _SCAN_BLOCK = 8  # scan chunks evaluated together once a level's first chunk missed
+# a level's first scan chunk covers this many expected counts (to a power of two)
+_FIRST_CHUNK_EXPECTED = 4
 _LATTICE_RADIUS = 2
+# largest enumeration box: 5^10 vectors pass (ten edges), 5^11 do not
+_LATTICE_BOX_MAX = 2 ** 25
 _LATTICE_ATTEMPTS_MAX = 10_000
 DEFAULT_LEVEL_CAP = 64
 
@@ -238,6 +255,91 @@ def _window_survivors(lam: np.ndarray, lengths: Sequence[float], targets: Sequen
     return idx, part, ok
 
 
+def _anchor_lam(ms: np.ndarray, La: float, theta_c: float) -> np.ndarray:
+    """lam at anchor multipliers ms: the anchor phase sqrt(lam) L_a is theta_c + 2 pi m."""
+    return ((theta_c + 2.0 * math.pi * ms) / La) ** 2
+
+
+def _phase_turns(lengths: Sequence[float], La: float,
+                 theta_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, beta) with t_e(m) = m rho_e + beta_e the phase of edge e in turns.
+
+    At the anchor multiplier m, sqrt(lam) L_e = (theta_c + 2 pi m) L_e / L_a,
+    which is 2 pi t_e(m) for rho_e = L_e / L_a and beta_e = theta_c rho_e / (2 pi).
+    """
+    rho = np.asarray(lengths, dtype=float) / La
+    return rho, theta_c * rho / (2.0 * math.pi)
+
+
+def _arc_survivors(ms: np.ndarray, rho: np.ndarray, beta: np.ndarray,
+                   targets: Sequence[float], bound: float) -> np.ndarray:
+    """Positions of the multipliers ms (ascending, every m >= 1) that may still
+    have |sin(sqrt(lam) L_e) - v_e| <= bound on every edge, by phase arithmetic.
+
+    sin(2 pi t) = cos(2 pi g) with g = |t - 1/4 - rint(t - 1/4)| in [0, 1/2],
+    so the sin window of an edge is one interval of g, whose ends are acos of
+    the window ends over 2 pi.  Edges are tested in the order given, each on
+    the survivors of the ones before, and an edge whose widened interval covers
+    [0, 1/2] is skipped.
+
+    The test never drops a multiplier that `_window_survivors` keeps at the
+    same bound (u = 2^-53 is the unit roundoff):
+
+    - sin space: a kept candidate has fl(|fl(sin x) - v|) <= bound, so its
+      exact |sin x - v| is below bound + 5u; the window ends are widened by
+      16u before acos, which covers that and their own rounding.
+    - phase: `_window_survivors` takes sin of x = fl(fl(sqrt(lam)) L_e), with lam
+      from `_anchor_lam`.  Six roundings on that float path put x / (2 pi)
+      within 5.5u t_e of (theta_c + fl(2 pi) m) rho_e / (2 pi); fl(2 pi)
+      differs from 2 pi by 0.35u in relative terms, which moves the turn count
+      m rho_e by at most 0.35u t_e; and t_e itself is computed with
+      three roundings in rho_e, m rho_e and the sum, at most 3u t_e + u.
+      With T_e the largest t_e over ms, every g is therefore within
+      9u (T_e + 1) of the g of the evaluated phase, and each interval is
+      widened by 16u (T_e + 1), which also covers the rounding of acos, of
+      the division by 2 pi and of the fold.
+    """
+    u = 2.0 ** -53
+    reach = bound + 16.0 * u
+    top = float(ms[-1]) if len(ms) else 0.0
+    pos = None  # every position, until an edge filters
+    for r, b, v in zip(rho, beta, targets):
+        margin = 16.0 * u * (top * r + abs(b) + 1.0)
+        g_lo = math.acos(min(1.0, v + reach)) / (2.0 * math.pi) - margin
+        g_hi = math.acos(max(-1.0, v - reach)) / (2.0 * math.pi) + margin
+        if g_lo <= 0.0 and g_hi >= 0.5:
+            continue
+        t = ms * r if pos is None else ms[pos] * r
+        t += b - 0.25
+        t -= np.rint(t)
+        g = np.abs(t, out=t)
+        live = g <= g_hi
+        if g_lo > 0.0:
+            live &= g >= g_lo
+        pos = np.flatnonzero(live) if pos is None else pos[live]
+        if pos.size == 0:
+            break
+    return np.arange(len(ms)) if pos is None else pos
+
+
+def _window_scan(ms: np.ndarray, rho: np.ndarray, beta: np.ndarray, lengths: Sequence[float],
+                 targets: Sequence[float], La: float, theta_c: float, w: float,
+                 cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_window_survivors` on lam = `_anchor_lam`(ms), evaluated on the
+    multipliers that `_arc_survivors` keeps at max(w, cap); every value it
+    returns is bitwise that of the evaluation of every multiplier.
+
+    (rho, beta) come from `_phase_turns` of the same lengths.  An infinite
+    cap keeps every candidate: every edge's interval then covers [0, 1/2],
+    and nothing is filtered.
+    """
+    pos = _arc_survivors(ms, rho, beta, targets, max(w, cap))
+    if pos.size == 0:
+        return pos, np.empty(0), np.empty(0, dtype=bool)
+    idx, res, ok = _window_survivors(_anchor_lam(ms[pos], La, theta_c), lengths, targets, w, cap)
+    return pos[idx], res, ok
+
+
 def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
                  lam_min: float, meter: BudgetMeter) -> tuple[float, float]:
     """Smallest-found admissible lam > lam_min for one level's windows.
@@ -271,6 +373,8 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
     order = sorted(others, key=lambda e: deltas[e]) + [anchor]
     order_lengths = [lengths[e] for e in order]
     order_targets = [targets[e] for e in order]
+    rho, beta = _phase_turns(lengths, La, theta_c)
+    order_rho, order_beta = rho[order], beta[order]
 
     def chunks(n: int, size: int) -> list[int]:
         """Lengths of the chunks that cover up to n candidates: each at most
@@ -284,17 +388,17 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
         return out
 
     def verify(ms: np.ndarray, sizes: list[int]) -> tuple[float, float] | None:
-        """Charge the chunks of ms in order up to the first admissible candidate.
+        """Charge the chunks of ms (ascending) in order up to the first admissible candidate.
 
         Every charged candidate folds its residual into the meter's best: a
         missed chunk all of its own, a hit its own and those of the misses
         before it in its chunk.
         """
-        lam = ((theta_c + 2.0 * math.pi * ms[:sum(sizes)]) / La) ** 2
+        ms = ms[:sum(sizes)]
         # the meter's best only falls from one chunk to the next, so its value
         # now is a cap that keeps every candidate a later chunk still needs
-        idx, res, ok = _window_survivors(lam, order_lengths, order_targets, w,
-                                         meter.best_residual)
+        idx, res, ok = _window_scan(ms, order_rho, order_beta, order_lengths, order_targets,
+                                    La, theta_c, w, meter.best_residual)
         start = 0
         for size in sizes:
             lo, hi = np.searchsorted(idx, (start, start + size))
@@ -302,7 +406,9 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
                 j = lo + int(np.argmax(ok[lo:hi]))
                 meter.charge(int(idx[j]) - start + 1)
                 meter.best_residual = min(meter.best_residual, float(res[lo:j + 1].min()))
-                return float(lam[idx[j]]), float(res[j])
+                # a one-element array takes the same elementwise path as the chunk did
+                lam = _anchor_lam(ms[idx[j]:idx[j] + 1], La, theta_c)
+                return float(lam[0]), float(res[j])
             meter.charge(size)
             if hi > lo:
                 meter.best_residual = min(meter.best_residual, float(res[lo:hi].min()))
@@ -310,44 +416,41 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
         return None
 
     if expected <= SCAN_CAP:
-        m, block = m_min, 1
+        # the first chunk covers a few expected counts, so a level that hits
+        # early does not pay a whole chunk at an infinite cap
+        m = m_min
+        size = min(_SCAN_CHUNK, 1 << math.ceil(math.log2(_FIRST_CHUNK_EXPECTED * expected)))
         while True:
-            sizes = chunks(block * _SCAN_CHUNK, _SCAN_CHUNK)
+            sizes = chunks(size, _SCAN_CHUNK)
             hit = verify(np.arange(m, m + sum(sizes), dtype=float), sizes)
             if hit is not None:
                 return hit
             m += sum(sizes)
-            block = _SCAN_BLOCK
+            size = _SCAN_BLOCK * _SCAN_CHUNK
 
     # lattice route: solve frac(m' rho_e - psi_e) in (-delta_e, delta_e) with
     # m' = m - m_min, one CVP target per diameter-sized slab of the m'-axis
     d = len(others)
-    rho = [lengths[e] / La for e in others]
-    psi = []
-    for e, r_e in zip(others, rho):
-        p = (centers[e] - (theta_c + 2.0 * math.pi * m_min) * r_e) / (2.0 * math.pi)
-        psi.append(p - math.floor(p))
-    weights = [1.0 / deltas[e] for e in others]
+    box = (2 * _LATTICE_RADIUS + 1) ** (d + 1)
+    if box > _LATTICE_BOX_MAX:
+        raise LatticeBoxTooLarge(box, _LATTICE_BOX_MAX, d + 1)
+    psi = np.asarray(centers)[others] / (2.0 * math.pi) - (m_min * rho[others] + beta[others])
+    psi -= np.floor(psi)
+    weights = 1.0 / np.asarray(deltas)[others]
 
     c0 = 1.0 / expected
-    B = np.zeros((d + 1, d + 1))
-    B[0, 0] = c0
-    for i in range(d):
-        B[0, 1 + i] = weights[i] * rho[i]
-        B[1 + i, 1 + i] = weights[i]
-    B_red = lll_reduce(B)
+    B = np.diag(np.concatenate(([c0], weights)))
+    B[0, 1:] = weights * rho[others]
+    B_red, Bs = lll_reduce(B)
+    # the box's multiplier coordinate alone: _solve_level reads nothing else
+    offsets = box_offsets(B_red[:, :1], _LATTICE_RADIUS)
 
     # multipliers m' tried by earlier attempts, sorted
     seen = np.empty(0, dtype=np.int64)
     for attempt in range(_LATTICE_ATTEMPTS_MAX):
         m_target = (attempt + 0.5) * expected
-        t = np.empty(d + 1)
-        t[0] = c0 * m_target
-        for i in range(d):
-            t[1 + i] = weights[i] * psi[i]
-        # copy each box slab's first column, so that no view keeps the whole slab alive
-        first = np.concatenate([slab[:, 0].copy()
-                                for slab in enumerate_near(B_red, t, _LATTICE_RADIUS)])
+        t = np.concatenate(([c0 * m_target], weights * psi))
+        first = np.concatenate(list(enumerate_near(B_red, Bs, t, _LATTICE_RADIUS, offsets)))[:, 0]
         # sort-based unique: numpy's hash-based np.unique is ~50x slower on
         # the mostly distinct multipliers of a wide box
         cands = np.sort(np.rint(first / c0).astype(np.int64))
@@ -360,7 +463,7 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
         hit = verify(ms, chunks(len(ms), len(ms)))
         if hit is not None:
             return hit
-    raise RuntimeError("lattice enumeration failed to locate an admissible window")
+    raise LatticeSearchFailed(_LATTICE_ATTEMPTS_MAX)
 
 
 def _first_feasible_level(spec: TargetSpec) -> int:
@@ -607,7 +710,7 @@ def find_eventual_not_positive_above(g: MetricGraph, lam_hat: float, budget: int
         if result is not None:
             return result
     if not screened_any:
-        raise RuntimeError("no candidate target reached the eventual class in the limit")
+        raise NoEventualTarget()
     raise BudgetExhausted(budget, meter.best_residual, meter.level)
 
 

@@ -1,5 +1,7 @@
 """Kronecker-style sequences, asymptotic limit matrices, and the searches."""
 
+import contextlib
+import io
 import math
 from itertools import product
 
@@ -13,8 +15,11 @@ import dtnpos.search
 from dtnpos import (
     BudgetExhausted,
     IndependenceNotAsserted,
+    LatticeBoxTooLarge,
+    LatticeSearchFailed,
     MuOutOfRange,
     NoCycle,
+    NoEventualTarget,
     NotCommensurable,
     TargetSpec,
     assemble_outer,
@@ -33,8 +38,24 @@ from dtnpos import (
     validate,
     verify_limit,
 )
-from dtnpos.lattice import DELTA, babai_nearest, enumerate_near, gram_schmidt, lll_reduce
-from dtnpos.search import _phase_window, _window_survivors, commensurable_base, parse_gamma
+from dtnpos.cli import main
+from dtnpos.lattice import (
+    DELTA,
+    babai_nearest,
+    box_offsets,
+    enumerate_near,
+    gram_schmidt,
+    lll_reduce,
+)
+from dtnpos.search import (
+    _arc_survivors,
+    _phase_turns,
+    _phase_window,
+    _window_scan,
+    _window_survivors,
+    commensurable_base,
+    parse_gamma,
+)
 
 
 def test_target_spec_rejects_zero():
@@ -133,10 +154,10 @@ def test_surd_lengths_rational_ratio_rejected():
 @pytest.mark.parametrize("n,radius", [(1, 2), (3, 1), (4, 2)])
 def test_enumerate_near_box_in_product_order(n, radius):
     rng = np.random.default_rng(7)
-    B = lll_reduce(rng.normal(size=(n, n)) + 3.0 * np.eye(n))
+    B, Bs = lll_reduce(rng.normal(size=(n, n)) + 3.0 * np.eye(n))
     target = rng.normal(size=n) * 5.0
     side = 2 * radius + 1
-    slabs = list(enumerate_near(B, target, radius))
+    slabs = list(enumerate_near(B, Bs, target, radius, box_offsets(B, radius)))
     assert len(slabs) == side
     assert all(slab.shape == (side ** (n - 1), n) for slab in slabs)
     # the slab rows, concatenated, are the per-vector stream in product order
@@ -144,11 +165,119 @@ def test_enumerate_near_box_in_product_order(n, radius):
     offsets = list(product(range(-radius, radius + 1), repeat=n))
     assert len(vectors) == side ** n == len(offsets)
     v0 = vectors[offsets.index((0,) * n)]
-    assert np.array_equal(v0, babai_nearest(B, target))
+    assert np.array_equal(v0, babai_nearest(B, Bs, target))
     scale = np.abs(B).max() * (1 + radius * n) + np.abs(v0).max()
     for v, c in zip(vectors, offsets):
         want = v0 + np.asarray(c, dtype=float) @ B
         assert np.abs(v - want).max() <= 1e-12 * scale
+
+
+def _box_by_index_matrix(B, target, radius):
+    """The box as the search built it before: offsets from np.indices, one matmul."""
+    n = B.shape[0]
+    side = 2 * radius + 1
+    rest = np.indices((side,) * (n - 1)).reshape(n - 1, side ** (n - 1)).T - radius
+    tail = rest.astype(float) @ B[1:]
+    v0 = babai_nearest(B, gram_schmidt(B)[0], target)
+    return np.concatenate([(v0 + c0 * B[0]) + tail for c0 in range(-radius, radius + 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=8),
+    radius=st.integers(min_value=1, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    log_ratio=st.floats(min_value=0.0, max_value=12.0),
+)
+def test_box_column_matches_full_box_bitwise(n, radius, seed, log_ratio):
+    # search-shaped bases: the multiplier coordinate rint(first / c0) of every
+    # box vector is read from the column alone, so it must equal column 0 of
+    # the full box in every bit
+    rng = np.random.default_rng(seed)
+    w = 10.0 ** rng.uniform(0.0, 3.0, n - 1)
+    B = np.diag(np.concatenate(([w.max(initial=1.0) / 10.0 ** log_ratio], w)))
+    B[0, 1:] = w * rng.uniform(0.0, 1.0, n - 1)
+    B_red, Bs = lll_reduce(B)
+    assert np.array_equal(Bs, gram_schmidt(B_red)[0])
+    target = np.concatenate(([B[0, 0] * rng.uniform(0.0, 1e6)],
+                             w * rng.uniform(0.0, 1.0, n - 1)))
+    full = _box_by_index_matrix(B_red, target, radius)
+    column = np.concatenate(list(enumerate_near(
+        B_red, Bs, target, radius, box_offsets(B_red[:, :1], radius))))
+    assert column.shape == (len(full), 1)
+    assert np.array_equal(column[:, 0], full[:, 0])
+    assert np.array_equal(np.concatenate(list(enumerate_near(
+        B_red, Bs, target, radius, box_offsets(B_red, radius)))), full)
+
+
+def test_babai_reuses_the_lll_orthogonalization(monkeypatch):
+    # one orthogonalization per reduced basis serves every CVP attempt
+    calls = []
+
+    def counted(B):
+        calls.append(1)
+        return gram_schmidt(B)
+
+    monkeypatch.setattr(dtnpos.lattice, "gram_schmidt", counted)
+    g = _surd_graph(*CORE7)
+    seq = kronecker_sequence(g, TargetSpec.uniform(1.0, 7), count=2, budget=10**7)
+    assert seq.budget_used == 7343
+    assert len(calls) <= 2  # the LLL seed and its fresh check, none per attempt
+
+
+def test_lattice_box_bound_admits_ten_edges():
+    side = 2 * dtnpos.search._LATTICE_RADIUS + 1
+    assert side ** 10 <= dtnpos.search._LATTICE_BOX_MAX < side ** 11
+
+
+def test_lattice_box_too_large_is_raised_before_the_lattice(monkeypatch):
+    # braid-5 takes the lattice route from level 2 with a 5^5 box
+    monkeypatch.setattr(dtnpos.search, "_LATTICE_BOX_MAX", 5 ** 5 - 1)
+
+    def refuse(*args, **kw):
+        raise AssertionError("reduced a basis for a box over the bound")
+
+    monkeypatch.setattr(dtnpos.search, "lll_reduce", refuse)
+    with pytest.raises(LatticeBoxTooLarge) as exc:
+        kronecker_sequence(catalog("braid-5"), TargetSpec.uniform(1.0, 5), count=4,
+                           budget=10**7)
+    assert (exc.value.size, exc.value.bound) == (5 ** 5, 5 ** 5 - 1)
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_lattice_box_too_large_exits_one():
+    # 13 edges: a 5^13 box, for which numpy used to be asked for 21.8 GiB
+    rc, out, err = _cli(["find-eventual", "--graph", "catalog:two-cluster",
+                         "--assert-independent", "--above", "1"])
+    assert (rc, out) == (1, "")
+    assert err == ("error: lattice enumeration box of 1220703125 vectors for 13 edges "
+                   "exceeds the bound of 33554432\n")
+
+
+def test_lattice_search_failure_exits_one(monkeypatch):
+    monkeypatch.setattr(dtnpos.search, "_LATTICE_ATTEMPTS_MAX", 3)
+    with pytest.raises(LatticeSearchFailed):
+        kronecker_sequence(catalog("braid-5"), TargetSpec.uniform(1.0, 5), count=4,
+                           budget=10**7)
+    rc, out, err = _cli(["kronecker", "--graph", "catalog:braid-5", "--gamma=1,1,1,1,1",
+                         "--count", "4"])
+    assert (rc, out) == (1, "")
+    assert err == "error: lattice enumeration failed to locate an admissible window in 3 attempts\n"
+
+
+def test_no_eventual_target_exits_one(monkeypatch):
+    monkeypatch.setattr(dtnpos.search, "_eventual_candidates", lambda g: iter(()))
+    with pytest.raises(NoEventualTarget):
+        find_eventual_not_positive_above(catalog("lasso-4"), 30.0, budget=10**4)
+    rc, out, err = _cli(["find-eventual", "--graph", "catalog:lasso-4", "--above", "30"])
+    assert (rc, out) == (1, "")
+    assert err == "error: no candidate target reached the eventual class in the limit\n"
 
 
 # a seven-edge surd graph whose level-2 windows take the lattice route
@@ -298,7 +427,7 @@ def test_lll_matches_swap_recompute_reference(monkeypatch, braid, star5):
         bases += _lll_inputs(monkeypatch, g.lengths, 4)[1]
     assert [B.shape for B in bases] == [(7, 7)] + [(5, 5)] * 4
     for B in bases:
-        assert np.array_equal(lll_reduce(B), _lll_reference(B))
+        assert np.array_equal(lll_reduce(B)[0], _lll_reference(B))
 
 
 def test_lll_orthogonalizes_at_most_twice(monkeypatch):
@@ -330,7 +459,7 @@ def test_lll_post_condition_on_search_shaped_bases(n, seed, log_ratio):
     w = 10.0 ** rng.uniform(0.0, 3.0, n - 1)
     B = np.diag(np.concatenate(([w.max() / 10.0 ** log_ratio], w)))
     B[0, 1:] = w * rng.uniform(0.0, 1.0, n - 1)
-    reduced = lll_reduce(B)
+    reduced = lll_reduce(B)[0]
     _assert_lll_reduced(reduced)
     _assert_same_lattice(B, reduced)
 
@@ -349,11 +478,11 @@ def test_lll_nine_edge_level4_frozen(monkeypatch):
     assert seq.budget_used == 1082721
     assert len(bases) == 3  # levels 2-4 take the lattice route
     for B in bases[:2]:
-        assert np.array_equal(lll_reduce(B), _lll_reference(B))
+        assert np.array_equal(lll_reduce(B)[0], _lll_reference(B))
     B = bases[2]
     scale = np.abs(B[B != 0])
     assert scale.max() / scale.min() > 3e15
-    reduced = lll_reduce(B)
+    reduced = lll_reduce(B)[0]
     _assert_lll_reduced(reduced)
     _assert_same_lattice(B, reduced)
     assert np.linalg.norm(reduced, axis=1) == pytest.approx(
@@ -417,14 +546,25 @@ def test_kronecker_scan_route_best_counts_misses_before_hit(path3):
 
 
 def test_window_survivors_match_full_evaluation():
+    # _window_survivors prunes edge by edge and _window_scan first drops the
+    # multipliers the phase arithmetic rules out; both return, bitwise, what a
+    # full evaluation of every candidate on every edge gives
     rng = np.random.default_rng(3)
-    for _ in range(300):
+    evaluated = kept = 0
+    for case in range(600):
         n_edges = int(rng.integers(1, 8))
         lengths = list(rng.uniform(0.3, 5.0, n_edges))
-        targets = list(rng.choice([1.0, 0.5, -0.5, 0.25, -1 / 3], n_edges))
-        w = 1.0 / int(rng.integers(1, 5)) ** 2
-        m = rng.uniform(1.0, 1e6) + np.arange(int(rng.integers(1, 3000)), dtype=float)
-        lam = ((0.7 + 2.0 * math.pi * m) / max(lengths)) ** 2
+        level = int(rng.choice([1, 2, 3, 4, 7, 12, 22, 45]))
+        w = 1.0 / level ** 2
+        targets = list(rng.choice([1.0, 0.5, -0.5, 0.25, -1 / 3, 1.0 / level, -1.0 / level,
+                                   1.0 / math.sqrt(level), -1.0 / math.sqrt(level)], n_edges))
+        top = 10.0 ** rng.uniform(0.0, 12.0)
+        if case % 2:  # scattered integer multipliers, ascending, as the lattice route passes them
+            m = np.unique(np.floor(rng.uniform(1.0, top + 1.0, int(rng.integers(1, 3000)))))
+        else:  # contiguous ones, as the scan route passes them
+            m = math.floor(top) + np.arange(int(rng.integers(1, 3000)), dtype=float)
+        La, theta_c = max(lengths), float(rng.uniform(-1.5, 1.5))
+        lam = ((theta_c + 2.0 * math.pi * m) / La) ** 2
         mu = np.sqrt(lam)
         res = np.zeros_like(lam)
         ok = np.ones(lam.shape, dtype=bool)
@@ -432,12 +572,45 @@ def test_window_survivors_match_full_evaluation():
             res = np.maximum(res, np.abs(np.sin(mu * L) - v))
             ok &= np.cos(mu * L) > 0.0
         ok &= res < w
-        cap = rng.choice([math.inf, float(rng.uniform(0.0, 1.0)), w, float(res.min())])
-        idx, part, admissible = _window_survivors(lam, lengths, targets, w, cap)
+        # infinite, below w, w itself, above w, and a candidate's own residual
+        # (kept by <=, so it sits exactly on the filter's bound)
+        cap = [math.inf, w * float(rng.uniform(0.0, 1.0)), w,
+               w + (1.0 - w) * float(rng.uniform(0.0, 1.0)),
+               float(np.quantile(res, 0.02, method="lower"))][case % 5]
         want = np.flatnonzero((res < w) | (res <= cap))
-        assert np.array_equal(idx, want)
-        assert np.array_equal(part, res[want])  # bitwise: same elementwise operations
-        assert np.array_equal(admissible, ok[want])
+        rho, beta = _phase_turns(lengths, La, theta_c)
+        for idx, part, admissible in (_window_survivors(lam, lengths, targets, w, cap),
+                                      _window_scan(m, rho, beta, lengths, targets, La,
+                                                   theta_c, w, cap)):
+            assert np.array_equal(idx, want)
+            assert np.array_equal(part, res[want])  # bitwise: same elementwise operations
+            assert np.array_equal(admissible, ok[want])
+        if not math.isinf(cap):
+            evaluated += len(m)
+            kept += len(_arc_survivors(m, rho, beta, targets, max(w, cap)))
+    assert kept < 0.5 * evaluated  # the arithmetic does rule candidates out
+
+
+def test_scan_budget_runs_out_inside_the_first_chunk(path3):
+    # gamma = -1 on path-3 expects a level-1 hit within 4 candidates, so the
+    # first chunk holds 16; the hit is the 4th, and a budget of 2 runs out
+    # inside that chunk, at the infinite cap, with the best of the two
+    # candidates it charged
+    spec = TargetSpec.uniform(-1.0, 2)
+    lengths = list(path3.lengths)
+    anchor = max(range(2), key=lambda e: lengths[e])
+    targets = spec.level_targets(1)
+    lo, hi = _phase_window(targets[anchor], 1.0)
+    mu = (0.5 * (lo + hi) + 2.0 * math.pi * np.arange(1.0, 5.0)) / lengths[anchor]
+    res = np.max([np.abs(np.sin(mu * L) - v) for L, v in zip(lengths, targets)], axis=0)
+    for budget in (1, 2, 3):
+        with pytest.raises(BudgetExhausted) as exc:
+            kronecker_sequence(path3, spec, count=1, budget=budget, assert_independent=True)
+        assert exc.value.level == 1
+        assert exc.value.best_residual == pytest.approx(res[:budget].min(), rel=1e-12)
+    assert exc.value.best_residual == pytest.approx(0.2928932188134513, rel=1e-12)
+    seq = kronecker_sequence(path3, spec, count=1, budget=4, assert_independent=True)
+    assert seq.budget_used == 4
 
 
 def test_limit_matrix_is_signed_laplacian(lasso):
