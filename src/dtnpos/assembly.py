@@ -61,6 +61,10 @@ class DtnMatrix:
     provenance: str  # "direct" | "schur(m,k)"
     # stack only: samples at an edge pole or with a singular inner block
     singular: np.ndarray | None = None
+    # stack Schur reductions only: per sample, the number of negative
+    # eigenvalues of the eliminated inner block C, -1 at an edge pole; the
+    # inertia that spectra.near_pole reads inner poles from
+    inner_negative: np.ndarray | None = None
 
     def __array__(self, dtype=None, copy=None):
         if copy:
@@ -177,7 +181,8 @@ def schur_reduce(full: DtnMatrix, m: int) -> DtnMatrix:
     smallest eigenvalue against the scale of the full matrix, and its
     eigenvalue ratio against INNER_COND_MAX.  A single matrix that fails
     raises InnerBlockSingular; in a stack the sample is marked singular.  The
-    passing samples are solved in one batched call.
+    passing samples are solved in one batched call.  A stack result also
+    keeps the inertia of every C (DtnMatrix.inner_negative).
     """
     n = full.dim
     if not 0 < m <= n:
@@ -195,7 +200,11 @@ def schur_reduce(full: DtnMatrix, m: int) -> DtnMatrix:
 
     # the ratio test alone cannot catch a singular 1x1 block, so the smallest
     # inner eigenvalue is also measured against the scale of the full matrix
-    ev = np.abs(np.linalg.eigvalsh(D[:, m:, m:]))
+    ev = np.linalg.eigvalsh(D[:, m:, m:])
+    if not single:
+        negative = np.full(len(stack), -1)
+        negative[live] = (ev < 0).sum(axis=1)
+    ev = np.abs(ev)
     ev_lo, ev_hi = ev.min(axis=1), ev.max(axis=1)
     scale = np.abs(D).max(axis=(1, 2))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -216,7 +225,7 @@ def schur_reduce(full: DtnMatrix, m: int) -> DtnMatrix:
     out = np.full((len(stack), m, m), np.nan)
     out[~singular] = S
     return DtnMatrix(lam=full.lam, dim=m, entries=out, provenance=provenance,
-                     singular=singular)
+                     singular=singular, inner_negative=negative)
 
 
 def assemble_outer(g: MetricGraph, lam) -> DtnMatrix:

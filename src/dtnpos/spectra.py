@@ -13,6 +13,8 @@ edge poles together with the inner-block Kirchhoff eigenvalues.  pole_scan
 locates both kinds inside a window: the edge poles in closed form, once each,
 and the inner ones by counting the negative eigenvalues of the inner block
 (its inertia), which gives each with its multiplicity and needs no grid.
+near_pole reads the same inertia off a sweep's own grid to flag the samples
+within reach of a pole, without locating any.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ import scipy.sparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .assembly import STACK_CHUNK, assemble_full
-from .errors import AtPole, ResolutionTooLow
+from .errors import ResolutionTooLow
 from .graphs import MetricGraph
 
 DEFAULT_RESOLUTION = 32
 POLE_BISECT_TOL = 1e-10
+# a sweep sample within NEAR_POLE_REACH * max(1, |lam|) of a pole is near_pole
+NEAR_POLE_REACH = 1e-9
 # eigenvalue drift between resolution and resolution/2, relative to lambda_1
 RESOLUTION_DRIFT_MAX = 0.01
 
@@ -213,6 +217,18 @@ def lambda_1(g: MetricGraph, resolution: float = DEFAULT_RESOLUTION) -> float:
     return kirchhoff_spectrum(g, count=1, resolution=resolution).values[0]
 
 
+def _edge_poles(g: MetricGraph, lo: float, hi: float) -> list[float]:
+    """The edge poles (pi k / L_e)^2 inside (lo, hi), ascending, each value once.
+
+    Values within 1e-12 relative of the previous one are the same pole.
+    """
+    poles: list[float] = []
+    for p in dirichlet_spectrum_full(g, hi).values:
+        if lo < p < hi and (not poles or p - poles[-1] > 1e-12 * max(1.0, p)):
+            poles.append(p)
+    return poles
+
+
 def _inner_negative_counts(g: MetricGraph, lams: np.ndarray, low: np.ndarray,
                            high: np.ndarray) -> np.ndarray:
     """Negative eigenvalues of C, the inner block of the full matrix, at each of lams.
@@ -220,19 +236,20 @@ def _inner_negative_counts(g: MetricGraph, lams: np.ndarray, low: np.ndarray,
     Each count is known to lie in [low, high].  Where that leaves two values,
     the sign of det C = (-1)^neg decides through slogdet, a fraction of the
     cost of eigvalsh, which counts elsewhere.  Zero does not count as negative.
+    A parameter at an edge pole, where C has no value, counts -1.
     """
     m = g.n_outer
     counts = np.empty(len(lams), dtype=int)
     for at in range(0, len(lams), STACK_CHUNK):
         part = slice(at, at + STACK_CHUNK)
         full = assemble_full(g, lams[part])
-        if full.singular.any():
-            raise AtPole(float(full.lam[np.argmax(full.singular)]))
         C, lo, hi, out = full.entries[:, m:, m:], low[part], high[part], counts[part]
-        pair = hi - lo == 1
+        pair = (hi - lo == 1) & ~full.singular
+        rest = ~pair & ~full.singular
         sign, _ = np.linalg.slogdet(C[pair])
         out[pair] = lo[pair] + (sign == -(-1.0) ** lo[pair])
-        out[~pair] = np.clip((np.linalg.eigvalsh(C[~pair]) < 0).sum(axis=1), lo[~pair], hi[~pair])
+        out[rest] = np.clip((np.linalg.eigvalsh(C[rest]) < 0).sum(axis=1), lo[rest], hi[rest])
+        out[full.singular] = -1
     return counts
 
 
@@ -251,14 +268,12 @@ def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
     if not -math.inf < lo < hi < math.inf:
         raise ValueError("the scan range must be finite and nonempty")
 
-    edge_poles = []
-    for p in dirichlet_spectrum_full(g, hi).values:
-        if lo < p < hi and not any(abs(p - q) <= 1e-12 * max(1.0, p) for q in edge_poles):
-            edge_poles.append(p)
+    edge_poles = _edge_poles(g, lo, hi)
     if g.n_outer == g.n_vertices:
         return edge_poles
 
-    # one bracket per segment between edge poles, kept clear of them
+    # one bracket per segment between edge poles, kept clear of them; the
+    # margin keeps every count away from an edge pole
     ends = np.array([lo] + edge_poles + [hi])
     margin = 1e-7 * np.maximum(1.0, np.maximum(np.abs(ends[:-1]), np.abs(ends[1:])))
     left, right = ends[:-1] + margin, ends[1:] - margin
@@ -268,10 +283,12 @@ def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
         np.full(2 * len(left), g.n_vertices - g.n_outer)), 2)
 
     inner = []
-    while len(left):
+    while True:
         done = right - left <= POLE_BISECT_TOL * np.maximum(1.0, left)
         inner += np.repeat(0.5 * (left + right)[done], (high - low)[done]).tolist()
         live = ~done & (high > low)
+        if not live.any():
+            break
         left, right, low, high = left[live], right[live], low[live], high[live]
         cuts = left[:, None] + (right - left)[:, None] * np.array([0.25, 0.5, 0.75])
         mid = _inner_negative_counts(g, cuts.ravel(), np.repeat(low, 3), np.repeat(high, 3))
@@ -280,3 +297,50 @@ def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
         held = n[:, 1:] > n[:, :-1]
         left, right, low, high = x[:, :-1][held], x[:, 1:][held], n[:, :-1][held], n[:, 1:][held]
     return sorted(edge_poles + inner)
+
+
+def near_pole(g: MetricGraph, lams: np.ndarray, singular: np.ndarray,
+              negative: np.ndarray | None) -> np.ndarray:
+    """Flag the samples of an increasing grid that lie within reach of a singular parameter.
+
+    A sample's reach is NEAR_POLE_REACH * max(1, |lam|); the singular
+    parameters are the edge and inner poles that pole_scan locates, also
+    those beyond the ends of the grid.  `singular` marks the samples the
+    assembly could not reduce, which are flagged; `negative` is the inertia
+    of the inner block C at each sample (DtnMatrix.inner_negative, None
+    without inner vertices).
+
+    Edge poles are tested in closed form.  Between consecutive edge poles C
+    decreases strictly, so an inner pole lies between two samples exactly
+    when their counts differ: only a sample whose reach meets such a gap, a
+    gap holding an edge pole or a singular sample, or the outside of the
+    grid can be near an inner pole.  Each such sample gets the count of C at
+    lam - reach and lam + reach, all in one stacked call, and is near when
+    either count differs from its own.  No pole is located.
+    """
+    reach = NEAR_POLE_REACH * np.maximum(1.0, np.abs(lams))
+    # the open window must hold a pole exactly one reach past either end
+    edge = np.array(_edge_poles(g, lams[0] - 2.0 * reach[0], lams[-1] + 2.0 * reach[-1]))
+    near = singular.copy()
+    if len(edge):
+        at = np.searchsorted(edge, lams)
+        below, above = edge[np.maximum(at - 1, 0)], edge[np.minimum(at, len(edge) - 1)]
+        near |= (np.abs(lams - below) <= reach) | (np.abs(above - lams) <= reach)
+    if negative is None:
+        return near
+
+    # gap k lies between samples k - 1 and k; gaps 0 and len(lams) are outside
+    gap = np.ones(len(lams) + 1, dtype=bool)
+    gap[1:-1] = ((negative[1:] != negative[:-1]) | singular[1:] | singular[:-1]
+                 | (np.searchsorted(edge, lams[1:], "right")
+                    > np.searchsorted(edge, lams[:-1], "left")))
+    held = np.concatenate([[0], np.cumsum(gap)])
+    first = np.searchsorted(lams, lams - reach, "right")
+    last = np.searchsorted(lams, lams + reach, "right")
+    probe = np.flatnonzero(~near & (held[last + 1] > held[first]))
+    if len(probe):
+        x = np.concatenate([lams[probe] - reach[probe], lams[probe] + reach[probe]])
+        below, above = np.split(_inner_negative_counts(
+            g, x, np.zeros(len(x), dtype=int), np.full(len(x), g.n_vertices - g.n_outer)), 2)
+        near[probe] = (below != negative[probe]) | (above != negative[probe])
+    return near

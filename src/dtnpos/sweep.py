@@ -12,7 +12,9 @@ import numpy as np
 from .assembly import STACK_CHUNK, assemble_outer
 from .graphs import MetricGraph
 from .positivity import DEFAULT_CONFIG, ClassifierConfig, classify
-from .spectra import pole_scan
+# sweep no longer calls pole_scan; the name stays because the benchmark's
+# tracer wraps dtnpos.sweep.pole_scan and requires it to resolve
+from .spectra import near_pole, pole_scan  # noqa: F401
 
 TAG_POLE = "pole"
 
@@ -42,30 +44,36 @@ def sweep(g: MetricGraph, lo: float, hi: float, steps: int,
     memory stays bounded for any number of steps.  The sign pattern flips
     exactly at a pole, so classifications remain valid arbitrarily close to
     one; near_pole flags only the tight zone where the assembly loses
-    precision.  Samples that the assembly marks singular (an edge pole or a
-    singular inner block) get the tag "pole" and NaN eigenvalues.
+    precision: the samples within spectra.NEAR_POLE_REACH * max(1, |lam|)
+    of an edge or inner pole, one beyond the ends of the window included.
+    The flags come from the inertia of the inner block that the Schur
+    reduction computes at every sample (spectra.near_pole), read once after
+    the last chunk; no pole is located.  Samples that the assembly marks
+    singular (an edge pole or a singular inner block) get the tag "pole" and
+    NaN eigenvalues.
     """
     if steps < 2:
         raise ValueError("need at least two samples")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("the sweep range must be finite and nonempty")
     grid = np.linspace(lo, hi, steps)
-    poles = np.array(pole_scan(g, lo, hi))
-    reach = 1e-9 * np.maximum(1.0, np.abs(poles))
 
     m = g.n_outer
-    records = []
+    rows, singular, negative = [], [], []
     for at in range(0, steps, STACK_CHUNK):
-        lams = grid[at:at + STACK_CHUNK]
-        near = (np.abs(lams[:, None] - poles) <= reach).any(axis=1)
-        D = assemble_outer(g, lams)
+        D = assemble_outer(g, grid[at:at + STACK_CHUNK])
         live = D.entries[~D.singular]
         eigs = iter(np.linalg.eigvalsh(live).tolist())
         verdicts = iter(classify(live, cfg))
-        for lam, close, singular in zip(lams.tolist(), near.tolist(), D.singular.tolist()):
-            if singular:
-                records.append(SweepRecord(lam, (math.nan,) * m, TAG_POLE, True))
-            else:
-                records.append(SweepRecord(lam, tuple(next(eigs)), next(verdicts).tag, close))
-    return records
+        for pole in D.singular.tolist():
+            rows.append(((math.nan,) * m, TAG_POLE) if pole
+                        else (tuple(next(eigs)), next(verdicts).tag))
+        singular.append(D.singular)
+        negative.append(D.inner_negative)
+    near = near_pole(g, grid, np.concatenate(singular),
+                     None if negative[0] is None else np.concatenate(negative))
+    return [SweepRecord(lam, values, tag, close)
+            for lam, (values, tag), close in zip(grid.tolist(), rows, near.tolist())]
 
 
 def report(records: Sequence[SweepRecord]) -> list[Band]:
@@ -94,22 +102,16 @@ def report(records: Sequence[SweepRecord]) -> list[Band]:
     return bands
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    return "%.17g" % x
-
-
 def write_csv(records: Sequence[SweepRecord], out: TextIO) -> None:
     if not records:
         raise ValueError("nothing to write")
     m = len(records[0].eigenvalues)
     header = ["lambda"] + ["eig_%d" % (i + 1) for i in range(m)] + ["class", "near_pole"]
+    # "%.17g" prints NaN as "nan", the eigenvalues of a pole row
+    row = "%.17g," * (m + 1) + "%s,%s\n"
     out.write(",".join(header) + "\n")
-    for rec in records:
-        row = [_fmt(rec.lam)] + [_fmt(e) for e in rec.eigenvalues]
-        row += [rec.tag, "true" if rec.near_pole else "false"]
-        out.write(",".join(row) + "\n")
+    out.write("".join([row % (rec.lam, *rec.eigenvalues, rec.tag,
+                              "true" if rec.near_pole else "false") for rec in records]))
 
 
 def write_json(records: Sequence[SweepRecord], out: TextIO) -> None:

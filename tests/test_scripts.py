@@ -63,3 +63,12 @@ def test_lattice_scaling():
 def test_lattice_scaling_refuses_ten_edges():
     # refused before any work: ten edges would not fit the enumeration box
     assert run_script("lattice_scaling.py", "--edges", "10", returncode=1) == []
+
+
+def test_outputs_script_sweep_workload():
+    # one digest over the exit code, stdout and --out file of every request
+    lines = run_script("search_outputs.py", "--workload", "sweep", "--seeds", "1", "--requests")
+    assert len(lines) == 13
+    assert all(" sweep " in line and "rc=0" in line for line in lines[:12])
+    label, digest = lines[-1].rsplit(None, 1)
+    assert label.split() == ["seed", "1"] and len(digest) == 64

@@ -18,7 +18,14 @@ from dtnpos import (
     sweep,
     validate,
 )
-from dtnpos.spectra import POLE_BISECT_TOL, _elements, _fem_eigenvalues, _fem_matrices
+from dtnpos.spectra import (
+    NEAR_POLE_REACH,
+    POLE_BISECT_TOL,
+    _elements,
+    _fem_eigenvalues,
+    _fem_matrices,
+    near_pole,
+)
 
 from conftest import random_surd_graph
 
@@ -276,6 +283,105 @@ def test_pole_scan_counts_double_pole():
     records = sweep(g, lam - 1.0, lam + 1.0, 3)
     assert records[1].tag != "pole" and records[1].near_pole
     assert not records[0].near_pole and not records[2].near_pole
+    lam = (math.pi / 2) ** 2 * (1.0 + 5e-9)
+    assert not sweep(g, lam - 1.0, lam + 1.0, 3)[1].near_pole
+
+
+def _reach(lam):
+    return NEAR_POLE_REACH * max(1.0, abs(lam))
+
+
+def _near_flags(g, lams):
+    """near_pole on an increasing grid, fed by one stacked reduction as sweep feeds it."""
+    lams = np.array(lams, dtype=float)
+    D = assemble_outer(g, lams)
+    return near_pole(g, lams, D.singular, D.inner_negative).tolist()
+
+
+def _around(p, far=0.3):
+    """Samples at -far, -2, -0.5, 0.5, 2 reaches and far from p: near exactly at +-0.5."""
+    r = _reach(p)
+    return [p - far, p - 2 * r, p - 0.5 * r, p + 0.5 * r, p + 2 * r, p + far]
+
+
+NEAR_PATTERN = [False, False, True, True, False, False]
+
+
+def test_near_pole_inner_edge_and_double_pole(path3, interval):
+    inner = (math.pi / 2) ** 2 / 17  # free tip of path-3
+    assert _near_flags(path3, _around(inner)) == NEAR_PATTERN
+    assert _near_flags(path3, _around(PI2 / 17, far=0.1)) == NEAR_PATTERN  # edge pole
+    assert _near_flags(interval, _around(PI2)) == NEAR_PATTERN  # no inner block
+    # the pendant tips' double pole: neg C jumps by two and det C keeps its sign
+    assert _near_flags(_pendant_graph(), _around((math.pi / 2) ** 2)) == NEAR_PATTERN
+
+
+def test_near_pole_two_inner_poles_between_two_samples(braid):
+    # braid-5 has two inner poles and no edge pole between 0.1 and 1
+    p, q = pole_scan(braid, 0.1, 1.0)
+    assert _near_flags(braid, [0.1, p - 0.5 * _reach(p), q + 0.5 * _reach(q), 1.0]) == [
+        False, True, True, False]
+    assert _near_flags(braid, [0.1, p - 2 * _reach(p), q + 2 * _reach(q), 1.0]) == [False] * 4
+
+
+def test_near_pole_inner_and_edge_pole_between_two_samples(path3):
+    # the inner pole (3 pi / 2)^2 / 17 raises neg C by one and the next edge
+    # pole (2 pi)^2 / 17 lowers it by one: equal counts on either side
+    p, q = (1.5 * math.pi) ** 2 / 17, (2 * math.pi) ** 2 / 17
+    lams = [p - 0.2, p - 0.5 * _reach(p), q + 2 * _reach(q), q + 0.2]
+    D = assemble_outer(path3, np.array(lams))
+    assert len(set(D.inner_negative.tolist())) == 1
+    assert _near_flags(path3, lams) == [False, True, False, False]
+    lams = [p - 0.2, p - 2 * _reach(p), q + 0.5 * _reach(q), q + 0.2]
+    assert _near_flags(path3, lams) == [False, False, True, False]
+
+
+def test_near_pole_probe_on_an_edge_pole(path3):
+    # the probe of a sample just past reach of an edge pole falls inside the
+    # assembly's own pole tolerance; it counts -1 instead of raising AtPole
+    p = (2 * math.pi) ** 2 / 17
+    assert _near_flags(path3, [p - 0.2, p + 1.0005 * _reach(p), p + 0.2]) == [False, True, False]
+
+
+@pytest.mark.parametrize("pole", [(math.pi / 2) ** 2 / 17, PI2 / 17], ids=["inner", "edge"])
+def test_sweep_flags_pole_just_outside_window(path3, pole):
+    r = _reach(pole)
+    assert sweep(path3, pole + 0.5 * r, pole + 0.2, 3)[0].near_pole
+    assert sweep(path3, pole - 0.2, pole - 0.5 * r, 3)[-1].near_pole
+    assert not sweep(path3, pole + 2 * r, pole + 0.2, 3)[0].near_pole
+    assert not sweep(path3, pole - 0.2, pole - 2 * r, 3)[-1].near_pole
+
+
+NEAR_POLE_GRAPHS = ["path-3", "lasso-4", "star-5", "braid-5", "two-cluster"]
+
+
+@given(name=st.sampled_from(NEAR_POLE_GRAPHS), lo=st.floats(-5.0, 40.0),
+       width=st.floats(0.05, 20.0), steps=st.integers(2, 40),
+       planted=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-3.0, 3.0)), max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_near_pole_matches_pole_scan(name, lo, width, steps, planted):
+    # a random grid plus samples planted within three reaches of located
+    # poles.  The reference flags a sample when a pole of pole_scan, run on
+    # a window wide enough to hold the poles just past the grid's ends, lies
+    # within its reach.  Samples within 1 % of the reach boundary, widened by
+    # pole_scan's own location tolerance, are not compared
+    g = catalog(name)
+    hi = lo + width
+    poles = np.array(pole_scan(g, lo - 0.1, hi + 0.1))
+    lams = np.linspace(lo, hi, steps).tolist()
+    for u, f in planted:
+        if len(poles):
+            p = poles[min(int(u * len(poles)), len(poles) - 1)]
+            lams.append(p + f * _reach(p))
+    lams = np.unique(lams)
+    D = assemble_outer(g, lams)
+    got = near_pole(g, lams, D.singular, D.inner_negative)
+    reach = NEAR_POLE_REACH * np.maximum(1.0, np.abs(lams))
+    dist = np.abs(lams[:, None] - poles[None, :]) if len(poles) else np.full((len(lams), 1), np.inf)
+    want = (dist <= reach[:, None]).any(axis=1) | D.singular
+    slack = 0.01 * reach[:, None] + POLE_BISECT_TOL * np.maximum(1.0, np.abs(poles))[None, :]
+    clear = ~(np.abs(dist - reach[:, None]) <= slack).any(axis=1)
+    assert got[clear].tolist() == want[clear].tolist()
 
 
 def test_pole_scan_rejects_non_finite_window(interval):

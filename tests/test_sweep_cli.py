@@ -41,6 +41,12 @@ def test_sweep_record_grid(interval):
     assert "strong" in tags and "none" in tags
 
 
+def test_sweep_rejects_empty_window(interval):
+    for lo, hi in ((1.0, 0.0), (1.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            sweep(interval, lo, hi, 5)
+
+
 def test_sweep_flags_pole_rows(interval):
     # place a sample exactly on pi^2: lam grid hits it when the endpoints
     # and step are chosen to match
@@ -66,6 +72,29 @@ def test_write_csv_roundtrip(interval):
         assert float(row[1]) == rec.eigenvalues[0]
         assert row[3] == rec.tag
         assert row[4] in ("true", "false")
+
+
+# the bytes write_csv printed through a per-field formatter: 17 significant
+# digits, "nan" for the eigenvalues of a pole row, "-0", "inf"
+GOLDEN_CSV = (
+    "lambda,eig_1,eig_2,class,near_pole\n"
+    "-5,0.10000000000000001,-0.33333333333333331,strong,false\n"
+    "9.869604401089358,nan,nan,pole,true\n"
+    "9.8696044060000006,-0,2.5e-300,marginal,true\n"
+    "1e+21,-1.2345678901234566e+17,inf,none,false\n"
+)
+
+
+def test_write_csv_golden():
+    records = [
+        SweepRecord(-5.0, (0.1, -1 / 3), "strong", False),
+        SweepRecord(math.pi**2, (math.nan, math.nan), "pole", True),
+        SweepRecord(9.869604406, (-0.0, 2.5e-300), "marginal", True),
+        SweepRecord(1e21, (-1.2345678901234567e17, math.inf), "none", False),
+    ]
+    buf = io.StringIO()
+    write_csv(records, buf)
+    assert buf.getvalue() == GOLDEN_CSV
 
 
 def test_csv_deterministic(interval):
