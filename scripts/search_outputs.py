@@ -7,7 +7,8 @@ is), writes their graph files into a temporary directory, calls
 exit code, standard output and, for a request that writes an ``--out`` file
 (every ``sweep`` request), that file, in request order.  Two checkouts whose
 lines agree answer every request alike; ``--requests`` prints one short digest
-per request to find the ones that differ.
+per request to find the ones that differ.  The ``dtnpos`` it runs is the one
+in this checkout's ``src``, whatever else is installed.
 
 Example:
     python3 scripts/search_outputs.py --seeds 1-10
@@ -23,7 +24,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "benchmark"))
+# this checkout's package, ahead of any installed dtnpos, and the benchmark's generator
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 
 import inputs  # noqa: E402  (the benchmark's generator, found through the path above)
 

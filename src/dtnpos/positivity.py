@@ -117,41 +117,31 @@ def is_metzler(negM, cfg: ClassifierConfig = DEFAULT_CONFIG) -> MetzlerReport:
     return MetzlerReport(satisfied, marginal, margin, tol)
 
 
-def is_irreducible(M, tol: float | None = None) -> bool:
+def is_irreducible(M, tol: float | np.ndarray | None = None) -> bool | np.ndarray:
     """Strong connectivity of the off-diagonal support graph.
 
     With S the support, (I + S)^k has a nonzero (i, j) entry iff j is reachable
     from i in at most k steps, so the graph is strongly connected iff
     (I + S)^(n-1) has no zero entry.  Boolean squaring reaches k >= n - 1 in
     ceil(log2(n - 1)) matrix products.
+
+    Entries above tol count as support; tol defaults to sign_tolerance * max|M|.
+    An (N, n, n) stack gives one flag per sample, with tol None, one value or
+    one value per sample; a single matrix gives a bool.
     """
     A = _as_array(M)
-    n = A.shape[0]
+    n = A.shape[-1]
     if n <= 1:
-        return True
+        return True if A.ndim == 2 else np.ones(len(A), dtype=bool)
     if tol is None:
-        tol = DEFAULT_CONFIG.sign_tolerance * float(np.abs(A).max())
-    reach = (np.abs(A) > tol) | np.eye(n, dtype=bool)
+        tol = DEFAULT_CONFIG.sign_tolerance * np.abs(A).max(axis=(-2, -1))
+    reach = (np.abs(A) > np.asarray(tol, dtype=float)[..., None, None]) | np.eye(n, dtype=bool)
     k = 1
     while k < n - 1:
         reach = reach @ reach
         k *= 2
-    return bool(reach.all())
-
-
-def _irreducible_by_support(A: np.ndarray, tol: np.ndarray) -> np.ndarray:
-    """is_irreducible over a stack, called once per distinct support pattern.
-
-    A zero tolerance falls back to is_irreducible's own default band.
-    """
-    n = A.shape[-1]
-    tol = np.where(tol > 0, tol, DEFAULT_CONFIG.sign_tolerance * np.abs(A).max(axis=(1, 2)))
-    support = (np.abs(A) > tol[:, None, None]) & ~np.eye(n, dtype=bool)
-    keys = map(bytes, np.packbits(support.reshape(len(A), n * n), axis=1))
-    first: dict[bytes, int] = {}
-    rep = [first.setdefault(key, i) for i, key in enumerate(keys)]
-    verdict = {i: is_irreducible(A[i], tol=float(tol[i])) for i in first.values()}
-    return np.array([verdict[i] for i in rep], dtype=bool)
+    flags = reach.all(axis=(-2, -1))
+    return bool(flags) if A.ndim == 2 else flags
 
 
 def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | list[SemigroupClass]:
@@ -176,7 +166,10 @@ def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | list
 
     pos = np.flatnonzero(metz.satisfied)
     if pos.size:
-        irr = _irreducible_by_support(A[pos], metz.tolerance[pos])
+        # a zero band falls back to is_irreducible's own default band
+        B, tol = A[pos], metz.tolerance[pos]
+        irr = is_irreducible(B, np.where(
+            tol > 0, tol, DEFAULT_CONFIG.sign_tolerance * np.abs(B).max(axis=(1, 2))))
         for i, flag in zip(pos.tolist(), irr.tolist()):
             evidence[i]["irreducible"] = flag
             tags[i] = TAG_STRONG if flag else TAG_POSITIVE

@@ -19,20 +19,22 @@ re-verified by direct evaluation in double precision.
 
 Candidates are ruled out by arithmetic before any sin is taken: at multiplier
 m the phase of edge e is 2 pi (m rho_e + beta_e), and the window an edge
-allows at the meter's current cap is one interval of that phase's distance
-from a quarter turn (`_arc_survivors`).  The interval is widened by a margin
-that bounds the float error of the evaluated phase, so the filter drops no
-candidate the evaluation would keep, and every charge and residual is
-bitwise that of evaluating every candidate.  With no residual known yet the
-cap is infinite and nothing can be ruled out, so a level's first scan chunk
-covers only a few expected counts.
+allows at a bound (w, or the meter's best residual where that is larger) is
+one interval of that phase's distance from a quarter turn (`_arc_survivors`).
+The interval is widened by a margin that bounds the float error of the
+evaluated phase, so the filter drops no candidate with a residual at most the
+bound, and every charge and residual is bitwise that of evaluating every
+candidate.  The survivors' sin and cos are taken in one edge-major pass
+(`_window_survivors`).  With no residual known yet the bound is infinite and
+nothing can be ruled out, so a level's first scan chunk covers only a few
+expected counts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -134,14 +136,14 @@ class SearchResult:
     residual: float
     budget_used: int
     gammas: tuple[float, ...]
-    evidence: dict = field(default_factory=dict)
+    trail: tuple[float, ...]  # residuals of the levels classified, in order
 
     def to_record(self) -> dict:
         return {
             "lambda": self.lam,
             "verdict": self.verdict,
             "level": self.level,
-            "residuals": list(self.evidence.get("residual_trail", [self.residual])),
+            "residuals": list(self.trail),
             "budget_used": self.budget_used,
             "gammas": [repr(g) if math.isinf(g) else g for g in self.gammas],
         }
@@ -227,32 +229,19 @@ def _phase_window(v: float, w: float) -> tuple[float, float] | None:
 
 
 def _window_survivors(lam: np.ndarray, lengths: Sequence[float], targets: Sequence[float],
-                      w: float, cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidates whose residual is below w or at most cap, and which of them are admissible.
+                      w: float) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the candidates lam and which of them are admissible.
 
-    A candidate's residual is max_e |sin(mu L_e) - target_e|; it is admissible
-    when that is below w and every cos(mu L_e) > 0.  Returns the positions of
-    those candidates (increasing), their residuals and the admissible mask.
-
-    A candidate is carried to the next edge only while its partial residual
-    stays below w or at most cap, and cos is taken only for candidates below w;
-    pass the most selective edges first.  Every residual that is returned comes
-    from the same elementwise operations as a full evaluation, so the pruning
-    changes no value.
+    A candidate's residual is max_e |sin(sqrt(lam) L_e) - target_e|; it is
+    admissible when that is below w and every cos(sqrt(lam) L_e) > 0.  The
+    phases are one edge-major (E, N) array, and cos is taken only on the
+    candidates below w.
     """
-    mu = np.sqrt(lam)
-    keep, bound = (np.less_equal, cap) if cap >= w else (np.less, w)
-    part = np.abs(np.sin(mu * lengths[0]) - targets[0])
-    idx = np.flatnonzero(keep(part, bound))
-    part = part[idx]
-    for L, v in zip(lengths[1:], targets[1:]):
-        part = np.maximum(part, np.abs(np.sin(mu[idx] * L) - v))
-        live = keep(part, bound)
-        idx, part = idx[live], part[live]
-    ok = part < w
-    for L in lengths:
-        ok[ok] = np.cos(mu[idx[ok]] * L) > 0.0
-    return idx, part, ok
+    x = np.asarray(lengths, dtype=float)[:, None] * np.sqrt(lam)
+    res = np.abs(np.sin(x) - np.asarray(targets, dtype=float)[:, None]).max(axis=0)
+    ok = res < w
+    ok[ok] = (np.cos(x[:, ok]) > 0.0).all(axis=0)
+    return res, ok
 
 
 def _anchor_lam(ms: np.ndarray, La: float, theta_c: float) -> np.ndarray:
@@ -282,10 +271,10 @@ def _arc_survivors(ms: np.ndarray, rho: np.ndarray, beta: np.ndarray,
     the survivors of the ones before, and an edge whose widened interval covers
     [0, 1/2] is skipped.
 
-    The test never drops a multiplier that `_window_survivors` keeps at the
-    same bound (u = 2^-53 is the unit roundoff):
+    The test never drops a multiplier whose `_window_survivors` residual is at
+    most bound (u = 2^-53 is the unit roundoff):
 
-    - sin space: a kept candidate has fl(|fl(sin x) - v|) <= bound, so its
+    - sin space: such a candidate has fl(|fl(sin x) - v|) <= bound, so its
       exact |sin x - v| is below bound + 5u; the window ends are widened by
       16u before acos, which covers that and their own rounding.
     - phase: `_window_survivors` takes sin of x = fl(fl(sqrt(lam)) L_e), with lam
@@ -322,24 +311,6 @@ def _arc_survivors(ms: np.ndarray, rho: np.ndarray, beta: np.ndarray,
     return np.arange(len(ms)) if pos is None else pos
 
 
-def _window_scan(ms: np.ndarray, rho: np.ndarray, beta: np.ndarray, lengths: Sequence[float],
-                 targets: Sequence[float], La: float, theta_c: float, w: float,
-                 cap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_window_survivors` on lam = `_anchor_lam`(ms), evaluated on the
-    multipliers that `_arc_survivors` keeps at max(w, cap); every value it
-    returns is bitwise that of the evaluation of every multiplier.
-
-    (rho, beta) come from `_phase_turns` of the same lengths.  An infinite
-    cap keeps every candidate: every edge's interval then covers [0, 1/2],
-    and nothing is filtered.
-    """
-    pos = _arc_survivors(ms, rho, beta, targets, max(w, cap))
-    if pos.size == 0:
-        return pos, np.empty(0), np.empty(0, dtype=bool)
-    idx, res, ok = _window_survivors(_anchor_lam(ms[pos], La, theta_c), lengths, targets, w, cap)
-    return pos[idx], res, ok
-
-
 def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
                  lam_min: float, meter: BudgetMeter) -> tuple[float, float]:
     """Smallest-found admissible lam > lam_min for one level's windows.
@@ -371,7 +342,6 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
     # narrowest windows first: they prune the most; the anchor sits at its
     # window center on every candidate and prunes nothing
     order = sorted(others, key=lambda e: deltas[e]) + [anchor]
-    order_lengths = [lengths[e] for e in order]
     order_targets = [targets[e] for e in order]
     rho, beta = _phase_turns(lengths, La, theta_c)
     order_rho, order_beta = rho[order], beta[order]
@@ -395,19 +365,22 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
         before it in its chunk.
         """
         ms = ms[:sum(sizes)]
-        # the meter's best only falls from one chunk to the next, so its value
-        # now is a cap that keeps every candidate a later chunk still needs
-        idx, res, ok = _window_scan(ms, order_rho, order_beta, order_lengths, order_targets,
-                                    La, theta_c, w, meter.best_residual)
+        # a hit needs a residual below w, and a residual above the meter's
+        # best (which only falls from chunk to chunk) cannot lower it, so
+        # dropping those candidates keeps every charge, best residual, lam
+        # and residual bitwise those of evaluating every candidate
+        pos = _arc_survivors(ms, order_rho, order_beta, order_targets,
+                             max(w, meter.best_residual))
+        res, ok = _window_survivors(_anchor_lam(ms[pos], La, theta_c), lengths, targets, w)
         start = 0
         for size in sizes:
-            lo, hi = np.searchsorted(idx, (start, start + size))
+            lo, hi = np.searchsorted(pos, (start, start + size))
             if ok[lo:hi].any():
                 j = lo + int(np.argmax(ok[lo:hi]))
-                meter.charge(int(idx[j]) - start + 1)
+                meter.charge(int(pos[j]) - start + 1)
                 meter.best_residual = min(meter.best_residual, float(res[lo:j + 1].min()))
                 # a one-element array takes the same elementwise path as the chunk did
-                lam = _anchor_lam(ms[idx[j]:idx[j] + 1], La, theta_c)
+                lam = _anchor_lam(ms[pos[j]:pos[j] + 1], La, theta_c)
                 return float(lam[0]), float(res[j])
             meter.charge(size)
             if hi > lo:
@@ -561,44 +534,35 @@ def verify_limit(g: MetricGraph, spec: TargetSpec,
                              decreased=errors[-1] < errors[0])
 
 
-def _classified_stream(g: MetricGraph, spec: TargetSpec, meter: BudgetMeter,
-                       lam_start: float, level_cap: int,
-                       cfg: ClassifierConfig) -> Iterator[tuple[int, float, float, str, dict]]:
-    """Admissible lam per level with its classification; skips sign-unsafe levels."""
+def _hunt(g: MetricGraph, spec: TargetSpec, meter: BudgetMeter, lam_start: float,
+          wanted: str, level_cap: int, cfg: ClassifierConfig) -> SearchResult | None:
+    """First admissible lam > lam_start, one per level, classified as wanted.
+
+    Sign-unsafe levels are skipped, and so is a level whose lam the assembly
+    rejects (at a pole or with a singular inner block); the candidates that
+    level charged stay spent, and its residual stays out of the trail.
+    """
     lengths = list(g.lengths)
-    lam_prev = max(lam_start, 0.0)
-    level = _first_feasible_level(spec)
-    top = level + level_cap
-    while level < top:
+    lam = max(lam_start, 0.0)
+    trail = []
+    first = _first_feasible_level(spec)
+    for level in range(first, first + level_cap):
         targets = spec.level_targets(level)
         w = 1.0 / level ** 2
         if not _sign_safe(targets, w):
-            level += 1
             continue
         meter.level = level
-        lam, res = _solve_level(lengths, targets, w, lam_prev, meter)
-        lam_prev = lam
-        level += 1
+        lam, res = _solve_level(lengths, targets, w, lam, meter)
         try:
             M = assemble_outer(g, lam)
         except (AtPole, InnerBlockSingular):
             continue
-        verdict = classify(M, cfg)
-        yield level - 1, lam, res, verdict.tag, verdict.evidence
-
-
-def _hunt(g: MetricGraph, spec: TargetSpec, meter: BudgetMeter, lam_start: float,
-          wanted: str, level_cap: int, cfg: ClassifierConfig) -> SearchResult | None:
-    trail = []
-    for level, lam, res, tag, evidence in _classified_stream(
-            g, spec, meter, lam_start, level_cap, cfg):
         trail.append(res)
+        tag = classify(M, cfg).tag
         if tag == wanted:
-            evidence = dict(evidence)
-            evidence["residual_trail"] = trail
             return SearchResult(lam=lam, verdict=tag, level=level, residual=res,
                                 budget_used=meter.spent, gammas=spec.gammas,
-                                evidence=evidence)
+                                trail=tuple(trail))
     return None
 
 

@@ -277,7 +277,18 @@ def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
     ends = np.array([lo] + edge_poles + [hi])
     margin = 1e-7 * np.maximum(1.0, np.maximum(np.abs(ends[:-1]), np.abs(ends[1:])))
     left, right = ends[:-1] + margin, ends[1:] - margin
-    left, right = left[right > left], right[right > left]
+    # a window end with no edge pole within its margin can be counted at, so
+    # the sliver between it and a kept bracket next to it is one more bracket
+    keep = right > left
+    extra_left, extra_right = [], []
+    if keep[0] and not _edge_poles(g, lo - margin[0], lo + margin[0]):
+        extra_left.append(lo)
+        extra_right.append(left[0])
+    if keep[-1] and not _edge_poles(g, hi - margin[-1], hi + margin[-1]):
+        extra_left.append(right[-1])
+        extra_right.append(hi)
+    left = np.concatenate([left[keep], extra_left])
+    right = np.concatenate([right[keep], extra_right])
     low, high = np.split(_inner_negative_counts(
         g, np.concatenate([left, right]), np.zeros(2 * len(left), dtype=int),
         np.full(2 * len(left), g.n_vertices - g.n_outer)), 2)

@@ -142,6 +142,16 @@ def test_irreducible_matches_strong_components(n, seed, zeros, in_band, symmetri
     tol = 0.5 * band if explicit_tol else None
     support = (np.abs(A) > (band if tol is None else tol)) & ~np.eye(n, dtype=bool)
     assert is_irreducible(A, tol=tol) == _strongly_connected(support)
+    # a stack gets one flag per sample, with tol None, one value or one per sample
+    perm = rng.permutation(n)
+    stack = np.stack([A, A.T, A[perm][:, perm]])
+    per_sample = np.array([band, 0.5 * band, 0.25 * band])
+    for arg, tols in ((None, [band] * 3), (0.5 * band, [0.5 * band] * 3),
+                      (per_sample, per_sample)):
+        want = [_strongly_connected((np.abs(B) > t) & ~np.eye(n, dtype=bool))
+                for B, t in zip(stack, tols)]
+        got = is_irreducible(stack, tol=arg)
+        assert got.shape == (3,) and got.tolist() == want
 
 
 def test_block_metzler_is_positive_not_strong():

@@ -11,10 +11,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args, returncode=0):
+def run_script(name, *args, returncode=0, src_on_path=True):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    if src_on_path:
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    else:
+        env.pop("PYTHONPATH", None)
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == returncode, proc.stderr
@@ -66,8 +69,10 @@ def test_lattice_scaling_refuses_ten_edges():
 
 
 def test_outputs_script_sweep_workload():
-    # one digest over the exit code, stdout and --out file of every request
-    lines = run_script("search_outputs.py", "--workload", "sweep", "--seeds", "1", "--requests")
+    # one digest over the exit code, stdout and --out file of every request;
+    # the script finds this checkout's package without PYTHONPATH
+    lines = run_script("search_outputs.py", "--workload", "sweep", "--seeds", "1", "--requests",
+                       src_on_path=False)
     assert len(lines) == 13
     assert all(" sweep " in line and "rc=0" in line for line in lines[:12])
     label, digest = lines[-1].rsplit(None, 1)

@@ -13,8 +13,10 @@ import dtnpos.lattice
 import dtnpos.search
 
 from dtnpos import (
+    AtPole,
     BudgetExhausted,
     IndependenceNotAsserted,
+    InnerBlockSingular,
     LatticeBoxTooLarge,
     LatticeSearchFailed,
     MuOutOfRange,
@@ -51,7 +53,6 @@ from dtnpos.search import (
     _arc_survivors,
     _phase_turns,
     _phase_window,
-    _window_scan,
     _window_survivors,
     commensurable_base,
     parse_gamma,
@@ -546,9 +547,10 @@ def test_kronecker_scan_route_best_counts_misses_before_hit(path3):
 
 
 def test_window_survivors_match_full_evaluation():
-    # _window_survivors prunes edge by edge and _window_scan first drops the
-    # multipliers the phase arithmetic rules out; both return, bitwise, what a
-    # full evaluation of every candidate on every edge gives
+    # _window_survivors returns, bitwise, the residual and admissibility that
+    # a candidate-by-candidate, edge-by-edge evaluation gives; _arc_survivors
+    # at max(w, cap) keeps every candidate that could hit (residual below w)
+    # or lower a best residual of cap (residual at most cap)
     rng = np.random.default_rng(3)
     evaluated = kept = 0
     for case in range(600):
@@ -577,17 +579,16 @@ def test_window_survivors_match_full_evaluation():
         cap = [math.inf, w * float(rng.uniform(0.0, 1.0)), w,
                w + (1.0 - w) * float(rng.uniform(0.0, 1.0)),
                float(np.quantile(res, 0.02, method="lower"))][case % 5]
-        want = np.flatnonzero((res < w) | (res <= cap))
+        part, admissible = _window_survivors(lam, lengths, targets, w)
+        assert np.array_equal(part, res)  # bitwise: same elementwise operations
+        assert np.array_equal(admissible, ok)
         rho, beta = _phase_turns(lengths, La, theta_c)
-        for idx, part, admissible in (_window_survivors(lam, lengths, targets, w, cap),
-                                      _window_scan(m, rho, beta, lengths, targets, La,
-                                                   theta_c, w, cap)):
-            assert np.array_equal(idx, want)
-            assert np.array_equal(part, res[want])  # bitwise: same elementwise operations
-            assert np.array_equal(admissible, ok[want])
+        pos = _arc_survivors(m, rho, beta, targets, max(w, cap))
+        assert np.all(np.diff(pos) > 0)
+        assert np.isin(np.flatnonzero((res < w) | (res <= cap)), pos).all()
         if not math.isinf(cap):
             evaluated += len(m)
-            kept += len(_arc_survivors(m, rho, beta, targets, max(w, cap)))
+            kept += len(pos)
     assert kept < 0.5 * evaluated  # the arithmetic does rule candidates out
 
 
@@ -660,6 +661,34 @@ def test_find_strongly_positive(path3):
     rec = res.to_record()
     assert rec["lambda"] == res.lam and rec["verdict"] == "strong"
     assert len(rec["residuals"]) >= 1
+
+
+def test_hunt_skips_levels_the_assembly_rejects(monkeypatch, path3):
+    # the first solved level lands on a pole and the second on a singular
+    # inner block: the search moves on, leaves both residuals out of its
+    # trail and still counts the candidates it charged on them
+    real, calls = dtnpos.search.assemble_outer, []
+
+    def rejecting(g, lam):
+        calls.append(lam)
+        if len(calls) == 1:
+            raise AtPole(lam)
+        if len(calls) == 2:
+            raise InnerBlockSingular(lam, math.inf)
+        return real(g, lam)
+
+    monkeypatch.setattr(dtnpos.search, "assemble_outer", rejecting)
+    res = find_strongly_positive_above(path3, 0.0, budget=10**6, assert_independent=True)
+    assert len(calls) >= 3
+    # gamma = 1 keeps every level sign-safe, so the search solves the same
+    # levels as the plain sequence does
+    seq = kronecker_sequence(path3, TargetSpec.uniform(1.0, 2), count=len(calls),
+                             budget=10**6, assert_independent=True)
+    assert seq.lambdas == tuple(calls)
+    assert (res.level, res.lam, res.residual) == (seq.levels[-1], seq.lambdas[-1],
+                                                  seq.residuals[-1])
+    assert res.to_record()["residuals"] == list(seq.residuals[2:])
+    assert res.budget_used == seq.budget_used
 
 
 def test_find_not_eventually_positive(path3):

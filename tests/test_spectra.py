@@ -205,6 +205,20 @@ def test_pole_scan_empty_window(interval):
     assert pole_scan(interval, -10.0, 0.0) == []
 
 
+@pytest.mark.parametrize("side", ["lo", "hi"])
+def test_pole_scan_finds_inner_pole_next_to_window_end(path3, side):
+    # the free tip's first inner pole 1e-8 inside either end, closer than the
+    # margin that keeps brackets clear of edge poles
+    p = (math.pi / 2) ** 2 / 17
+    want = [p] if side == "hi" else [p, PI2 / 17]
+    got = pole_scan(path3, 0.1, p + 1e-8) if side == "hi" else pole_scan(path3, p - 1e-8, 1.0)
+    assert len(got) == len(want)
+    assert all(abs(x - y) <= POLE_BISECT_TOL * max(1.0, y) for x, y in zip(got, want))
+    # an end on an edge pole gets no sliver and adds no pole
+    assert pole_scan(path3, 0.1, PI2 / 17) == pytest.approx([p], rel=POLE_BISECT_TOL)
+    assert pole_scan(path3, PI2 / 17, 1.0) == []
+
+
 def test_pole_scan_returns_plain_floats(path3, lasso):
     # inner poles come out of the bisection, edge poles out of the closed form;
     # both must be Python floats

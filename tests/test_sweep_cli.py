@@ -200,6 +200,15 @@ class TestCli:
         vals = json.loads(capsys.readouterr().out)["poles"]
         assert vals == pytest.approx([math.pi**2, 4 * math.pi**2, 9 * math.pi**2], rel=1e-10)
 
+    def test_poles_next_to_window_ends(self, capsys):
+        # path-3's first inner pole, 1e-8 inside either end of the window
+        p = (math.pi / 2) ** 2 / 17
+        for lo, hi, want in ((0.1, p + 1e-8, [p]), (p - 1e-8, 1.0, [p, math.pi**2 / 17])):
+            assert main(["poles", "--graph", "catalog:path-3", "--from", repr(lo),
+                         "--to", repr(hi)]) == 0
+            vals = json.loads(capsys.readouterr().out)["poles"]
+            assert vals == pytest.approx(want, rel=1e-10)
+
     def test_sweep_to_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = main(
