@@ -7,13 +7,7 @@ Example:
 import argparse
 import sys
 
-from dtnpos import catalog, load_graph, pole_scan, report, sweep
-
-
-def get_graph(token):
-    if token.startswith("catalog:"):
-        return catalog(token.split(":", 1)[1])
-    return load_graph(token)
+from dtnpos import load_graph, pole_scan, report, sweep
 
 
 def main():
@@ -24,7 +18,7 @@ def main():
     ap.add_argument("--steps", type=int, default=10_000)
     args = ap.parse_args()
 
-    g = get_graph(args.graph)
+    g = load_graph(args.graph)
     records = sweep(g, args.lo, args.hi, args.steps)
     print(f"# {args.graph}: {args.steps} samples on ({args.lo}, {args.hi})")
     for band in report(records):

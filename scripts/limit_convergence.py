@@ -11,7 +11,7 @@ Example:
 import argparse
 import sys
 
-from dtnpos import TargetSpec, catalog, kronecker_sequence, load_graph, verify_limit
+from dtnpos import TargetSpec, kronecker_sequence, load_graph, verify_limit
 from dtnpos.search import parse_gamma
 
 
@@ -24,10 +24,7 @@ def main():
     ap.add_argument("--budget", type=int, default=10 ** 7)
     args = ap.parse_args()
 
-    if args.graph.startswith("catalog:"):
-        g = catalog(args.graph.split(":", 1)[1])
-    else:
-        g = load_graph(args.graph)
+    g = load_graph(args.graph)
 
     if args.gamma is None:
         spec = TargetSpec.uniform(1.0, len(g.edges))

@@ -13,7 +13,6 @@ import sys
 
 from dtnpos import (
     NoCycle,
-    catalog,
     find_eventual_not_positive_above,
     find_not_eventually_positive_above,
     find_strongly_positive_above,
@@ -34,10 +33,7 @@ def main():
     ap.add_argument("--budget", type=int, default=10 ** 7)
     args = ap.parse_args()
 
-    if args.graph.startswith("catalog:"):
-        g = catalog(args.graph.split(":", 1)[1])
-    else:
-        g = load_graph(args.graph)
+    g = load_graph(args.graph)
 
     for label, hunt in SEARCHES:
         try:

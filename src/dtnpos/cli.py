@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .assembly import assemble_full, assemble_outer
-from .catalog import catalog, catalog_names, catalog_raw
+from .catalog import catalog_names, catalog_raw
 from .errors import BudgetExhausted, DtnError, NoCycle
 from .graphs import MetricGraph, graph_to_json, is_tree, load_graph, reduced_graph
 from .positivity import ClassifierConfig, classify
@@ -48,12 +48,9 @@ EXIT_MARGINAL = 4
 
 
 def _load(args) -> MetricGraph:
-    spec = args.graph
-    if spec is None:
+    if args.graph is None:
         raise SystemExit("a graph is required: pass --graph FILE or --graph catalog:NAME")
-    if spec.startswith("catalog:"):
-        return catalog(spec.split(":", 1)[1])
-    return load_graph(spec)
+    return load_graph(args.graph)
 
 
 def _config(args) -> ClassifierConfig:
@@ -167,30 +164,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _emit_search(args, result) -> int:
+def cmd_find(args) -> int:
+    # the search is looked up here, at call time, not bound into the cached parser
+    find = {"find-positive": find_strongly_positive_above,
+            "find-nonpositive": find_not_eventually_positive_above,
+            "find-eventual": find_eventual_not_positive_above}[args.command]
+    result = find(_load(args), args.above, args.budget,
+                  assert_independent=args.assert_independent, cfg=_config(args))
     _emit(args, _json_dump(result.to_record()))
     return EXIT_OK
-
-
-def cmd_find_positive(args) -> int:
-    g = _load(args)
-    return _emit_search(args, find_strongly_positive_above(
-        g, args.above, args.budget, assert_independent=args.assert_independent,
-        cfg=_config(args)))
-
-
-def cmd_find_nonpositive(args) -> int:
-    g = _load(args)
-    return _emit_search(args, find_not_eventually_positive_above(
-        g, args.above, args.budget, assert_independent=args.assert_independent,
-        cfg=_config(args)))
-
-
-def cmd_find_eventual(args) -> int:
-    g = _load(args)
-    return _emit_search(args, find_eventual_not_positive_above(
-        g, args.above, args.budget, assert_independent=args.assert_independent,
-        cfg=_config(args)))
 
 
 def cmd_kronecker(args) -> int:
@@ -278,12 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--report", action="store_true", help="print merged class bands")
 
-    for name, fn, blurb in [
-        ("find-positive", cmd_find_positive, "parameter with a strongly positive semigroup"),
-        ("find-nonpositive", cmd_find_nonpositive, "parameter without eventual positivity"),
-        ("find-eventual", cmd_find_eventual, "parameter that is eventually positive only"),
+    for name, blurb in [
+        ("find-positive", "parameter with a strongly positive semigroup"),
+        ("find-nonpositive", "parameter without eventual positivity"),
+        ("find-eventual", "parameter that is eventually positive only"),
     ]:
-        p = add(name, fn, help=blurb)
+        p = add(name, cmd_find, help=blurb)
         real(p, "--above", required=True)
         p.add_argument("--budget", type=int, default=10 ** 7)
         p.add_argument("--assert-independent", action="store_true",

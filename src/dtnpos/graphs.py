@@ -244,9 +244,12 @@ def validate(raw: Mapping | MetricGraph) -> MetricGraph:
     return MetricGraph(vertices=order, edges=tuple(edges), outer=tuple(ordered_outer))
 
 
-def load_graph(path: str) -> MetricGraph:
-    """Read a JSON graph description file and validate it."""
-    with open(path, "r", encoding="utf-8") as f:
+def load_graph(spec: str) -> MetricGraph:
+    """The catalog graph for ``catalog:NAME``, else the validated JSON file at spec."""
+    if spec.startswith("catalog:"):
+        from .catalog import catalog  # catalog builds its graphs with this module
+        return catalog(spec.split(":", 1)[1])
+    with open(spec, "r", encoding="utf-8") as f:
         return validate(json.load(f))
 
 

@@ -26,7 +26,7 @@ evaluated phase, so the filter drops no candidate with a residual at most the
 bound, and every charge and residual is bitwise that of evaluating every
 candidate.  The survivors' sin and cos are taken in one edge-major pass
 (`_window_survivors`).  With no residual known yet the bound is infinite and
-nothing can be ruled out, so a level's first scan chunk covers only a few
+nothing can be ruled out, so a level's first scan block covers only a few
 expected counts.
 """
 
@@ -67,10 +67,11 @@ from .spectra import lambda_1
 
 # expected-candidate threshold separating plain scanning from the lattice solver
 SCAN_CAP = 200_000
-_SCAN_CHUNK = 2048
-_SCAN_BLOCK = 8  # scan chunks evaluated together once a level's first chunk missed
-# a level's first scan chunk covers this many expected counts (to a power of two)
-_FIRST_CHUNK_EXPECTED = 4
+# a level's first scan block covers this many expected counts, rounded up to
+# a power of two and at most _FIRST_BLOCK_MAX; later blocks hold _SCAN_BLOCK
+_FIRST_BLOCK_EXPECTED = 4
+_FIRST_BLOCK_MAX = 2048
+_SCAN_BLOCK = 16_384
 _LATTICE_RADIUS = 2
 # largest enumeration box: 5^10 vectors pass (ten edges), 5^11 do not
 _LATTICE_BOX_MAX = 2 ** 25
@@ -110,13 +111,8 @@ class TargetSpec:
 
 
 def parse_gamma(token) -> float:
-    if isinstance(token, str):
-        t = token.strip().lower()
-        if t in ("inf", "+inf", "infinity", "+infinity"):
-            return math.inf
-        if t in ("-inf", "-infinity"):
-            return -math.inf
-        return float(token)
+    """A per-edge target from the command line: float() already reads the
+    +-inf tokens (inf, -Infinity, ...) in any case and around whitespace."""
     return float(token)
 
 
@@ -346,60 +342,42 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
     rho, beta = _phase_turns(lengths, La, theta_c)
     order_rho, order_beta = rho[order], beta[order]
 
-    def chunks(n: int, size: int) -> list[int]:
-        """Lengths of the chunks that cover up to n candidates: each at most
-        size and the budget left, the last one the first to overrun it."""
-        out, room = [], meter.budget - meter.spent
-        while n > 0 and room >= 0:
-            take = min(size, n, max(1, room))
-            out.append(take)
-            n -= take
-            room -= take
-        return out
+    def verify(ms: np.ndarray) -> tuple[float, float] | None:
+        """Charge the candidates ms (ascending) up to the first admissible one.
 
-    def verify(ms: np.ndarray, sizes: list[int]) -> tuple[float, float] | None:
-        """Charge the chunks of ms (ascending) in order up to the first admissible candidate.
-
-        Every charged candidate folds its residual into the meter's best: a
-        missed chunk all of its own, a hit its own and those of the misses
-        before it in its chunk.
+        The charge and the meter's best residual are those of evaluating the
+        candidates one at a time: each charged candidate folds in its
+        residual, and the first one past the budget raises before it does.
         """
-        ms = ms[:sum(sizes)]
+        room = meter.budget - meter.spent
+        ms = ms[:room + 1]
         # a hit needs a residual below w, and a residual above the meter's
-        # best (which only falls from chunk to chunk) cannot lower it, so
-        # dropping those candidates keeps every charge, best residual, lam
-        # and residual bitwise those of evaluating every candidate
+        # best cannot lower it, so dropping those candidates keeps every
+        # charge, best residual, lam and residual bitwise those of evaluating
+        # every candidate
         pos = _arc_survivors(ms, order_rho, order_beta, order_targets,
                              max(w, meter.best_residual))
-        res, ok = _window_survivors(_anchor_lam(ms[pos], La, theta_c), lengths, targets, w)
-        start = 0
-        for size in sizes:
-            lo, hi = np.searchsorted(pos, (start, start + size))
-            if ok[lo:hi].any():
-                j = lo + int(np.argmax(ok[lo:hi]))
-                meter.charge(int(pos[j]) - start + 1)
-                meter.best_residual = min(meter.best_residual, float(res[lo:j + 1].min()))
-                # a one-element array takes the same elementwise path as the chunk did
-                lam = _anchor_lam(ms[pos[j]:pos[j] + 1], La, theta_c)
-                return float(lam[0]), float(res[j])
-            meter.charge(size)
-            if hi > lo:
-                meter.best_residual = min(meter.best_residual, float(res[lo:hi].min()))
-            start += size
-        return None
+        lam = _anchor_lam(ms[pos], La, theta_c)
+        res, ok = _window_survivors(lam, lengths, targets, w)
+        hit = int(np.argmax(ok)) if ok.any() else None
+        n = len(ms) if hit is None else int(pos[hit]) + 1
+        folded = res[:np.searchsorted(pos, min(n, room))]
+        meter.best_residual = min(meter.best_residual, float(folded.min(initial=math.inf)))
+        meter.charge(n)
+        return None if hit is None else (float(lam[hit]), float(res[hit]))
 
     if expected <= SCAN_CAP:
-        # the first chunk covers a few expected counts, so a level that hits
-        # early does not pay a whole chunk at an infinite cap
+        # the first block covers a few expected counts, so a level that hits
+        # early does not pay a whole block at an infinite bound
         m = m_min
-        size = min(_SCAN_CHUNK, 1 << math.ceil(math.log2(_FIRST_CHUNK_EXPECTED * expected)))
+        size = min(_FIRST_BLOCK_MAX,
+                   1 << math.ceil(math.log2(_FIRST_BLOCK_EXPECTED * expected)))
         while True:
-            sizes = chunks(size, _SCAN_CHUNK)
-            hit = verify(np.arange(m, m + sum(sizes), dtype=float), sizes)
+            hit = verify(np.arange(m, m + size, dtype=float))
             if hit is not None:
                 return hit
-            m += sum(sizes)
-            size = _SCAN_BLOCK * _SCAN_CHUNK
+            m += size
+            size = _SCAN_BLOCK
 
     # lattice route: solve frac(m' rho_e - psi_e) in (-delta_e, delta_e) with
     # m' = m - m_min, one CVP target per diameter-sized slab of the m'-axis
@@ -430,10 +408,7 @@ def _solve_level(lengths: Sequence[float], targets: Sequence[float], w: float,
         cands = cands[(cands >= 0) & (np.diff(cands, prepend=-1) != 0)]
         cands = cands[~np.isin(cands, seen, assume_unique=True)]
         seen = np.sort(np.concatenate((seen, cands)), kind="stable")
-        # chunks never exceed the remaining budget, so the charge (and the best
-        # residual) on exhaustion equals that of verifying one at a time
-        ms = (m_min + cands).astype(float)
-        hit = verify(ms, chunks(len(ms), len(ms)))
+        hit = verify((m_min + cands).astype(float))
         if hit is not None:
             return hit
     raise LatticeSearchFailed(_LATTICE_ATTEMPTS_MAX)

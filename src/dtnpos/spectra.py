@@ -277,16 +277,24 @@ def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
     ends = np.array([lo] + edge_poles + [hi])
     margin = 1e-7 * np.maximum(1.0, np.maximum(np.abs(ends[:-1]), np.abs(ends[1:])))
     left, right = ends[:-1] + margin, ends[1:] - margin
-    # a window end with no edge pole within its margin can be counted at, so
-    # the sliver between it and a kept bracket next to it is one more bracket
-    keep = right > left
+    # a window end with no edge pole within its margin can be counted at: the
+    # sliver between it and the bracket next to it is one more bracket, or,
+    # when that bracket is too narrow to keep, the bracket reaches the end
+    kept = right > left
     extra_left, extra_right = [], []
-    if keep[0] and not _edge_poles(g, lo - margin[0], lo + margin[0]):
-        extra_left.append(lo)
-        extra_right.append(left[0])
-    if keep[-1] and not _edge_poles(g, hi - margin[-1], hi + margin[-1]):
-        extra_left.append(right[-1])
-        extra_right.append(hi)
+    if not _edge_poles(g, lo - margin[0], lo + margin[0]):
+        if kept[0]:
+            extra_left.append(lo)
+            extra_right.append(left[0])
+        else:
+            left[0] = lo
+    if not _edge_poles(g, hi - margin[-1], hi + margin[-1]):
+        if kept[-1]:
+            extra_left.append(right[-1])
+            extra_right.append(hi)
+        else:
+            right[-1] = hi
+    keep = right > left
     left = np.concatenate([left[keep], extra_left])
     right = np.concatenate([right[keep], extra_right])
     low, high = np.split(_inner_negative_counts(

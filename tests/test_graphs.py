@@ -167,6 +167,12 @@ def test_load_graph_roundtrip(tmp_path, lasso):
     assert g.lengths == lasso.lengths
 
 
+def test_load_graph_resolves_catalog_names():
+    assert load_graph("catalog:lasso-4") == catalog("lasso-4")
+    with pytest.raises(KeyError, match="unknown catalog graph 'nope'"):
+        load_graph("catalog:nope")
+
+
 REDUCED_EXPECT = {
     "path-3": ([("v1", "v2", "direct")], True),
     "braid-5": ([("v1", "v2", "both"), ("v2", "v3", "direct")], True),

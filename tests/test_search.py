@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import math
 from itertools import product
 
@@ -50,9 +51,12 @@ from dtnpos.lattice import (
     lll_reduce,
 )
 from dtnpos.search import (
+    BudgetMeter,
+    _anchor_lam,
     _arc_survivors,
     _phase_turns,
     _phase_window,
+    _solve_level,
     _window_survivors,
     commensurable_base,
     parse_gamma,
@@ -77,7 +81,8 @@ def test_target_spec_levels():
 
 @pytest.mark.parametrize(
     "token,value",
-    [("inf", math.inf), ("+inf", math.inf), ("-inf", -math.inf), ("2.5", 2.5), (3, 3.0)],
+    [("inf", math.inf), ("+inf", math.inf), ("-inf", -math.inf), ("2.5", 2.5), (3, 3.0),
+     ("INF", math.inf), (" +Infinity ", math.inf), ("1e3", 1000.0)],
 )
 def test_parse_gamma(token, value):
     assert parse_gamma(token) == value
@@ -490,7 +495,7 @@ def test_lll_nine_edge_level4_frozen(monkeypatch):
         np.linalg.norm(_lll_reference(B), axis=1), rel=1e-9)
 
 
-# a six-edge surd graph whose level-2 window takes a scan of ~340 chunks
+# a six-edge surd graph whose level-2 window takes a scan of ~680 000 candidates
 SCAN6 = (
     ["v1", "v2", "v3", "v4", "v5", "v6"],
     [("v1", "v2", "sqrt(19)"), ("v2", "v3", "1/2*sqrt(13)"), ("v2", "v5", "3/2*sqrt(23)"),
@@ -546,6 +551,45 @@ def test_kronecker_scan_route_best_counts_misses_before_hit(path3):
     assert exc.value.best_residual == pytest.approx(0.02300362194134231, rel=1e-9)
 
 
+@pytest.mark.parametrize("lengths", [[1.0, math.sqrt(17)],
+                                     [math.sqrt(2), math.sqrt(3), math.sqrt(5)],
+                                     [1.0, math.sqrt(2), math.sqrt(3), math.sqrt(7)]])
+@pytest.mark.parametrize("level", [2, 3, 4])
+def test_solve_level_charges_like_one_at_a_time(monkeypatch, lengths, level):
+    # reference: evaluate the scan candidates m = 1, 2, ... one at a time and
+    # charge each; at a budget up to just past the hit, _solve_level gives the
+    # same lam, residual, charge and best residual, bitwise, or runs out with
+    # the best residual of the candidates charged within the budget.  Every
+    # budget is checked below 256 candidates; past that a sample, with both
+    # sides of each multiple of 2048 (where a scan block can end)
+    monkeypatch.setattr(dtnpos.search, "lll_reduce", None)  # the scan route only
+    targets = TargetSpec.uniform(1.0, len(lengths)).level_targets(level)
+    w = 1.0 / level ** 2
+    anchor = max(range(len(lengths)), key=lambda e: lengths[e])
+    lo, hi = _phase_window(targets[anchor], w)
+    best, steps = math.inf, []
+    for m in itertools.count(1):
+        lam = _anchor_lam(np.array([float(m)]), lengths[anchor], 0.5 * (lo + hi))
+        res, ok = _window_survivors(lam, lengths, targets, w)
+        steps.append(best)  # the best residual when this candidate is reached
+        best = min(best, float(res[0]))
+        if ok[0]:
+            hit = (float(lam[0]), float(res[0]), m, best)
+            break
+    n = hit[2] + 3
+    budgets = set(range(min(n, 256))) | set(range(n - 5, n)) | set(range(0, n, 1 + n // 128))
+    budgets |= {b + d for b in range(2048, n, 2048) for d in (-1, 0, 1)}
+    for budget in sorted(budgets):
+        meter = BudgetMeter(budget)
+        if budget < hit[2]:
+            with pytest.raises(BudgetExhausted) as exc:
+                _solve_level(lengths, targets, w, 0.0, meter)
+            assert exc.value.best_residual == steps[budget]
+        else:
+            got = _solve_level(lengths, targets, w, 0.0, meter)
+            assert (*got, meter.spent, meter.best_residual) == hit
+
+
 def test_window_survivors_match_full_evaluation():
     # _window_survivors returns, bitwise, the residual and admissibility that
     # a candidate-by-candidate, edge-by-edge evaluation gives; _arc_survivors
@@ -594,8 +638,8 @@ def test_window_survivors_match_full_evaluation():
 
 def test_scan_budget_runs_out_inside_the_first_chunk(path3):
     # gamma = -1 on path-3 expects a level-1 hit within 4 candidates, so the
-    # first chunk holds 16; the hit is the 4th, and a budget of 2 runs out
-    # inside that chunk, at the infinite cap, with the best of the two
+    # first scan block holds 16; the hit is the 4th, and a budget of 2 runs
+    # out inside that block, at the infinite bound, with the best of the two
     # candidates it charged
     spec = TargetSpec.uniform(-1.0, 2)
     lengths = list(path3.lengths)

@@ -219,6 +219,15 @@ def test_pole_scan_finds_inner_pole_next_to_window_end(path3, side):
     assert pole_scan(path3, PI2 / 17, 1.0) == []
 
 
+@pytest.mark.parametrize("below,above", [(1e-8, 1e-8), (3e-8, 1e-7)])
+def test_pole_scan_finds_inner_pole_in_narrow_window(path3, below, above):
+    # a window narrower than the two margins that keep a bracket clear of edge
+    # poles, with no edge pole in it: the one bracket is the window itself
+    p = (math.pi / 2) ** 2 / 17
+    got = pole_scan(path3, p - below, p + above)
+    assert len(got) == 1 and abs(got[0] - p) <= POLE_BISECT_TOL * max(1.0, p)
+
+
 def test_pole_scan_returns_plain_floats(path3, lasso):
     # inner poles come out of the bisection, edge poles out of the closed form;
     # both must be Python floats

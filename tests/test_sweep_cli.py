@@ -209,6 +209,20 @@ class TestCli:
             vals = json.loads(capsys.readouterr().out)["poles"]
             assert vals == pytest.approx(want, rel=1e-10)
 
+    def test_unknown_catalog_graph_exits_one(self, capsys):
+        assert main(["validate", "--graph", "catalog:nope"]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown catalog graph 'nope'; known: ")
+
+    def test_poles_in_narrow_window(self, capsys):
+        # path-3's first inner pole inside a window narrower than 2e-7
+        p = (math.pi / 2) ** 2 / 17
+        for lo, hi in ((p - 1e-8, p + 1e-8), (p - 3e-8, p + 1e-7)):
+            assert main(["poles", "--graph", "catalog:path-3", "--from", repr(lo),
+                         "--to", repr(hi)]) == 0
+            vals = json.loads(capsys.readouterr().out)["poles"]
+            # located to the bisection tolerance, 1e-10 * max(1, lam)
+            assert vals == pytest.approx([p], abs=1e-10)
+
     def test_sweep_to_file(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = main(
