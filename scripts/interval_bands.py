@@ -19,9 +19,9 @@ def main():
     args = ap.parse_args()
 
     g = load_graph(args.graph)
-    records = sweep(g, args.lo, args.hi, args.steps)
+    table = sweep(g, args.lo, args.hi, args.steps)
     print(f"# {args.graph}: {args.steps} samples on ({args.lo}, {args.hi})")
-    for band in report(records):
+    for band in report(table):
         width = band.hi - band.lo
         print(f"[{band.lo:12.6f}, {band.hi:12.6f}]  {band.tag:8s}  "
               f"width {width:10.6f}  ({band.count} samples)")

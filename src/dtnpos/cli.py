@@ -146,21 +146,19 @@ def cmd_poles(args) -> int:
 
 def cmd_sweep(args) -> int:
     g = _load(args)
-    records = sweep(g, args.lo, args.hi, args.steps, _config(args))
-    buf = io.StringIO()
-    if args.format == "json":
-        write_json(records, buf)
-    else:
-        write_csv(records, buf)
+    table = sweep(g, args.lo, args.hi, args.steps, _config(args))
+    # with --report the bands go to stdout, so the bulk data is written only to
+    # --out, if given
+    if args.out or not args.report:
+        buf = io.StringIO()
+        if args.format == "json":
+            write_json(table, buf)
+        else:
+            write_csv(table, buf)
+        _emit(args, buf.getvalue())
     if args.report:
-        # with --out the records go to the file and the summary to stdout;
-        # without it the summary replaces the bulk data
-        bands = [dataclasses.asdict(b) for b in report(records)]
-        if getattr(args, "out", None):
-            _emit(args, buf.getvalue())
+        bands = [dataclasses.asdict(b) for b in report(table)]
         sys.stdout.write(_json_dump({"bands": bands}))
-        return EXIT_OK
-    _emit(args, buf.getvalue())
     return EXIT_OK
 
 

@@ -70,13 +70,6 @@ class OracleReport:
     ambiguous: bool
 
 
-@dataclass(frozen=True)
-class GroupProbe:
-    group_positive: bool
-    max_offdiagonal: float
-    times: tuple[float, ...]
-
-
 def _as_array(M) -> np.ndarray:
     if isinstance(M, DtnMatrix):
         return M.entries
@@ -144,7 +137,7 @@ def is_irreducible(M, tol: float | np.ndarray | None = None) -> bool | np.ndarra
     return bool(flags) if A.ndim == 2 else flags
 
 
-def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | list[SemigroupClass]:
+def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | np.ndarray:
     """Classify the positivity behavior of e^{-tM} for symmetric M.
 
     Tags: "strong" (positivity improving for every t > 0), "positive"
@@ -152,31 +145,30 @@ def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | list
     positive), "none" (not eventually positive), "marginal" (a sign decision
     fell inside the numerical ambiguity band).
 
-    An (m, m) matrix gives one SemigroupClass; an (N, m, m) stack of finite
-    matrices gives a list with one per sample, each with the tag and the
-    evidence that the matrix alone would get.
+    An (N, m, m) stack of finite matrices gives the (N,) object array of tags,
+    each the tag that the matrix alone would get.  An (m, m) matrix is the
+    N = 1 case and gives one SemigroupClass with the evidence behind its tag.
     """
     Mat = _as_array(M)
     single = Mat.ndim == 2
     A = -(Mat[None] if single else Mat)
     metz = is_metzler(A, cfg)
-    evidence = [{"metzler_margin": margin, "metzler_tolerance": tol}
-                for margin, tol in zip(metz.margin.tolist(), metz.tolerance.tolist())]
-    tags = [TAG_MARGINAL] * len(A)
+    tags = np.full(len(A), TAG_MARGINAL, dtype=object)
+    # evidence columns; only a single matrix reads them, at element 0
+    columns = {"metzler_margin": metz.margin, "metzler_tolerance": metz.tolerance}
 
-    pos = np.flatnonzero(metz.satisfied)
-    if pos.size:
+    pos = metz.satisfied
+    if pos.any():
         # a zero band falls back to is_irreducible's own default band
         B, tol = A[pos], metz.tolerance[pos]
         irr = is_irreducible(B, np.where(
             tol > 0, tol, DEFAULT_CONFIG.sign_tolerance * np.abs(B).max(axis=(1, 2))))
-        for i, flag in zip(pos.tolist(), irr.tolist()):
-            evidence[i]["irreducible"] = flag
-            tags[i] = TAG_STRONG if flag else TAG_POSITIVE
+        tags[pos] = np.where(irr, TAG_STRONG, TAG_POSITIVE)
+        columns["irreducible"] = irr
 
     # not Metzler: decide by the spectral projection onto the top eigenvalue of A
-    rest = np.flatnonzero(~metz.satisfied & ~metz.marginal)
-    if rest.size:
+    rest = ~metz.satisfied & ~metz.marginal
+    if rest.any():
         B = A[rest]
         w, V = np.linalg.eigh(0.5 * (B + _transpose(B)))
         s = w[:, -1]
@@ -184,18 +176,14 @@ def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | list
         P = (V * sel[:, None, :]) @ _transpose(V)
         tol_p = cfg.sign_tolerance * np.abs(P).max(axis=(1, 2))
         min_p = P.min(axis=(1, 2))
-        for i, s_i, rank, lo, tol in zip(rest.tolist(), s.tolist(), sel.sum(axis=1).tolist(),
-                                          min_p.tolist(), tol_p.tolist()):
-            evidence[i].update({
-                "spectral_bound": s_i,
-                "projection_rank": rank,
-                "min_projection": lo,
-                "projection_tolerance": tol,
-            })
-            tags[i] = TAG_EVENTUAL if lo > tol else TAG_NONE if lo < -tol else TAG_MARGINAL
+        tags[rest] = np.where(min_p > tol_p, TAG_EVENTUAL,
+                              np.where(min_p < -tol_p, TAG_NONE, TAG_MARGINAL))
+        columns.update(spectral_bound=s, projection_rank=sel.sum(axis=1),
+                       min_projection=min_p, projection_tolerance=tol_p)
 
-    out = [SemigroupClass(tag, ev) for tag, ev in zip(tags, evidence)]
-    return out[0] if single else out
+    if not single:
+        return tags
+    return SemigroupClass(tags[0], {k: v[0].item() for k, v in columns.items()})
 
 
 def _time_grid(Mat: np.ndarray) -> np.ndarray:
@@ -236,32 +224,3 @@ def expm_oracle(M) -> OracleReport:
         ambiguous = not suffix
     return OracleReport(klass=klass, times=tuple(float(t) for t in times),
                         strict=tuple(strict), ambiguous=ambiguous)
-
-
-def group_positivity_probe(M) -> GroupProbe:
-    """Check entrywise positivity of e^{-tM} for both time directions.
-
-    Membership in a positive group forces a diagonal generator, so the probe
-    reports the largest off-diagonal magnitude alongside the verdict.
-    """
-    Mat = _as_array(M)
-    n = Mat.shape[0]
-    A = -0.5 * (Mat + Mat.T)
-    w = np.linalg.eigvalsh(A)
-    times = _time_grid(Mat)
-    ok = True
-    for t in times:
-        for sign in (1.0, -1.0):
-            # shift each direction by its own top eigenvalue: bounded entries,
-            # signs scaled by a positive factor only
-            top = sign * (w[-1] if sign > 0 else w[0])
-            G = sign * A - top * np.eye(n)
-            E = scipy.linalg.expm(t * G)
-            if E.min() < -1e-12 * np.abs(E).max():
-                ok = False
-                break
-        if not ok:
-            break
-    off = float(np.abs(_offdiag(A)).max()) if n > 1 else 0.0
-    return GroupProbe(group_positive=ok, max_offdiagonal=off,
-                      times=tuple(float(t) for t in times))

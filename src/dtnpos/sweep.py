@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -19,12 +19,13 @@ from .spectra import near_pole, pole_scan  # noqa: F401
 TAG_POLE = "pole"
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    lam: float
-    eigenvalues: tuple[float, ...]
-    tag: str
-    near_pole: bool
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """One sweep as columns, one row per grid sample."""
+    lam: np.ndarray          # (N,) the grid
+    eigenvalues: np.ndarray  # (N, m) ascending, NaN on pole rows
+    tag: np.ndarray          # (N,) str objects, "pole" on singular samples
+    near_pole: np.ndarray    # (N,) bool
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class Band:
 
 
 def sweep(g: MetricGraph, lo: float, hi: float, steps: int,
-          cfg: ClassifierConfig = DEFAULT_CONFIG) -> list[SweepRecord]:
+          cfg: ClassifierConfig = DEFAULT_CONFIG) -> SweepTable:
     """Classify the outer matrix on a uniform grid of `steps` samples.
 
     The grid is the stack axis: each chunk of STACK_CHUNK samples is
@@ -58,71 +59,63 @@ def sweep(g: MetricGraph, lo: float, hi: float, steps: int,
         raise ValueError("the sweep range must be finite and nonempty")
     grid = np.linspace(lo, hi, steps)
 
-    m = g.n_outer
-    rows, singular, negative = [], [], []
+    eigs = np.full((steps, g.n_outer), math.nan)
+    tags = np.full(steps, TAG_POLE, dtype=object)
+    singular, negative = [], []
     for at in range(0, steps, STACK_CHUNK):
         D = assemble_outer(g, grid[at:at + STACK_CHUNK])
-        live = D.entries[~D.singular]
-        eigs = iter(np.linalg.eigvalsh(live).tolist())
-        verdicts = iter(classify(live, cfg))
-        for pole in D.singular.tolist():
-            rows.append(((math.nan,) * m, TAG_POLE) if pole
-                        else (tuple(next(eigs)), next(verdicts).tag))
+        ok = ~D.singular
+        live = at + np.flatnonzero(ok)
+        eigs[live] = np.linalg.eigvalsh(D.entries[ok])
+        tags[live] = classify(D.entries[ok], cfg)
         singular.append(D.singular)
         negative.append(D.inner_negative)
     near = near_pole(g, grid, np.concatenate(singular),
                      None if negative[0] is None else np.concatenate(negative))
-    return [SweepRecord(lam, values, tag, close)
-            for lam, (values, tag), close in zip(grid.tolist(), rows, near.tolist())]
+    return SweepTable(grid, eigs, tags, near)
 
 
-def report(records: Sequence[SweepRecord]) -> list[Band]:
-    """Merge consecutive equal classifications into bands.
+def report(table: SweepTable) -> list[Band]:
+    """Merge runs of consecutive equal classifications into bands.
 
     near_pole samples are skipped: they neither open, extend, nor close a
     band, so a pole splits the surrounding samples into separate bands.
     """
-    bands: list[Band] = []
-    current: list[SweepRecord] = []
-
-    def flush():
-        if current:
-            bands.append(Band(lo=current[0].lam, hi=current[-1].lam,
-                              tag=current[0].tag, count=len(current)))
-            current.clear()
-
-    for rec in records:
-        if rec.near_pole:
-            flush()
-            continue
-        if current and rec.tag != current[0].tag:
-            flush()
-        current.append(rec)
-    flush()
-    return bands
+    keep = ~table.near_pole
+    # a band starts (ends) at a kept sample whose predecessor (successor) is
+    # missing, skipped or tagged otherwise
+    cut = (table.tag[1:] != table.tag[:-1]) | ~keep[1:] | ~keep[:-1]
+    starts = np.flatnonzero(keep & np.r_[True, cut]).tolist()
+    ends = np.flatnonzero(keep & np.r_[cut, True]).tolist()
+    lam = table.lam.tolist()
+    return [Band(lo=lam[a], hi=lam[b], tag=table.tag[a], count=b - a + 1)
+            for a, b in zip(starts, ends)]
 
 
-def write_csv(records: Sequence[SweepRecord], out: TextIO) -> None:
-    if not records:
+def write_csv(table: SweepTable, out: TextIO) -> None:
+    n, m = table.eigenvalues.shape
+    if not n:
         raise ValueError("nothing to write")
-    m = len(records[0].eigenvalues)
     header = ["lambda"] + ["eig_%d" % (i + 1) for i in range(m)] + ["class", "near_pole"]
     # "%.17g" prints NaN as "nan", the eigenvalues of a pole row
     row = "%.17g," * (m + 1) + "%s,%s\n"
     out.write(",".join(header) + "\n")
-    out.write("".join([row % (rec.lam, *rec.eigenvalues, rec.tag,
-                              "true" if rec.near_pole else "false") for rec in records]))
+    out.write("".join([row % (lam, *eigs, tag, "true" if near else "false")
+                       for lam, eigs, tag, near in zip(
+                           table.lam.tolist(), table.eigenvalues.tolist(),
+                           table.tag.tolist(), table.near_pole.tolist())]))
 
 
-def write_json(records: Sequence[SweepRecord], out: TextIO) -> None:
+def write_json(table: SweepTable, out: TextIO) -> None:
     payload = [
         {
-            "lambda": rec.lam,
-            "eigenvalues": [None if math.isnan(e) else e for e in rec.eigenvalues],
-            "class": rec.tag,
-            "near_pole": rec.near_pole,
+            "lambda": lam,
+            "eigenvalues": [None if math.isnan(e) else e for e in eigs],
+            "class": tag,
+            "near_pole": near,
         }
-        for rec in records
+        for lam, eigs, tag, near in zip(table.lam.tolist(), table.eigenvalues.tolist(),
+                                        table.tag.tolist(), table.near_pole.tolist())
     ]
     json.dump(payload, out, indent=2)
     out.write("\n")

@@ -51,12 +51,12 @@ def test_c01_interval_bands_and_poles():
     """Strong bands of the unit interval are bounded by (pi k)^2."""
     g = catalog("interval")
     t0 = time.perf_counter()
-    records = sweep(g, -5.0, 60.0, 10_000)
+    table = sweep(g, -5.0, 60.0, 10_000)
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"sweep took {elapsed:.1f}s"
 
     step = 65.0 / 9999.0
-    bands = report(records)
+    bands = report(table)
     non_pole = [b for b in bands if b.tag != "pole"]
     assert [b.tag for b in non_pole] == ["strong", "none", "strong"]
     for got, want in [
@@ -104,13 +104,13 @@ def test_c02_two_edge_closed_form():
 def test_c03_positivity_tracks_first_edge():
     """On the path graph the class is strong exactly while sin(sqrt(lam)) > 0."""
     g = catalog("path-3")
-    records = sweep(g, -5.0, 60.0, 3000)
+    table = sweep(g, -5.0, 60.0, 3000)
     checked = 0
-    for rec in records:
-        if rec.tag in ("pole", "marginal") or rec.near_pole:
+    for lam, tag, near in zip(table.lam.tolist(), table.tag, table.near_pole):
+        if tag in ("pole", "marginal") or near:
             continue
-        want_strong = rec.lam <= 0.0 or math.sin(math.sqrt(rec.lam)) > 0.0
-        assert (rec.tag == "strong") == want_strong, f"lam={rec.lam}: {rec.tag}"
+        want_strong = lam <= 0.0 or math.sin(math.sqrt(lam)) > 0.0
+        assert (tag == "strong") == want_strong, f"lam={lam}: {tag}"
         checked += 1
     assert checked > 2500
     print(f"criterion 03 PASS: {checked} samples follow the sign of sin(sqrt(lam))")
@@ -131,8 +131,7 @@ def test_c04_forbidden_entry_stays_zero():
         assert abs(D[0, 2]) <= 1e-12 * np.abs(D).max(), f"lam={lam}"
         checked += 1
 
-    records = sweep(g, -5.0, 40.0, 1500)
-    tags = {r.tag for r in records}
+    tags = set(sweep(g, -5.0, 40.0, 1500).tag)
     assert "eventual" not in tags, sorted(tags)
     print(f"criterion 04 PASS: entry (1,3) below 1e-12 at 100 parameters; tags {sorted(tags)}")
 

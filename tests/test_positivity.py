@@ -1,4 +1,4 @@
-"""Classifier unit cases, the expm oracle, and the group probe.
+"""Classifier unit cases and the expm oracle.
 
 The classifier and the oracle are independent routes to the same answer, so
 several tests drive both and compare.
@@ -16,7 +16,6 @@ from dtnpos import (
     catalog,
     classify,
     expm_oracle,
-    group_positivity_probe,
     is_irreducible,
     is_metzler,
 )
@@ -67,6 +66,40 @@ ORACLE_OF = {
 def test_classify_frozen(tag):
     got = classify(CASES[tag])
     assert got.tag == tag
+
+
+# the exact evidence of one matrix per tag: keys in order, values and their types
+EVIDENCE = {
+    "strong": [("metzler_margin", 2.0), ("metzler_tolerance", 2e-11), ("irreducible", True)],
+    "positive": [("metzler_margin", -0.0), ("metzler_tolerance", 2e-11), ("irreducible", False)],
+    "none": [("metzler_margin", -2.0), ("metzler_tolerance", 2e-11), ("spectral_bound", 1.0),
+             ("projection_rank", 1), ("min_projection", -0.4999999999999999),
+             ("projection_tolerance", 4.999999999999999e-12)],
+    "eventual": [("metzler_margin", -0.42857142857142855),
+                 ("metzler_tolerance", 1.3214285714285716e-11), ("spectral_bound", 2.0),
+                 ("projection_rank", 1), ("min_projection", 0.0714285714285717),
+                 ("projection_tolerance", 6.428571428571429e-12)],
+}
+
+
+def _typed(items):
+    # repr tells -0.0 from 0.0; type tells True from 1 and 1 from 1.0
+    return [(k, type(v), repr(v)) for k, v in items]
+
+
+@pytest.mark.parametrize("tag", sorted(CASES))
+def test_classify_evidence_frozen(tag):
+    got = classify(CASES[tag])
+    assert _typed(got.evidence.items()) == _typed(EVIDENCE[tag])
+
+
+def test_classify_evidence_frozen_marginal_and_scalar():
+    got = classify(np.array([[-1.0, 5e-11], [5e-11, -1.0]]))
+    assert _typed(got.evidence.items()) == _typed(
+        [("metzler_margin", -5e-11), ("metzler_tolerance", 1e-11)])
+    got = classify(np.array([[0.0]]))
+    assert _typed(got.evidence.items()) == _typed(
+        [("metzler_margin", 0.0), ("metzler_tolerance", 0.0), ("irreducible", True)])
 
 
 @pytest.mark.parametrize("tag", sorted(CASES))
@@ -182,16 +215,6 @@ def test_tolerance_is_configurable():
     assert classify(M, wide).tag == "positive"
 
 
-def test_group_probe():
-    hop = group_positivity_probe(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert not hop.group_positive
-    assert hop.max_offdiagonal == pytest.approx(1.0)
-
-    diag = group_positivity_probe(np.diag([3.0, -2.0]))
-    assert diag.group_positive
-    assert diag.max_offdiagonal == 0.0
-
-
 def _symmetric(draw_vals, n):
     B = np.array(draw_vals, dtype=float).reshape(n, n)
     return (B + B.T) / 2.0
@@ -245,14 +268,12 @@ def test_classify_shift_invariant(seed, c):
 
 def assert_stack_classifies_like_singles(stack, cfg=ClassifierConfig()):
     got = classify(stack, cfg)
-    assert isinstance(got, list) and len(got) == len(stack)
-    for M, verdict in zip(stack, got):
-        one = classify(M, cfg)
-        assert verdict.tag == one.tag
-        assert verdict.evidence == one.evidence
-        if verdict.tag == "strong":
+    assert got.shape == (len(stack),) and got.dtype == object
+    for M, tag in zip(stack, got):
+        assert type(tag) is str and tag == classify(M, cfg).tag
+        if tag == "strong":
             assert power_positive(M)
-    return {v.tag for v in got}
+    return set(got)
 
 
 @pytest.mark.parametrize("name", ["interval", "lasso-4", "star-5", "braid-5", "two-cluster"])
@@ -270,7 +291,7 @@ def test_stack_classify_covers_every_tag():
     tags |= assert_stack_classifies_like_singles(triples)
     assert tags == {"strong", "positive", "none", "eventual", "marginal"}
     assert assert_stack_classifies_like_singles(np.array([[[0.0]], [[2.0]]])) == {"strong"}
-    assert classify(np.zeros((0, 3, 3))) == []
+    assert classify(np.zeros((0, 3, 3))).shape == (0,)
 
 
 @settings(max_examples=30, deadline=None)

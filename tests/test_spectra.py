@@ -303,11 +303,11 @@ def test_pole_scan_counts_double_pole():
         assert abs(p - q) <= POLE_BISECT_TOL * max(1.0, q)
     # a sample 5e-10 away from the double pole is regular but near_pole
     lam = (math.pi / 2) ** 2 * (1.0 + 5e-10)
-    records = sweep(g, lam - 1.0, lam + 1.0, 3)
-    assert records[1].tag != "pole" and records[1].near_pole
-    assert not records[0].near_pole and not records[2].near_pole
+    table = sweep(g, lam - 1.0, lam + 1.0, 3)
+    assert table.tag[1] != "pole"
+    assert table.near_pole.tolist() == [False, True, False]
     lam = (math.pi / 2) ** 2 * (1.0 + 5e-9)
-    assert not sweep(g, lam - 1.0, lam + 1.0, 3)[1].near_pole
+    assert not sweep(g, lam - 1.0, lam + 1.0, 3).near_pole[1]
 
 
 def _reach(lam):
@@ -369,10 +369,10 @@ def test_near_pole_probe_on_an_edge_pole(path3):
 @pytest.mark.parametrize("pole", [(math.pi / 2) ** 2 / 17, PI2 / 17], ids=["inner", "edge"])
 def test_sweep_flags_pole_just_outside_window(path3, pole):
     r = _reach(pole)
-    assert sweep(path3, pole + 0.5 * r, pole + 0.2, 3)[0].near_pole
-    assert sweep(path3, pole - 0.2, pole - 0.5 * r, 3)[-1].near_pole
-    assert not sweep(path3, pole + 2 * r, pole + 0.2, 3)[0].near_pole
-    assert not sweep(path3, pole - 0.2, pole - 2 * r, 3)[-1].near_pole
+    assert sweep(path3, pole + 0.5 * r, pole + 0.2, 3).near_pole[0]
+    assert sweep(path3, pole - 0.2, pole - 0.5 * r, 3).near_pole[-1]
+    assert not sweep(path3, pole + 2 * r, pole + 0.2, 3).near_pole[0]
+    assert not sweep(path3, pole - 0.2, pole - 2 * r, 3).near_pole[-1]
 
 
 NEAR_POLE_GRAPHS = ["path-3", "lasso-4", "star-5", "braid-5", "two-cluster"]

@@ -1,24 +1,27 @@
 """Sweep output formats, band reports, and command-line behavior."""
 
+import contextlib
 import csv
 import importlib
 import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dtnpos
 from dtnpos import (
     AtPole,
     Band,
     InnerBlockSingular,
-    SweepRecord,
+    SweepTable,
     assemble_outer,
     catalog,
     classify,
@@ -31,13 +34,17 @@ from dtnpos.cli import build_parser, main
 
 # the package re-exports the function sweep under the submodule's name
 sweep_module = importlib.import_module("dtnpos.sweep")
+cli_module = importlib.import_module("dtnpos.cli")
 
 
 def test_sweep_record_grid(interval):
-    records = sweep(interval, -1.0, 12.0, 40)
-    assert len(records) == 40
-    assert records[0].lam == -1.0 and records[-1].lam == 12.0
-    tags = {r.tag for r in records}
+    table = sweep(interval, -1.0, 12.0, 40)
+    assert table.lam.shape == (40,) and table.eigenvalues.shape == (40, 2)
+    assert table.tag.shape == (40,) and table.tag.dtype == object
+    assert table.near_pole.shape == (40,) and table.near_pole.dtype == bool
+    assert table.lam[0] == -1.0 and table.lam[-1] == 12.0
+    tags = set(table.tag)
+    assert all(type(t) is str for t in tags)
     assert "strong" in tags and "none" in tags
 
 
@@ -51,26 +58,25 @@ def test_sweep_flags_pole_rows(interval):
     # place a sample exactly on pi^2: lam grid hits it when the endpoints
     # and step are chosen to match
     pi2 = math.pi**2
-    records = sweep(interval, pi2 - 1.0, pi2 + 1.0, 3)
-    mid = records[1]
-    assert mid.lam == pytest.approx(pi2, abs=1e-12)
-    assert mid.tag == "pole"
-    assert mid.near_pole
-    assert all(math.isnan(v) for v in mid.eigenvalues)
+    table = sweep(interval, pi2 - 1.0, pi2 + 1.0, 3)
+    assert table.lam[1] == pytest.approx(pi2, abs=1e-12)
+    assert table.tag[1] == "pole"
+    assert table.near_pole[1]
+    assert np.isnan(table.eigenvalues[1]).all()
 
 
 def test_write_csv_roundtrip(interval):
-    records = sweep(interval, -2.0, 5.0, 25)
+    table = sweep(interval, -2.0, 5.0, 25)
     buf = io.StringIO()
-    write_csv(records, buf)
+    write_csv(table, buf)
     rows = list(csv.reader(io.StringIO(buf.getvalue())))
     assert rows[0] == ["lambda", "eig_1", "eig_2", "class", "near_pole"]
     assert len(rows) == 26
-    for row, rec in zip(rows[1:], records):
+    for row, lam, eigs, tag in zip(rows[1:], table.lam, table.eigenvalues, table.tag):
         # %.17g output must round-trip bit for bit
-        assert float(row[0]) == rec.lam
-        assert float(row[1]) == rec.eigenvalues[0]
-        assert row[3] == rec.tag
+        assert float(row[0]) == lam
+        assert float(row[1]) == eigs[0]
+        assert row[3] == tag
         assert row[4] in ("true", "false")
 
 
@@ -85,15 +91,24 @@ GOLDEN_CSV = (
 )
 
 
+def _table(lams, tags, near=None, eigenvalues=None):
+    n = len(lams)
+    return SweepTable(
+        lam=np.array(lams, dtype=float),
+        eigenvalues=np.zeros((n, 1)) if eigenvalues is None else np.array(eigenvalues),
+        tag=np.array(tags, dtype=object),
+        near_pole=np.zeros(n, dtype=bool) if near is None else np.array(near, dtype=bool))
+
+
 def test_write_csv_golden():
-    records = [
-        SweepRecord(-5.0, (0.1, -1 / 3), "strong", False),
-        SweepRecord(math.pi**2, (math.nan, math.nan), "pole", True),
-        SweepRecord(9.869604406, (-0.0, 2.5e-300), "marginal", True),
-        SweepRecord(1e21, (-1.2345678901234567e17, math.inf), "none", False),
-    ]
+    table = _table(
+        [-5.0, math.pi**2, 9.869604406, 1e21],
+        ["strong", "pole", "marginal", "none"],
+        [False, True, True, False],
+        [(0.1, -1 / 3), (math.nan, math.nan), (-0.0, 2.5e-300),
+         (-1.2345678901234567e17, math.inf)])
     buf = io.StringIO()
-    write_csv(records, buf)
+    write_csv(table, buf)
     assert buf.getvalue() == GOLDEN_CSV
 
 
@@ -106,21 +121,16 @@ def test_csv_deterministic(interval):
 
 def test_write_json_handles_nan(interval):
     pi2 = math.pi**2
-    records = sweep(interval, pi2 - 1.0, pi2 + 1.0, 3)
+    table = sweep(interval, pi2 - 1.0, pi2 + 1.0, 3)
     buf = io.StringIO()
-    write_json(records, buf)
+    write_json(table, buf)
     data = json.loads(buf.getvalue())
     assert data[1]["class"] == "pole"
     assert data[1]["eigenvalues"][0] is None
 
 
-def _rec(lam, tag, near=False):
-    return SweepRecord(lam=lam, eigenvalues=(0.0,), tag=tag, near_pole=near)
-
-
 def test_report_merges_runs():
-    records = [_rec(0.0, "strong"), _rec(1.0, "strong"), _rec(2.0, "none"), _rec(3.0, "none")]
-    bands = report(records)
+    bands = report(_table([0.0, 1.0, 2.0, 3.0], ["strong", "strong", "none", "none"]))
     assert [(b.lo, b.hi, b.tag, b.count) for b in bands] == [
         (0.0, 1.0, "strong", 2),
         (2.0, 3.0, "none", 2),
@@ -130,16 +140,52 @@ def test_report_merges_runs():
 def test_report_splits_at_pole():
     # a flagged sample separates two runs of the same class without forming
     # a band of its own
-    records = [
-        _rec(0.0, "strong"),
-        _rec(1.0, "pole", near=True),
-        _rec(2.0, "strong"),
-    ]
-    bands = report(records)
+    bands = report(_table([0.0, 1.0, 2.0], ["strong", "pole", "strong"], [False, True, False]))
     assert [(b.lo, b.hi, b.tag) for b in bands] == [
         (0.0, 0.0, "strong"),
         (2.0, 2.0, "strong"),
     ]
+
+
+def _report_by_walk(table):
+    """Reference: walk the samples one at a time, closing a run at a skip or a new tag."""
+    bands, current = [], []
+
+    def flush():
+        if current:
+            bands.append(Band(lo=current[0][0], hi=current[-1][0], tag=current[0][1],
+                              count=len(current)))
+            current.clear()
+
+    for lam, tag, near in zip(table.lam.tolist(), table.tag.tolist(),
+                              table.near_pole.tolist()):
+        if near:
+            flush()
+            continue
+        if current and tag != current[0][1]:
+            flush()
+        current.append((lam, tag))
+    flush()
+    return bands
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["strong", "none", "eventual", "pole"]),
+                          st.booleans()), min_size=1, max_size=40))
+@example([("strong", False)])
+@example([("strong", True)])
+@example([("none", True)] * 5)
+@example([("strong", False), ("none", False)] * 4)
+@example([("pole", True), ("pole", True), ("strong", False), ("strong", False),
+          ("none", False), ("none", True)])
+def test_report_matches_run_walk(rows):
+    tags, near = zip(*rows)
+    table = _table(np.arange(len(rows)) * 0.25 - 3.0, tags, near)
+    got = report(table)
+    assert got == _report_by_walk(table)
+    # the bands go to JSON as they are
+    assert all(type(b.lo) is float and type(b.hi) is float and type(b.tag) is str
+               and type(b.count) is int for b in got)
 
 
 def _cli(argv, timeout):
@@ -149,6 +195,21 @@ def _cli(argv, timeout):
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "dtnpos.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=timeout)
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail the test, instead of hanging it, when the block runs past `seconds`."""
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestCli:
@@ -246,6 +307,22 @@ class TestCli:
         assert len(rows) == 51
         assert "strong" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_report_without_out_formats_nothing(self, monkeypatch, capsys, tmp_path, fmt):
+        # the bands replace the bulk data on stdout, so it is never formatted
+        calls = []
+        for name in ("write_csv", "write_json"):
+            real = getattr(cli_module, name)
+            monkeypatch.setattr(cli_module, name,
+                                lambda *a, real=real: calls.append(a) or real(*a))
+        argv = ["sweep", "--graph", "catalog:interval", "--from", "-2", "--to", "12",
+                "--steps", "50", "--format", fmt, "--report"]
+        assert main(argv) == 0
+        assert "strong" in json.loads(capsys.readouterr().out)["bands"][0]["tag"]
+        assert calls == []
+        assert main(argv + ["--out", str(tmp_path / "sweep.out")]) == 0
+        assert len(calls) == 1
+
     def test_find_eventual_no_cycle_exit(self):
         rc = main(
             ["find-eventual", "--graph", "catalog:braid-5", "--above", "5", "--budget", "1000"]
@@ -274,12 +351,13 @@ class TestCli:
          "--assert-independent"],
         ["kronecker", "--graph", "catalog:lasso-4", "--gamma", "1,1,1,1", "--count", "0"],
     ])
-    def test_rejects_negative_budget_and_empty_count(self, argv):
-        # a child process with a timeout, so a search that never charges its
-        # budget fails the test instead of hanging it
-        proc = _cli(argv, timeout=60)
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    def test_rejects_negative_budget_and_empty_count(self, argv, capsys):
+        # a deadline, so a search that never charges its budget fails the
+        # test instead of hanging it
+        with _deadline(60):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("argv, named", [
         (["poles", "--graph", "catalog:lasso-4", "--from", "0", "--to", "inf"], "--to"),
@@ -296,13 +374,16 @@ class TestCli:
         (["spectrum", "--graph", "catalog:two-cluster", "--resolution", "0"], "resolution"),
         (["spectrum", "--graph", "catalog:two-cluster", "--resolution", "0.25"], "resolution"),
     ])
-    def test_rejects_non_finite_and_degenerate_options(self, argv, named):
-        # a child process with a timeout: an infinite window once looped forever
-        proc = _cli(argv, timeout=10)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and named in proc.stderr
-        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    def test_rejects_non_finite_and_degenerate_options(self, argv, named, capsys, recwarn):
+        # a deadline: an infinite window once looped forever
+        with _deadline(10):
+            assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err and "Warning" not in err
+        # in process, a warning is recorded rather than printed
+        assert [str(w.message) for w in recwarn] == []
 
     @pytest.mark.parametrize("argv", [
         # argparse reads a value that starts with "-" as a flag
@@ -312,16 +393,20 @@ class TestCli:
         ["sweep", "--graph", "catalog:path-3", "--from", "0", "--to", "1", "--steps", "x"],
         ["no-such-command"],
     ])
-    def test_usage_error_exits_1(self, argv):
+    def test_usage_error_exits_1(self, argv, capsys):
         # argparse's own exit code for a usage error is 2, the no-cycle code
-        proc = _cli(argv, timeout=30)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "usage:" in err and "Traceback" not in err
 
     def test_help_exits_0_and_no_cycle_exits_2(self):
+        # the exit codes of the module entry point, usage error included
         proc = _cli(["find-eventual", "--help"], timeout=30)
         assert proc.returncode == 0 and "--above" in proc.stdout
+        proc = _cli(["find-positive", "--graph", "catalog:path-3"], timeout=30)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr
         proc = _cli(["find-eventual", "--graph", "catalog:path-3", "--above", "5"], timeout=30)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ")
@@ -484,20 +569,21 @@ def test_sweep_bands_frozen(name):
 
 def test_sweep_chunks_match_single_samples(monkeypatch, path3):
     # a tiny chunk puts chunk boundaries between poles, pole rows and plain
-    # rows; every record must equal the one built from a single-lambda call
+    # rows; every row must equal the one built from a single-lambda call
     monkeypatch.setattr(sweep_module, "STACK_CHUNK", 7)
     lo, hi = -3.0, 4.0
-    records = sweep(path3, lo, hi, 64)
+    table = sweep(path3, lo, hi, 64)
     poles = dtnpos.pole_scan(path3, lo, hi)
-    for rec in records:
+    for lam, eigs, tag, near in zip(table.lam.tolist(), table.eigenvalues.tolist(),
+                                    table.tag, table.near_pole):
         try:
-            D = assemble_outer(path3, rec.lam)
+            D = assemble_outer(path3, lam)
         except (AtPole, InnerBlockSingular):
-            assert rec.tag == "pole" and rec.near_pole
+            assert tag == "pole" and near
             continue
-        assert rec.eigenvalues == tuple(np.linalg.eigvalsh(D.entries).tolist())
-        assert rec.tag == classify(D).tag
-        assert rec.near_pole == any(abs(rec.lam - p) <= 1e-9 * max(1.0, abs(p)) for p in poles)
+        assert eigs == np.linalg.eigvalsh(D.entries).tolist()
+        assert tag == classify(D).tag
+        assert near == any(abs(lam - p) <= 1e-9 * max(1.0, abs(p)) for p in poles)
 
 
 def test_sweep_hits_inner_pole_between_chunks(monkeypatch, path3):
@@ -505,10 +591,10 @@ def test_sweep_hits_inner_pole_between_chunks(monkeypatch, path3):
     # second chunk
     monkeypatch.setattr(sweep_module, "STACK_CHUNK", 4)
     lam = (math.pi / 2) ** 2 / 17.0
-    records = sweep(path3, lam - 0.4, lam + 0.4, 9)
-    assert records[4].lam == pytest.approx(lam, abs=1e-15)
-    assert records[4].tag == "pole" and records[4].near_pole
-    assert all(r.tag != "pole" for i, r in enumerate(records) if i != 4)
+    table = sweep(path3, lam - 0.4, lam + 0.4, 9)
+    assert table.lam[4] == pytest.approx(lam, abs=1e-15)
+    assert table.tag[4] == "pole" and table.near_pole[4]
+    assert np.flatnonzero(table.tag == "pole").tolist() == [4]
 
 
 def test_public_names_are_not_modules():
