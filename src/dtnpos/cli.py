@@ -24,8 +24,8 @@ import numpy as np
 from .assembly import assemble_full, assemble_outer
 from .catalog import catalog_names, catalog_raw
 from .errors import BudgetExhausted, DtnError, NoCycle
-from .graphs import MetricGraph, graph_to_json, is_tree, load_graph, reduced_graph
-from .positivity import ClassifierConfig, classify
+from .graphs import graph_to_json, is_tree, load_graph, reduced_graph
+from .positivity import DEFAULT_CONFIG, ClassifierConfig, classify
 from .search import (
     TargetSpec,
     commensurable_family,
@@ -45,18 +45,6 @@ EXIT_ERROR = 1
 EXIT_NO_CYCLE = 2
 EXIT_BUDGET = 3
 EXIT_MARGINAL = 4
-
-
-def _load(args) -> MetricGraph:
-    if args.graph is None:
-        raise SystemExit("a graph is required: pass --graph FILE or --graph catalog:NAME")
-    return load_graph(args.graph)
-
-
-def _config(args) -> ClassifierConfig:
-    if getattr(args, "tol", None) is None:
-        return ClassifierConfig()
-    return ClassifierConfig(sign_tolerance=args.tol)
 
 
 def _emit(args, text: str) -> None:
@@ -81,7 +69,7 @@ def _matrix_payload(D) -> dict:
 
 
 def cmd_validate(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph)
     payload = graph_to_json(g)
     payload["inner"] = list(g.inner)
     payload["ok"] = True
@@ -90,7 +78,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph)
     red = reduced_graph(g)
     payload = {
         "vertices": list(red.vertices),
@@ -102,7 +90,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph)
     if args.kind == "full":
         if args.lambda_max is None:
             raise SystemExit("--lambda-max is required for the full Dirichlet spectrum")
@@ -115,7 +103,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_assemble(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph)
     D = assemble_full(g, args.lam) if args.full else assemble_outer(g, args.lam)
     if args.format == "csv":
         lines = [",".join("%.17g" % x for x in row) for row in D.entries]
@@ -126,9 +114,9 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph)
     D = assemble_outer(g, args.lam)
-    verdict = classify(D, _config(args))
+    verdict = classify(D, ClassifierConfig(args.tol))
     payload = {"lambda": args.lam, "verdict": verdict.tag,
                "eigenvalues": [float(x) for x in np.linalg.eigvalsh(D.entries)],
                "evidence": {k: (v if not isinstance(v, float) or math.isfinite(v) else repr(v))
@@ -138,15 +126,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_poles(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph)
     poles = pole_scan(g, args.lo, args.hi)
     _emit(args, _json_dump({"poles": poles}))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    g = _load(args)
-    table = sweep(g, args.lo, args.hi, args.steps, _config(args))
+    g = load_graph(args.graph)
+    table = sweep(g, args.lo, args.hi, args.steps, ClassifierConfig(args.tol))
     # with --report the bands go to stdout, so the bulk data is written only to
     # --out, if given
     if args.out or not args.report:
@@ -167,14 +155,14 @@ def cmd_find(args) -> int:
     find = {"find-positive": find_strongly_positive_above,
             "find-nonpositive": find_not_eventually_positive_above,
             "find-eventual": find_eventual_not_positive_above}[args.command]
-    result = find(_load(args), args.above, args.budget,
-                  assert_independent=args.assert_independent, cfg=_config(args))
+    result = find(load_graph(args.graph), args.above, args.budget,
+                  assert_independent=args.assert_independent, cfg=ClassifierConfig(args.tol))
     _emit(args, _json_dump(result.to_record()))
     return EXIT_OK
 
 
 def cmd_kronecker(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph)
     gammas = tuple(parse_gamma(t) for t in args.gamma.split(","))
     spec = TargetSpec(gammas)
     seq = kronecker_sequence(g, spec, count=args.count, budget=args.budget,
@@ -192,9 +180,9 @@ def cmd_kronecker(args) -> int:
 
 
 def cmd_commensurable(args) -> int:
-    g = _load(args)
+    g = load_graph(args.graph)
     p_list = [int(p) for p in args.p.split(",")]
-    fam = commensurable_family(g, args.mu, p_list, cfg=_config(args))
+    fam = commensurable_family(g, args.mu, p_list, cfg=ClassifierConfig(args.tol))
     _emit(args, _json_dump(fam.to_record()))
     return EXIT_OK
 
@@ -215,12 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "positivity of the generated semigroups")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
+    def add(name, fn, graph=True, tol=False, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn, floats=())
-        p.add_argument("--graph", help="graph JSON file, or catalog:NAME")
+        if graph:
+            p.add_argument("--graph", required=True, help="graph JSON file, or catalog:NAME")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        real(p, "--tol", default=None, help="override the classifier sign tolerance")
+        if tol:
+            real(p, "--tol", default=DEFAULT_CONFIG.sign_tolerance, help="classifier sign tolerance")
         return p
 
     def real(p, flag, **kw):
@@ -242,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="keep inner vertices")
     p.add_argument("--format", choices=["csv", "json"], default="json")
 
-    p = add("classify", cmd_classify, help="positivity class at one parameter")
+    p = add("classify", cmd_classify, tol=True, help="positivity class at one parameter")
     real(p, "--lambda", dest="lam", required=True)
 
     p = add("poles", cmd_poles, help="assembly singularities in a window")
@@ -251,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None,
                    help="ignored: the scan counts poles by inertia and samples no grid")
 
-    p = add("sweep", cmd_sweep, help="classify along a parameter grid")
+    p = add("sweep", cmd_sweep, tol=True, help="classify along a parameter grid")
     real(p, "--from", dest="lo", required=True)
     real(p, "--to", dest="hi", required=True)
     p.add_argument("--steps", type=int, required=True)
@@ -263,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("find-nonpositive", "parameter without eventual positivity"),
         ("find-eventual", "parameter that is eventually positive only"),
     ]:
-        p = add(name, cmd_find, help=blurb)
+        p = add(name, cmd_find, tol=True, help=blurb)
         real(p, "--above", required=True)
         p.add_argument("--budget", type=int, default=10 ** 7)
         p.add_argument("--assert-independent", action="store_true",
@@ -276,11 +266,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10 ** 7)
     p.add_argument("--assert-independent", action="store_true")
 
-    p = add("commensurable", cmd_commensurable, help="shifted family for commensurable lengths")
+    p = add("commensurable", cmd_commensurable, tol=True,
+            help="shifted family for commensurable lengths")
     real(p, "--mu", required=True)
     p.add_argument("--p", required=True, help="comma list of shift indices")
 
-    p = add("catalog", cmd_catalog, help="print a named example graph")
+    p = add("catalog", cmd_catalog, graph=False, help="print a named example graph")
     p.add_argument("name", nargs="?", default=None)
 
     return ap

@@ -106,11 +106,12 @@ class BudgetExhausted(DtnError):
 
 
 class IndependenceNotAsserted(DtnError):
-    def __init__(self) -> None:
-        super().__init__(
-            "rational independence of the edge lengths must be asserted by the caller "
-            "(pass assert_independent=True / --assert-independent)"
-        )
+    def __init__(self, relation: tuple[int, ...] | None = None) -> None:
+        self.relation = relation  # c with sum c_e L_e = 0, if the float test found one
+        found = ("" if relation is None
+                 else f"the edge lengths satisfy sum c_e L_e = 0 for c = {relation}; ")
+        super().__init__(found + "rational independence of the edge lengths must be asserted by "
+                         "the caller (pass assert_independent=True / --assert-independent)")
 
 
 class NoCycle(DtnError):

@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -54,7 +53,7 @@ from .errors import (
     NotCommensurable,
 )
 from .graphs import MetricGraph, is_connected, is_tree, parse_surd, reduced_graph
-from .lattice import box_offsets, enumerate_near, lll_reduce
+from .lattice import box_offsets, enumerate_near, integer_relation, lll_reduce
 from .positivity import (
     DEFAULT_CONFIG,
     TAG_EVENTUAL,
@@ -63,7 +62,7 @@ from .positivity import (
     ClassifierConfig,
     classify,
 )
-from .spectra import lambda_1
+from .spectra import pole_scan
 
 # expected-candidate threshold separating plain scanning from the lattice solver
 SCAN_CAP = 200_000
@@ -162,25 +161,10 @@ class BudgetMeter:
             raise BudgetExhausted(self.budget, self.best_residual, self.level)
 
 
-def rationally_independent(lengths: Sequence[float], max_den: int = 10 ** 6,
-                           rel_tol: float = 3e-14) -> bool:
-    """Heuristic probe for pairwise rational length ratios.
-
-    Genuinely rational ratios land within a few ulps of a fraction with
-    denominator <= max_den.  Irrational ratios can land that close too: a
-    quadratic surd is only ~1/(c q^2) away from its best fractions, which at
-    q ~ 1e6 is inside the 3e-14 band (sqrt(37) / (sqrt(41) / 2) sits 9.7e-15
-    from 1124819/592030), so this probe gives false alarms.  Lengths given as
-    surds are decided exactly by `surds_independent` instead.
-    """
-    n = len(lengths)
-    for i in range(n):
-        for j in range(i + 1, n):
-            r = lengths[i] / lengths[j]
-            f = Fraction(r).limit_denominator(max_den)
-            if abs(r - float(f)) <= rel_tol * max(1.0, abs(r)):
-                return False
-    return True
+def rationally_independent(lengths: Sequence[float]) -> bool:
+    """True when `integer_relation` finds no relation among all the lengths jointly
+    ([1, sqrt(2), 1 + sqrt(2)] has one); `surds_independent` decides surds exactly."""
+    return integer_relation(lengths) is None
 
 
 def surds_independent(exprs: Sequence[str]) -> bool:
@@ -196,21 +180,17 @@ def surds_independent(exprs: Sequence[str]) -> bool:
 def _require_independent(g: MetricGraph | Sequence[float], assert_independent: bool) -> None:
     """Raise IndependenceNotAsserted unless asserted or the lengths pass the test.
 
-    Exact when every edge of a graph carries a ``length_expr``; otherwise the
-    float heuristic `rationally_independent` decides.
+    Exact when every edge of a graph carries a ``length_expr``; otherwise
+    `integer_relation` decides, and the error names the relation it found.
     """
-    if isinstance(g, MetricGraph):
-        edges, lengths = g.edges, g.lengths
-    else:
-        edges, lengths = (), list(g)
-    if assert_independent or len(lengths) < 2:
+    if assert_independent:
         return
+    edges, lengths = (g.edges, g.lengths) if isinstance(g, MetricGraph) else ((), g)
     if edges and all(e.expr for e in edges):
-        independent = surds_independent([e.expr for e in edges])
-    else:
-        independent = rationally_independent(lengths)
-    if not independent:
-        raise IndependenceNotAsserted()
+        if not surds_independent([e.expr for e in edges]):
+            raise IndependenceNotAsserted()
+    elif (relation := integer_relation(lengths)) is not None:
+        raise IndependenceNotAsserted(relation)
 
 
 def _phase_window(v: float, w: float) -> tuple[float, float] | None:
@@ -541,17 +521,23 @@ def _hunt(g: MetricGraph, spec: TargetSpec, meter: BudgetMeter, lam_start: float
     return None
 
 
+def _find_uniform(g: MetricGraph, lam_hat: float, budget: int, assert_independent: bool,
+                  cfg: ClassifierConfig, gamma: float, wanted: str) -> SearchResult:
+    """First admissible lam > lam_hat for the target gamma on every edge, tagged wanted."""
+    _require_independent(g, assert_independent)
+    meter = BudgetMeter(budget)
+    spec = TargetSpec.uniform(gamma, len(g.edges))
+    result = _hunt(g, spec, meter, lam_hat, wanted, DEFAULT_LEVEL_CAP, cfg)
+    if result is None:
+        raise BudgetExhausted(budget, meter.best_residual, meter.level)
+    return result
+
+
 def find_strongly_positive_above(g: MetricGraph, lam_hat: float, budget: int,
                                  assert_independent: bool = False,
                                  cfg: ClassifierConfig = DEFAULT_CONFIG) -> SearchResult:
     """First admissible lam > lam_hat (targets gamma = 1) classified strong."""
-    _require_independent(g, assert_independent)
-    spec = TargetSpec.uniform(1.0, len(g.edges))
-    meter = BudgetMeter(budget)
-    result = _hunt(g, spec, meter, lam_hat, TAG_STRONG, DEFAULT_LEVEL_CAP, cfg)
-    if result is None:
-        raise BudgetExhausted(budget, meter.best_residual, meter.level)
-    return result
+    return _find_uniform(g, lam_hat, budget, assert_independent, cfg, 1.0, TAG_STRONG)
 
 
 def find_not_eventually_positive_above(g: MetricGraph, lam_hat: float, budget: int,
@@ -560,13 +546,7 @@ def find_not_eventually_positive_above(g: MetricGraph, lam_hat: float, budget: i
     """First admissible lam > lam_hat (targets gamma = -1) with no eventual positivity."""
     if g.n_outer < 2:
         raise ValueError("need at least two outer vertices")
-    _require_independent(g, assert_independent)
-    spec = TargetSpec.uniform(-1.0, len(g.edges))
-    meter = BudgetMeter(budget)
-    result = _hunt(g, spec, meter, lam_hat, TAG_NONE, DEFAULT_LEVEL_CAP, cfg)
-    if result is None:
-        raise BudgetExhausted(budget, meter.best_residual, meter.level)
-    return result
+    return _find_uniform(g, lam_hat, budget, assert_independent, cfg, -1.0, TAG_NONE)
 
 
 def _eventual_candidates(g: MetricGraph) -> Iterator[TargetSpec]:
@@ -653,19 +633,19 @@ def find_eventual_not_positive_above(g: MetricGraph, lam_hat: float, budget: int
     raise BudgetExhausted(budget, meter.best_residual, meter.level)
 
 
-def commensurable_base(lengths: Sequence[float], max_den: int = 10 ** 6,
-                       rel_tol: float = 1e-9) -> float:
-    """Largest L with every edge length an integer multiple of L, within rel_tol."""
+def commensurable_base(lengths: Sequence[float]) -> float:
+    """Largest L with every edge length an integer multiple of L.
+
+    The `integer_relation` witness c of each pair (L_min, L) gives the ratio
+    L / L_min = -c_1 / c_2 exactly; a pair without one raises NotCommensurable.
+    """
     L_min = min(lengths)
-    fracs = [Fraction(L / L_min).limit_denominator(max_den) for L in lengths]
-    Q = math.lcm(*(f.denominator for f in fracs))
-    counts = [f.numerator * (Q // f.denominator) for f in fracs]
-    base = (L_min / Q) * math.gcd(*counts)
-    for L in lengths:
-        if abs(round(L / base) * base - L) > rel_tol * L:
-            raise NotCommensurable(
-                f"edge length {L!r} is not an integer multiple of a common base")
-    return base
+    relations = [integer_relation((L_min, L)) for L in lengths]
+    if None in relations:
+        L = lengths[relations.index(None)]
+        raise NotCommensurable(f"edge length {L!r} is not an integer multiple of a common base")
+    Q = math.lcm(*(c2 for _, c2 in relations))
+    return (L_min / Q) * math.gcd(*(c1 * (Q // c2) for c1, c2 in relations))
 
 
 @dataclass(frozen=True)
@@ -703,10 +683,12 @@ def commensurable_family(g: MetricGraph, mu: float, p_list: Sequence[int],
     Every edge phase moves by a full multiple of 2 pi, so
     D_{lam_p} / sqrt(lam_p) = D_mu / sqrt(mu) exactly; the reported residual
     measures how closely the assembled matrices reproduce that identity.
-    Requires 0 < mu < lambda_1 of the outer-Dirichlet problem.
+    Requires 0 < mu < lambda_1, the first pole `pole_scan` finds up to just above
+    (pi / L_max)^2: by min-max lambda_1 is at most that edge pole, and below
+    it the Kirchhoff eigenvalues are the inner poles (N_K = neg C, Friedlander 1991).
     """
     base = commensurable_base(g.lengths)
-    lam1 = lambda_1(g)
+    lam1 = pole_scan(g, 0.0, 1.01 * (math.pi / max(g.lengths)) ** 2)[0]
     if not 0.0 < mu < lam1:
         raise MuOutOfRange(mu, lam1)
 

@@ -3,7 +3,9 @@
 import contextlib
 import io
 import itertools
+import json
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -34,8 +36,10 @@ from dtnpos import (
     find_strongly_positive_above,
     graph_laplacian,
     kronecker_sequence,
+    lambda_1,
     limit_matrix_Q,
     limit_schur,
+    pole_scan,
     rationally_independent,
     surds_independent,
     validate,
@@ -48,6 +52,7 @@ from dtnpos.lattice import (
     box_offsets,
     enumerate_near,
     gram_schmidt,
+    integer_relation,
     lll_reduce,
 )
 from dtnpos.search import (
@@ -61,6 +66,8 @@ from dtnpos.search import (
     commensurable_base,
     parse_gamma,
 )
+
+from conftest import PRIMES, SCALES
 
 
 def test_target_spec_rejects_zero():
@@ -94,6 +101,67 @@ def test_rational_independence_probe():
     assert not rationally_independent((2.0, 4.0, 6.0))
     assert not rationally_independent((1.0, 1.5))
     assert rationally_independent((1.0,))
+    # every pair of these is independent; all of them together are not
+    r2, r3 = math.sqrt(2), math.sqrt(3)
+    assert not rationally_independent((1.0, r2, 1.0 + r2))
+    assert not rationally_independent((r2, r3, r2 + 2.0 * r3))
+    assert integer_relation((1.0, r2, 1.0 + r2)) == (-1, -1, 1)
+    assert integer_relation((r2, r3, r2 + 2.0 * r3)) == (-1, -2, 1)
+    assert integer_relation((1.0, 1.5)) == (-3, 2)
+    assert integer_relation((1.0,)) is None and integer_relation(()) is None
+
+
+def _is_witness(c, values):
+    """The kernel's witness condition, checked from its definition: a nonzero
+    c whose box (2 |c|_inf + 1)^n holds at most 1e10 vectors and whose exact
+    sum is within 8 |c|_1 u max|v| of zero."""
+    v = [Fraction(x) for x in values]
+    size = sum(map(abs, c))
+    return (size > 0 and (2 * max(map(abs, c)) + 1) ** len(c) <= 10 ** 10
+            and abs(sum(ci * x for ci, x in zip(c, v))) <= size * 8 * max(v) / 2 ** 53)
+
+
+def test_integer_relation_finds_planted_relations():
+    rng = np.random.default_rng(18)
+    for _ in range(150):
+        n = int(rng.integers(2, 8))
+        c = [int(x) for x in rng.integers(-4, 5, size=n)]
+        c[-1] = int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+        c[0] = c[0] or 1
+        base = [float(x) for x in rng.uniform(0.2, 5.0, size=n - 1)]
+        # the last value is the correctly rounded real solution of sum c_i v_i = 0
+        last = float(-sum(ci * Fraction(x) for ci, x in zip(c, base)) / c[-1])
+        values = base + [last]
+        found = integer_relation(values)
+        assert found is not None, c
+        assert _is_witness(found, values)
+
+
+def test_integer_relation_witnesses_meet_the_bound():
+    rng = np.random.default_rng(5)
+    found = 0
+    for _ in range(300):
+        n = int(rng.integers(2, 11))
+        values = [float(x) for x in rng.uniform(0.2, 5.0, size=n)]
+        # a float sum: a relation that holds up to its rounding
+        if rng.random() < 0.5:
+            values[-1] = math.fsum(values[:-1]) / float(rng.integers(1, 4))
+        c = integer_relation(values)
+        if c is not None:
+            found += 1
+            assert _is_witness(c, values) and [x for x in c if x][-1] > 0
+    assert found >= 100
+
+
+def test_integer_relation_passes_surd_lengths():
+    # distinct primes times the scales of random_surd_graph: independent by construction
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n = int(rng.integers(2, 8))
+        primes = rng.choice(PRIMES, size=n, replace=False)
+        scales = rng.choice(SCALES, size=n)
+        assert integer_relation([float(a) * float(p) ** 0.5
+                                 for p, a in zip(primes, scales)]) is None
 
 
 def test_kronecker_sequence_lasso(lasso):
@@ -136,8 +204,9 @@ def _surd_graph(vertices, edges, outer):
 
 
 def test_surd_lengths_decided_exactly():
-    # the float probe sees this ratio within 9.7e-15 of 1124819/592030
-    assert not rationally_independent((math.sqrt(37), 0.5 * math.sqrt(41)))
+    # this ratio sits within 9.7e-15 of 1124819/592030, a relation far outside
+    # the kernel's coefficient box, so the float test passes it too
+    assert rationally_independent((math.sqrt(37), 0.5 * math.sqrt(41)))
     assert surds_independent(["sqrt(37)", "1/2*sqrt(41)"])
     assert not surds_independent(["sqrt(8)", "3/2*sqrt(2)"])
     assert not surds_independent(["sqrt(5)", "sqrt(12)", "1/2*sqrt(3)"])
@@ -145,9 +214,31 @@ def test_surd_lengths_decided_exactly():
                     ["a", "c"])
     seq = kronecker_sequence(g, TargetSpec.uniform(1.0, 2), count=2, budget=10**6)
     assert len(seq.lambdas) == 2
-    # plain float lengths still go through the heuristic probe
-    with pytest.raises(IndependenceNotAsserted):
-        kronecker_sequence(g.lengths, TargetSpec.uniform(1.0, 2), count=1, budget=10**6)
+    # plain float lengths go through integer_relation, which agrees here
+    assert kronecker_sequence(g.lengths, TargetSpec.uniform(1.0, 2), count=2,
+                              budget=10**6) == seq
+
+
+def test_kronecker_names_a_joint_relation(tmp_path, capsys):
+    # pairwise independent float lengths with one joint relation: the
+    # search refuses them, naming the relation, before it charges anything
+    r2 = math.sqrt(2)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({
+        "vertices": ["a", "b", "c", "d"],
+        "edges": [{"u": "a", "v": "b", "length": 1.0}, {"u": "b", "v": "c", "length": r2},
+                  {"u": "c", "v": "d", "length": 1.0 + r2}],
+        "outer": ["a", "d"],
+    }))
+    argv = ["kronecker", "--graph", str(path), "--gamma", "1,1,1", "--count", "8",
+            "--budget", "200000"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "c = (-1, -1, 1)" in err and "--assert-independent" in err
+    with pytest.raises(IndependenceNotAsserted) as exc:
+        kronecker_sequence([r2, math.sqrt(3), r2 + 2.0 * math.sqrt(3)],
+                           TargetSpec.uniform(1.0, 3), count=1, budget=10**6)
+    assert exc.value.relation == (-1, -2, 1)
 
 
 def test_surd_lengths_rational_ratio_rejected():
@@ -774,10 +865,13 @@ def test_commensurable_base():
 
 
 def test_commensurable_base_rejects_stranded_ratio():
-    # a ratio whose continued fraction jumps straight past the denominator
-    # cap cannot be reconstructed within tolerance
+    # the ratio is 1 + 3.1e-7: no coefficient pair in the relation box brings
+    # c_1 + c_2 (1 + pi 1e-7) within rounding of zero
     with pytest.raises(NotCommensurable):
         commensurable_base((1.0, 1.0 + math.pi * 1e-7))
+    # a surd ratio has no relation either
+    with pytest.raises(NotCommensurable):
+        commensurable_base((1.0, math.sqrt(17)))
 
 
 @pytest.fixture
@@ -815,8 +909,26 @@ def test_commensurable_family_mu_range(path_246):
 
 
 def test_family_residual_exposes_surd_lengths(path3):
-    # a surd ratio sneaks past the base detector (its best rational
-    # approximation is painfully good), but the shift identity then fails by
-    # orders of magnitude more than the genuine-family tolerance
-    fam = commensurable_family(path3, 0.05, [1])
-    assert fam.members[0].identity_residual > 1e-7
+    # the lengths 1 and sqrt(17) have no integer relation, so there is no
+    # common base and no family
+    with pytest.raises(NotCommensurable):
+        commensurable_family(path3, 0.05, [1])
+
+
+def test_commensurable_family_mu_above_counted_lambda_1():
+    # an inner centre with edges 1, 2, 3 to outer leaves: its lambda_1 is the
+    # first inner pole, 0.6168503, which the finite elements overestimate
+    g = validate({
+        "vertices": ["a", "b", "c", "o"],
+        "edges": [{"u": "o", "v": x, "length": L} for x, L in (("a", 1.0), ("b", 2.0),
+                                                               ("c", 3.0))],
+        "outer": ["a", "b", "c"],
+    })
+    pole = pole_scan(g, 0.0, 1.0)[0]
+    assert pole < 0.6168658 < lambda_1(g)
+    with pytest.raises(MuOutOfRange) as exc:
+        commensurable_family(g, 0.6168658, [0, 1, 2])
+    # both scans bisect to POLE_BISECT_TOL
+    assert exc.value.lam1 == pytest.approx(pole, rel=0, abs=1e-10)
+    fam = commensurable_family(g, 0.6168, [1])
+    assert fam.lam1 == exc.value.lam1 and fam.base_length == 1.0

@@ -11,6 +11,7 @@ from dtnpos import (
     ResolutionTooLow,
     assemble_outer,
     catalog,
+    commensurable_family,
     dirichlet_spectrum_full,
     kirchhoff_spectrum,
     lambda_1,
@@ -18,7 +19,9 @@ from dtnpos import (
     sweep,
     validate,
 )
+from dtnpos.graphs import graph_to_json
 from dtnpos.spectra import (
+    DEFAULT_RESOLUTION,
     NEAR_POLE_REACH,
     POLE_BISECT_TOL,
     _elements,
@@ -179,6 +182,25 @@ def test_lambda_1_interval(interval):
 
 def test_lambda_1_path3(path3):
     assert lambda_1(path3) == pytest.approx((math.pi / 2) ** 2 / 17, rel=1e-4)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_counted_lambda_1_below_fem(seed):
+    # P1 eigenvalues are Rayleigh-Ritz upper bounds, so the lambda_1 that
+    # commensurable_family counts lies below the FEM one, by about the FEM's
+    # own error estimate (a third of the drift from the halved mesh)
+    rng = np.random.default_rng(seed)
+    raw = graph_to_json(random_surd_graph(rng))
+    for e in raw["edges"]:
+        e["length"] = int(rng.integers(2, 7)) / 4.0
+    g = validate(raw)
+    counted = commensurable_family(g, 1e-3, [1]).lam1
+    fem = lambda_1(g)
+    estimate = abs(fem - _fem_eigenvalues(g, 1, DEFAULT_RESOLUTION / 2)[0]) / 3.0
+    assert counted <= fem
+    assert fem - counted <= 2.0 * estimate + 1e-9 * fem
+    if not g.inner:
+        assert counted == fem
 
 
 def test_pole_scan_interval(interval):

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -392,6 +393,8 @@ class TestCli:
         ["find-positive", "--graph", "catalog:path-3"],
         ["sweep", "--graph", "catalog:path-3", "--from", "0", "--to", "1", "--steps", "x"],
         ["no-such-command"],
+        # a missing --graph is a usage error too, also in process
+        ["validate"],
     ])
     def test_usage_error_exits_1(self, argv, capsys):
         # argparse's own exit code for a usage error is 2, the no-cycle code
@@ -399,6 +402,23 @@ class TestCli:
         out, err = capsys.readouterr()
         assert out == ""
         assert "usage:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--graph", "catalog:path-3", "--tol", "1"],
+        ["reduce", "--graph", "catalog:path-3", "--tol", "1"],
+        ["spectrum", "--graph", "catalog:path-3", "--tol", "1"],
+        ["assemble", "--graph", "catalog:path-3", "--lambda", "3.7", "--tol", "1"],
+        ["poles", "--graph", "catalog:path-3", "--from", "0", "--to", "4", "--tol", "1"],
+        ["kronecker", "--graph", "catalog:lasso-4", "--gamma", "1,1,1,1", "--tol", "1"],
+        ["catalog", "--tol", "1"],
+        ["catalog", "--graph", "catalog:path-3"],
+    ])
+    def test_options_only_where_read(self, argv, capsys):
+        # --tol is taken only by the commands that classify, --graph by the
+        # ones that load a graph
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "usage:" in err and "unrecognized arguments" in err
 
     def test_help_exits_0_and_no_cycle_exits_2(self):
         # the exit codes of the module entry point, usage error included
@@ -595,6 +615,17 @@ def test_sweep_hits_inner_pole_between_chunks(monkeypatch, path3):
     assert table.lam[4] == pytest.approx(lam, abs=1e-15)
     assert table.tag[4] == "pole" and table.near_pole[4]
     assert np.flatnonzero(table.tag == "pole").tolist() == [4]
+
+
+def test_readme_command_lines_parse():
+    # every example of the README's command-line block is a valid command
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [line.split("#", 1)[0].strip() for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("dtnpos ")]
+    assert len(commands) >= 12
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_public_names_are_not_modules():
