@@ -25,7 +25,7 @@ from .assembly import assemble_full, assemble_outer
 from .catalog import catalog_names, catalog_raw
 from .errors import BudgetExhausted, DtnError, NoCycle
 from .graphs import graph_to_json, is_tree, load_graph, reduced_graph
-from .positivity import DEFAULT_CONFIG, ClassifierConfig, classify
+from .positivity import TAG_MARGINAL, classify
 from .search import (
     TargetSpec,
     commensurable_family,
@@ -36,7 +36,6 @@ from .search import (
     parse_gamma,
     verify_limit,
 )
-from .positivity import TAG_MARGINAL
 from .spectra import dirichlet_spectrum_full, kirchhoff_spectrum, pole_scan
 from .sweep import report, sweep, write_csv, write_json
 
@@ -93,7 +92,7 @@ def cmd_spectrum(args) -> int:
     g = load_graph(args.graph)
     if args.kind == "full":
         if args.lambda_max is None:
-            raise SystemExit("--lambda-max is required for the full Dirichlet spectrum")
+            raise ValueError("--lambda-max is required for the full Dirichlet spectrum")
         spec = dirichlet_spectrum_full(g, args.lambda_max)
     else:
         spec = kirchhoff_spectrum(g, count=args.count, resolution=args.resolution)
@@ -116,7 +115,7 @@ def cmd_assemble(args) -> int:
 def cmd_classify(args) -> int:
     g = load_graph(args.graph)
     D = assemble_outer(g, args.lam)
-    verdict = classify(D, ClassifierConfig(args.tol))
+    verdict = classify(D)
     payload = {"lambda": args.lam, "verdict": verdict.tag,
                "eigenvalues": [float(x) for x in np.linalg.eigvalsh(D.entries)],
                "evidence": {k: (v if not isinstance(v, float) or math.isfinite(v) else repr(v))
@@ -134,7 +133,7 @@ def cmd_poles(args) -> int:
 
 def cmd_sweep(args) -> int:
     g = load_graph(args.graph)
-    table = sweep(g, args.lo, args.hi, args.steps, ClassifierConfig(args.tol))
+    table = sweep(g, args.lo, args.hi, args.steps)
     # with --report the bands go to stdout, so the bulk data is written only to
     # --out, if given
     if args.out or not args.report:
@@ -156,7 +155,7 @@ def cmd_find(args) -> int:
             "find-nonpositive": find_not_eventually_positive_above,
             "find-eventual": find_eventual_not_positive_above}[args.command]
     result = find(load_graph(args.graph), args.above, args.budget,
-                  assert_independent=args.assert_independent, cfg=ClassifierConfig(args.tol))
+                  assert_independent=args.assert_independent)
     _emit(args, _json_dump(result.to_record()))
     return EXIT_OK
 
@@ -182,7 +181,7 @@ def cmd_kronecker(args) -> int:
 def cmd_commensurable(args) -> int:
     g = load_graph(args.graph)
     p_list = [int(p) for p in args.p.split(",")]
-    fam = commensurable_family(g, args.mu, p_list, cfg=ClassifierConfig(args.tol))
+    fam = commensurable_family(g, args.mu, p_list)
     _emit(args, _json_dump(fam.to_record()))
     return EXIT_OK
 
@@ -203,14 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "positivity of the generated semigroups")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, graph=True, tol=False, **kw):
+    def add(name, fn, graph=True, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn, floats=())
         if graph:
             p.add_argument("--graph", required=True, help="graph JSON file, or catalog:NAME")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        if tol:
-            real(p, "--tol", default=DEFAULT_CONFIG.sign_tolerance, help="classifier sign tolerance")
         return p
 
     def real(p, flag, **kw):
@@ -232,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full", action="store_true", help="keep inner vertices")
     p.add_argument("--format", choices=["csv", "json"], default="json")
 
-    p = add("classify", cmd_classify, tol=True, help="positivity class at one parameter")
+    p = add("classify", cmd_classify, help="positivity class at one parameter")
     real(p, "--lambda", dest="lam", required=True)
 
     p = add("poles", cmd_poles, help="assembly singularities in a window")
@@ -241,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=None,
                    help="ignored: the scan counts poles by inertia and samples no grid")
 
-    p = add("sweep", cmd_sweep, tol=True, help="classify along a parameter grid")
+    p = add("sweep", cmd_sweep, help="classify along a parameter grid")
     real(p, "--from", dest="lo", required=True)
     real(p, "--to", dest="hi", required=True)
     p.add_argument("--steps", type=int, required=True)
@@ -253,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("find-nonpositive", "parameter without eventual positivity"),
         ("find-eventual", "parameter that is eventually positive only"),
     ]:
-        p = add(name, cmd_find, tol=True, help=blurb)
+        p = add(name, cmd_find, help=blurb)
         real(p, "--above", required=True)
         p.add_argument("--budget", type=int, default=10 ** 7)
         p.add_argument("--assert-independent", action="store_true",
@@ -266,8 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=10 ** 7)
     p.add_argument("--assert-independent", action="store_true")
 
-    p = add("commensurable", cmd_commensurable, tol=True,
-            help="shifted family for commensurable lengths")
+    p = add("commensurable", cmd_commensurable, help="shifted family for commensurable lengths")
     real(p, "--mu", required=True)
     p.add_argument("--p", required=True, help="comma list of shift indices")
 

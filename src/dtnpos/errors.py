@@ -83,13 +83,18 @@ class PoleCluster(DtnError):
 # --- spectra ----------------------------------------------------------------
 
 class ResolutionTooLow(DtnError):
-    def __init__(self, estimate: float, lam1: float) -> None:
+    """The mesh cannot resolve the eigenvalues asked for; a finer one may.
+
+    `reason` replaces the drift message where no drift was measured.
+    """
+
+    def __init__(self, estimate: float, lam1: float, reason: str | None = None) -> None:
         self.estimate = estimate
         self.lam1 = lam1
-        super().__init__(
-            f"discretization error estimate {estimate:.3e} exceeds 1% of lambda_1={lam1:.6g}; "
-            "increase the resolution"
-        )
+        if reason is None:
+            reason = (f"discretization error estimate {estimate:.3e} exceeds 1% of "
+                      f"lambda_1={lam1:.6g}")
+        super().__init__(f"{reason}; increase the resolution")
 
 
 # --- searches ---------------------------------------------------------------

@@ -23,14 +23,8 @@ import scipy.linalg
 from .assembly import DtnMatrix
 
 
-@dataclass(frozen=True)
-class ClassifierConfig:
-    # off-diagonal sign decisions use sign_tolerance * max|M| as the zero band
-    sign_tolerance: float = 1e-11
-
-
-DEFAULT_CONFIG = ClassifierConfig()
-
+# sign decisions use SIGN_TOL * max|M| as the zero band
+SIGN_TOL = 1e-11
 # entries between tol and MARGINAL_FACTOR * tol below zero are ambiguous
 MARGINAL_FACTOR = 10.0
 # eigenvalues within PROJECTION_TOL * max(1, |s|) of the top one share its eigenspace
@@ -85,10 +79,10 @@ def _transpose(A: np.ndarray) -> np.ndarray:
     return np.swapaxes(A, -1, -2)
 
 
-def is_metzler(negM, cfg: ClassifierConfig = DEFAULT_CONFIG) -> MetzlerReport:
+def is_metzler(negM) -> MetzlerReport:
     """Check the generator for non-negative off-diagonal entries.
 
-    Entries within sign_tolerance * max|A| of zero count as zeros; entries
+    Entries within SIGN_TOL * max|A| of zero count as zeros; entries
     below that but within MARGINAL_FACTOR of the band are flagged marginal
     rather than decided.  An (N, n, n) stack gets one report whose fields are
     arrays over the samples.
@@ -101,7 +95,7 @@ def is_metzler(negM, cfg: ClassifierConfig = DEFAULT_CONFIG) -> MetzlerReport:
         zeros = np.zeros(len(A))
         return MetzlerReport(np.ones(len(A), dtype=bool), np.zeros(len(A), dtype=bool),
                              zeros, zeros)
-    tol = cfg.sign_tolerance * np.abs(A).max(axis=(-2, -1))
+    tol = SIGN_TOL * np.abs(A).max(axis=(-2, -1))
     margin = _offdiag(A).min(axis=-1)
     satisfied = margin >= -tol
     marginal = ~satisfied & (margin > -MARGINAL_FACTOR * tol)
@@ -110,7 +104,7 @@ def is_metzler(negM, cfg: ClassifierConfig = DEFAULT_CONFIG) -> MetzlerReport:
     return MetzlerReport(satisfied, marginal, margin, tol)
 
 
-def is_irreducible(M, tol: float | np.ndarray | None = None) -> bool | np.ndarray:
+def is_irreducible(M) -> bool | np.ndarray:
     """Strong connectivity of the off-diagonal support graph.
 
     With S the support, (I + S)^k has a nonzero (i, j) entry iff j is reachable
@@ -118,17 +112,16 @@ def is_irreducible(M, tol: float | np.ndarray | None = None) -> bool | np.ndarra
     (I + S)^(n-1) has no zero entry.  Boolean squaring reaches k >= n - 1 in
     ceil(log2(n - 1)) matrix products.
 
-    Entries above tol count as support; tol defaults to sign_tolerance * max|M|.
-    An (N, n, n) stack gives one flag per sample, with tol None, one value or
-    one value per sample; a single matrix gives a bool.
+    Entries above SIGN_TOL * max|M| count as support.  An (N, n, n) stack
+    gives one flag per sample, each with its own band; a single matrix gives
+    a bool.
     """
     A = _as_array(M)
     n = A.shape[-1]
     if n <= 1:
         return True if A.ndim == 2 else np.ones(len(A), dtype=bool)
-    if tol is None:
-        tol = DEFAULT_CONFIG.sign_tolerance * np.abs(A).max(axis=(-2, -1))
-    reach = (np.abs(A) > np.asarray(tol, dtype=float)[..., None, None]) | np.eye(n, dtype=bool)
+    tol = SIGN_TOL * np.abs(A).max(axis=(-2, -1))
+    reach = (np.abs(A) > tol[..., None, None]) | np.eye(n, dtype=bool)
     k = 1
     while k < n - 1:
         reach = reach @ reach
@@ -137,7 +130,7 @@ def is_irreducible(M, tol: float | np.ndarray | None = None) -> bool | np.ndarra
     return bool(flags) if A.ndim == 2 else flags
 
 
-def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | np.ndarray:
+def classify(M) -> SemigroupClass | np.ndarray:
     """Classify the positivity behavior of e^{-tM} for symmetric M.
 
     Tags: "strong" (positivity improving for every t > 0), "positive"
@@ -152,17 +145,14 @@ def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | np.n
     Mat = _as_array(M)
     single = Mat.ndim == 2
     A = -(Mat[None] if single else Mat)
-    metz = is_metzler(A, cfg)
+    metz = is_metzler(A)
     tags = np.full(len(A), TAG_MARGINAL, dtype=object)
     # evidence columns; only a single matrix reads them, at element 0
     columns = {"metzler_margin": metz.margin, "metzler_tolerance": metz.tolerance}
 
     pos = metz.satisfied
     if pos.any():
-        # a zero band falls back to is_irreducible's own default band
-        B, tol = A[pos], metz.tolerance[pos]
-        irr = is_irreducible(B, np.where(
-            tol > 0, tol, DEFAULT_CONFIG.sign_tolerance * np.abs(B).max(axis=(1, 2))))
+        irr = is_irreducible(A[pos])
         tags[pos] = np.where(irr, TAG_STRONG, TAG_POSITIVE)
         columns["irreducible"] = irr
 
@@ -174,7 +164,7 @@ def classify(M, cfg: ClassifierConfig = DEFAULT_CONFIG) -> SemigroupClass | np.n
         s = w[:, -1]
         sel = w >= (s - PROJECTION_TOL * np.maximum(1.0, np.abs(s)))[:, None]
         P = (V * sel[:, None, :]) @ _transpose(V)
-        tol_p = cfg.sign_tolerance * np.abs(P).max(axis=(1, 2))
+        tol_p = SIGN_TOL * np.abs(P).max(axis=(1, 2))
         min_p = P.min(axis=(1, 2))
         tags[rest] = np.where(min_p > tol_p, TAG_EVENTUAL,
                               np.where(min_p < -tol_p, TAG_NONE, TAG_MARGINAL))

@@ -54,14 +54,7 @@ from .errors import (
 )
 from .graphs import MetricGraph, is_connected, is_tree, parse_surd, reduced_graph
 from .lattice import box_offsets, enumerate_near, integer_relation, lll_reduce
-from .positivity import (
-    DEFAULT_CONFIG,
-    TAG_EVENTUAL,
-    TAG_NONE,
-    TAG_STRONG,
-    ClassifierConfig,
-    classify,
-)
+from .positivity import TAG_EVENTUAL, TAG_NONE, TAG_STRONG, classify
 from .spectra import pole_scan
 
 # expected-candidate threshold separating plain scanning from the lattice solver
@@ -490,7 +483,7 @@ def verify_limit(g: MetricGraph, spec: TargetSpec,
 
 
 def _hunt(g: MetricGraph, spec: TargetSpec, meter: BudgetMeter, lam_start: float,
-          wanted: str, level_cap: int, cfg: ClassifierConfig) -> SearchResult | None:
+          wanted: str, level_cap: int) -> SearchResult | None:
     """First admissible lam > lam_start, one per level, classified as wanted.
 
     Sign-unsafe levels are skipped, and so is a level whose lam the assembly
@@ -513,7 +506,7 @@ def _hunt(g: MetricGraph, spec: TargetSpec, meter: BudgetMeter, lam_start: float
         except (AtPole, InnerBlockSingular):
             continue
         trail.append(res)
-        tag = classify(M, cfg).tag
+        tag = classify(M).tag
         if tag == wanted:
             return SearchResult(lam=lam, verdict=tag, level=level, residual=res,
                                 budget_used=meter.spent, gammas=spec.gammas,
@@ -522,31 +515,29 @@ def _hunt(g: MetricGraph, spec: TargetSpec, meter: BudgetMeter, lam_start: float
 
 
 def _find_uniform(g: MetricGraph, lam_hat: float, budget: int, assert_independent: bool,
-                  cfg: ClassifierConfig, gamma: float, wanted: str) -> SearchResult:
+                  gamma: float, wanted: str) -> SearchResult:
     """First admissible lam > lam_hat for the target gamma on every edge, tagged wanted."""
     _require_independent(g, assert_independent)
     meter = BudgetMeter(budget)
     spec = TargetSpec.uniform(gamma, len(g.edges))
-    result = _hunt(g, spec, meter, lam_hat, wanted, DEFAULT_LEVEL_CAP, cfg)
+    result = _hunt(g, spec, meter, lam_hat, wanted, DEFAULT_LEVEL_CAP)
     if result is None:
         raise BudgetExhausted(budget, meter.best_residual, meter.level)
     return result
 
 
 def find_strongly_positive_above(g: MetricGraph, lam_hat: float, budget: int,
-                                 assert_independent: bool = False,
-                                 cfg: ClassifierConfig = DEFAULT_CONFIG) -> SearchResult:
+                                 assert_independent: bool = False) -> SearchResult:
     """First admissible lam > lam_hat (targets gamma = 1) classified strong."""
-    return _find_uniform(g, lam_hat, budget, assert_independent, cfg, 1.0, TAG_STRONG)
+    return _find_uniform(g, lam_hat, budget, assert_independent, 1.0, TAG_STRONG)
 
 
 def find_not_eventually_positive_above(g: MetricGraph, lam_hat: float, budget: int,
-                                       assert_independent: bool = False,
-                                       cfg: ClassifierConfig = DEFAULT_CONFIG) -> SearchResult:
+                                       assert_independent: bool = False) -> SearchResult:
     """First admissible lam > lam_hat (targets gamma = -1) with no eventual positivity."""
     if g.n_outer < 2:
         raise ValueError("need at least two outer vertices")
-    return _find_uniform(g, lam_hat, budget, assert_independent, cfg, -1.0, TAG_NONE)
+    return _find_uniform(g, lam_hat, budget, assert_independent, -1.0, TAG_NONE)
 
 
 def _eventual_candidates(g: MetricGraph) -> Iterator[TargetSpec]:
@@ -603,8 +594,7 @@ def _eventual_candidates(g: MetricGraph) -> Iterator[TargetSpec]:
 
 
 def find_eventual_not_positive_above(g: MetricGraph, lam_hat: float, budget: int,
-                                     assert_independent: bool = False,
-                                     cfg: ClassifierConfig = DEFAULT_CONFIG) -> SearchResult:
+                                     assert_independent: bool = False) -> SearchResult:
     """Admissible lam > lam_hat whose matrix is eventually strongly positive only.
 
     Requires a cycle in the reduced graph; on trees that class is empty and
@@ -619,13 +609,13 @@ def find_eventual_not_positive_above(g: MetricGraph, lam_hat: float, budget: int
     screened_any = False
     for spec in _eventual_candidates(g):
         try:
-            tag = classify(limit_schur(g, spec), cfg).tag
+            tag = classify(limit_schur(g, spec)).tag
         except InnerBlockSingular:
             continue
         if tag != TAG_EVENTUAL:
             continue
         screened_any = True
-        result = _hunt(g, spec, meter, lam_hat, TAG_EVENTUAL, 32, cfg)
+        result = _hunt(g, spec, meter, lam_hat, TAG_EVENTUAL, 32)
         if result is not None:
             return result
     if not screened_any:
@@ -676,8 +666,7 @@ class CommensurableFamily:
         }
 
 
-def commensurable_family(g: MetricGraph, mu: float, p_list: Sequence[int],
-                         cfg: ClassifierConfig = DEFAULT_CONFIG) -> CommensurableFamily:
+def commensurable_family(g: MetricGraph, mu: float, p_list: Sequence[int]) -> CommensurableFamily:
     """Shifted parameters lam_p = (sqrt(mu) + 2 pi p / L)^2 for commensurable lengths.
 
     Every edge phase moves by a full multiple of 2 pi, so
@@ -702,7 +691,7 @@ def commensurable_family(g: MetricGraph, mu: float, p_list: Sequence[int],
         lam_p = (math.sqrt(mu) + 2.0 * math.pi * p / base) ** 2
         D = assemble_outer(g, lam_p)
         resid = float(np.abs(D.entries / math.sqrt(lam_p) - ref).max()) / scale
-        members.append(FamilyMember(p=p, lam=lam_p, verdict=classify(D, cfg).tag,
+        members.append(FamilyMember(p=p, lam=lam_p, verdict=classify(D).tag,
                                     identity_residual=resid))
     return CommensurableFamily(base_length=base, mu=mu, lam1=lam1,
                                members=tuple(members))

@@ -146,7 +146,9 @@ def _fem_eigenvalues(g: MetricGraph, count: int, resolution: float) -> np.ndarra
     """
     n, rows, cols, k, m = _fem_entries(g, resolution)
     if n < count:
-        raise ResolutionTooLow(math.inf, math.nan)
+        raise ResolutionTooLow(math.inf, math.nan, (
+            f"the mesh at resolution {resolution:g} has {n} free nodes, "
+            f"fewer than the {count} eigenvalues asked for"))
     pattern = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     order = np.empty(n, dtype=np.intp)
     order[reverse_cuthill_mckee(pattern, symmetric_mode=True)] = np.arange(n)
@@ -197,7 +199,9 @@ def kirchhoff_spectrum(g: MetricGraph, count: int = 1,
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     fine = _fem_eigenvalues(g, count, resolution)
     if _elements(g, resolution) == _elements(g, resolution / 2.0):
-        raise ResolutionTooLow(math.inf, float(fine[0]))
+        raise ResolutionTooLow(math.inf, float(fine[0]), (
+            f"halving resolution {resolution:g} leaves every edge's element count "
+            "unchanged, so the discretization error cannot be estimated"))
     coarse = _fem_eigenvalues(g, 1, resolution / 2.0)
     estimate = abs(fine[0] - coarse[0]) / 3.0
     if estimate > RESOLUTION_DRIFT_MAX * fine[0]:
@@ -220,10 +224,19 @@ def lambda_1(g: MetricGraph, resolution: float = DEFAULT_RESOLUTION) -> float:
 def _edge_poles(g: MetricGraph, lo: float, hi: float) -> list[float]:
     """The edge poles (pi k / L_e)^2 inside (lo, hi), ascending, each value once.
 
+    Each edge lists only k from floor(sqrt(lo) L / pi) to floor(sqrt(hi) L / pi)
+    + 1, which brackets the window with a step of k to spare against roundoff,
+    so the cost follows the width of the window and not its distance from 0.
     Values within 1e-12 relative of the previous one are the same pole.
     """
+    values = []
+    for e in g.edges:
+        scale = e.length / math.pi
+        first = max(1, math.floor(math.sqrt(max(lo, 0.0)) * scale))
+        last = math.floor(math.sqrt(max(hi, 0.0)) * scale) + 1
+        values += [(math.pi * k / e.length) ** 2 for k in range(first, last + 1)]
     poles: list[float] = []
-    for p in dirichlet_spectrum_full(g, hi).values:
+    for p in sorted(values):
         if lo < p < hi and (not poles or p - poles[-1] > 1e-12 * max(1.0, p)):
             poles.append(p)
     return poles

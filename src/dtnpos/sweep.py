@@ -11,7 +11,7 @@ import numpy as np
 
 from .assembly import STACK_CHUNK, assemble_outer
 from .graphs import MetricGraph
-from .positivity import DEFAULT_CONFIG, ClassifierConfig, classify
+from .positivity import classify
 # sweep no longer calls pole_scan; the name stays because the benchmark's
 # tracer wraps dtnpos.sweep.pole_scan and requires it to resolve
 from .spectra import near_pole, pole_scan  # noqa: F401
@@ -36,8 +36,7 @@ class Band:
     count: int
 
 
-def sweep(g: MetricGraph, lo: float, hi: float, steps: int,
-          cfg: ClassifierConfig = DEFAULT_CONFIG) -> SweepTable:
+def sweep(g: MetricGraph, lo: float, hi: float, steps: int) -> SweepTable:
     """Classify the outer matrix on a uniform grid of `steps` samples.
 
     The grid is the stack axis: each chunk of STACK_CHUNK samples is
@@ -67,7 +66,7 @@ def sweep(g: MetricGraph, lo: float, hi: float, steps: int,
         ok = ~D.singular
         live = at + np.flatnonzero(ok)
         eigs[live] = np.linalg.eigvalsh(D.entries[ok])
-        tags[live] = classify(D.entries[ok], cfg)
+        tags[live] = classify(D.entries[ok])
         singular.append(D.singular)
         negative.append(D.inner_negative)
     near = near_pole(g, grid, np.concatenate(singular),

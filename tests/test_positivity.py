@@ -11,7 +11,6 @@ import scipy.sparse.csgraph
 from hypothesis import assume, given, settings, strategies as st
 
 from dtnpos import (
-    ClassifierConfig,
     assemble_outer,
     catalog,
     classify,
@@ -19,6 +18,7 @@ from dtnpos import (
     is_irreducible,
     is_metzler,
 )
+from dtnpos.positivity import SIGN_TOL
 
 from conftest import random_surd_graph
 
@@ -154,15 +154,13 @@ def _strongly_connected(support: np.ndarray) -> bool:
     zeros=st.floats(min_value=0.0, max_value=0.95),
     in_band=st.floats(min_value=0.0, max_value=0.5),
     symmetric=st.booleans(),
-    explicit_tol=st.booleans(),
 )
-def test_irreducible_matches_strong_components(n, seed, zeros, in_band, symmetric,
-                                               explicit_tol):
-    # off-diagonal entries are zero, inside the tolerance band (a zero to the
+def test_irreducible_matches_strong_components(n, seed, zeros, in_band, symmetric):
+    # off-diagonal entries are zero, inside the zero band (a zero to the
     # support) or clearly outside it, with either sign; the unit diagonal
-    # fixes max|A| = 1, so the default band is sign_tolerance itself
+    # fixes max|A| = 1, so the band is SIGN_TOL itself
     rng = np.random.default_rng(seed)
-    band = ClassifierConfig().sign_tolerance
+    band = SIGN_TOL
     kind = rng.choice(3, size=(n, n), p=[zeros, (1 - zeros) * in_band,
                                          (1 - zeros) * (1 - in_band)])
     sign = rng.choice([-1.0, 1.0], size=(n, n))
@@ -172,19 +170,16 @@ def test_irreducible_matches_strong_components(n, seed, zeros, in_band, symmetri
     if symmetric:
         A = np.triu(A, 1) + np.triu(A, 1).T
     np.fill_diagonal(A, 1.0)
-    tol = 0.5 * band if explicit_tol else None
-    support = (np.abs(A) > (band if tol is None else tol)) & ~np.eye(n, dtype=bool)
-    assert is_irreducible(A, tol=tol) == _strongly_connected(support)
-    # a stack gets one flag per sample, with tol None, one value or one per sample
+    support = (np.abs(A) > band) & ~np.eye(n, dtype=bool)
+    assert is_irreducible(A) == _strongly_connected(support)
+    # a stack gets one flag per sample, each with the band of its own max|B|;
+    # a diagonal of 1e10 widens the band to 0.1, past some decisive entries
     perm = rng.permutation(n)
-    stack = np.stack([A, A.T, A[perm][:, perm]])
-    per_sample = np.array([band, 0.5 * band, 0.25 * band])
-    for arg, tols in ((None, [band] * 3), (0.5 * band, [0.5 * band] * 3),
-                      (per_sample, per_sample)):
-        want = [_strongly_connected((np.abs(B) > t) & ~np.eye(n, dtype=bool))
-                for B, t in zip(stack, tols)]
-        got = is_irreducible(stack, tol=arg)
-        assert got.shape == (3,) and got.tolist() == want
+    stack = np.stack([A, A.T, A[perm][:, perm], np.where(np.eye(n, dtype=bool), 1e10, A)])
+    want = [_strongly_connected((np.abs(B) > band * np.abs(B).max()) & ~np.eye(n, dtype=bool))
+            for B in stack]
+    got = is_irreducible(stack)
+    assert got.shape == (4,) and got.tolist() == want
 
 
 def test_block_metzler_is_positive_not_strong():
@@ -205,14 +200,15 @@ def test_zero_and_scalar_matrices():
     assert classify(np.array([[0.0]])).tag == "strong"
 
 
-def test_tolerance_is_configurable():
-    # widening the dust band turns a decisive negative entry into dust; the
-    # entry then also drops out of the connectivity support, leaving a
-    # diagonal-after-rounding matrix
+def test_fixed_zero_band():
+    # an entry inside the band SIGN_TOL * max|M| is dust: it decides no sign
+    # and drops out of the connectivity support, leaving a diagonal matrix;
+    # one far outside the band is a decisive negative entry of the generator
+    dust = np.array([[-1.0, 1e-12], [1e-12, -1.0]])
+    assert classify(dust).tag == "positive"
+    assert not is_irreducible(dust)
     M = np.array([[-1.0, 1e-6], [1e-6, -1.0]])
     assert classify(M).tag == "none"
-    wide = ClassifierConfig(sign_tolerance=1e-5)
-    assert classify(M, wide).tag == "positive"
 
 
 def _symmetric(draw_vals, n):
@@ -266,11 +262,11 @@ def test_classify_shift_invariant(seed, c):
     assert classify(M + c * np.eye(3)).tag == tag
 
 
-def assert_stack_classifies_like_singles(stack, cfg=ClassifierConfig()):
-    got = classify(stack, cfg)
+def assert_stack_classifies_like_singles(stack):
+    got = classify(stack)
     assert got.shape == (len(stack),) and got.dtype == object
     for M, tag in zip(stack, got):
-        assert type(tag) is str and tag == classify(M, cfg).tag
+        assert type(tag) is str and tag == classify(M).tag
         if tag == "strong":
             assert power_positive(M)
     return set(got)
@@ -298,9 +294,8 @@ def test_stack_classify_covers_every_tag():
 @given(
     n=st.integers(min_value=1, max_value=5),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    tol=st.sampled_from([1e-11, 1e-3, 0.0]),
 )
-def test_stack_classify_matches_single_random(n, seed, tol):
+def test_stack_classify_matches_single_random(n, seed):
     # mixed stacks: generic symmetric, Metzler with random sparsity (several
     # support patterns, some reducible), and reduced matrices of a surd graph
     rng = np.random.default_rng(seed)
@@ -309,7 +304,7 @@ def test_stack_classify_matches_single_random(n, seed, tol):
         A = np.abs(_symmetric(rng.normal(size=n * n), n)) * (rng.random((n, n)) < 0.5)
         A = np.triu(A, 1) + np.triu(A, 1).T + np.diag(rng.normal(size=n))
         mats.append(-A)
-    assert_stack_classifies_like_singles(np.stack(mats), ClassifierConfig(sign_tolerance=tol))
+    assert_stack_classifies_like_singles(np.stack(mats))
     g = random_surd_graph(rng)
     D = assemble_outer(g, rng.uniform(-10.0, 60.0, 30))
     assert_stack_classifies_like_singles(D.entries[~D.singular])

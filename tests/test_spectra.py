@@ -1,6 +1,7 @@
 """Spectra: closed-form Dirichlet values, FEM eigenvalues, pole location."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -19,11 +20,13 @@ from dtnpos import (
     sweep,
     validate,
 )
+from dtnpos.catalog import catalog_names
 from dtnpos.graphs import graph_to_json
 from dtnpos.spectra import (
     DEFAULT_RESOLUTION,
     NEAR_POLE_REACH,
     POLE_BISECT_TOL,
+    _edge_poles,
     _elements,
     _fem_eigenvalues,
     _fem_matrices,
@@ -156,10 +159,15 @@ def test_banded_fem_keeps_double_eigenvalues():
     assert got[3] > got[2] * (1 + 1e-6)
 
 
-def test_resolution_too_low(interval):
-    # one or two elements per edge cannot support a drift estimate
-    with pytest.raises(ResolutionTooLow):
+def test_resolution_too_low(interval, path3):
+    # one or two elements per edge cannot support a drift estimate: the
+    # halved mesh has no free node at all
+    with pytest.raises(ResolutionTooLow, match="resolution 1 has 0 free nodes, "
+                                               "fewer than the 1 eigenvalues asked for"):
         kirchhoff_spectrum(interval, count=1, resolution=2)
+    with pytest.raises(ResolutionTooLow, match="resolution 4 has 20 free nodes, "
+                                               "fewer than the 500 eigenvalues asked for"):
+        kirchhoff_spectrum(path3, count=500, resolution=4)
 
 
 def test_lambda_1_closed_form_when_all_outer():
@@ -429,6 +437,40 @@ def test_near_pole_matches_pole_scan(name, lo, width, steps, planted):
     assert got[clear].tolist() == want[clear].tolist()
 
 
+def _edge_poles_from_1(g, lo, hi):
+    """Reference: every edge pole up to hi from k = 1, then the window."""
+    poles = []
+    for p in dirichlet_spectrum_full(g, hi).values:
+        if lo < p < hi and (not poles or p - poles[-1] > 1e-12 * max(1.0, p)):
+            poles.append(p)
+    return poles
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_edge_poles_match_listing_from_1(name):
+    g = catalog(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    windows = []
+    for _ in range(300):
+        lo = rng.choice([-1.0, 1.0, 1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 5.0)
+        windows.append((lo, lo + 10.0 ** rng.uniform(-9.0, 4.0)))
+    # windows that end on a pole, which lies outside the open window
+    for L in g.lengths:
+        for k in (1, 2, 7, 40):
+            p = (math.pi * k / L) ** 2
+            windows += [(p, p + 1.0), (p - 1.0, p), (p - 1e-9, p + 1e-9)]
+    for lo, hi in windows:
+        assert _edge_poles(g, lo, hi) == _edge_poles_from_1(g, lo, hi), (lo, hi)
+
+
+def test_pole_scan_far_window_is_fast(lasso):
+    # listing every edge pole from k = 1 up to 1e13 took seconds
+    t0 = time.perf_counter()
+    assert pole_scan(lasso, 1e13, 1.00000001e13) == []
+    assert sweep(lasso, 1e13, 1e13 + 1e-9 * 1e13, 5).lam.shape == (5,)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_pole_scan_rejects_non_finite_window(interval):
     for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError):
@@ -451,7 +493,7 @@ def test_resolution_without_coarser_mesh(two_cluster):
     # below one element per edge length, halving the resolution changes no
     # element count, so the drift estimate would read 0 by construction
     assert _elements(two_cluster, 0.25) == _elements(two_cluster, 0.125)
-    with pytest.raises(ResolutionTooLow):
+    with pytest.raises(ResolutionTooLow, match="leaves every edge's element count unchanged"):
         kirchhoff_spectrum(two_cluster, resolution=0.25)
 
 

@@ -37,6 +37,10 @@ from dtnpos.cli import build_parser, main
 sweep_module = importlib.import_module("dtnpos.sweep")
 cli_module = importlib.import_module("dtnpos.cli")
 
+# lasso-4's most negative generator entry sits between one and ten zero bands
+# below zero here (-2.83e-10 against a band of 8.63e-11): a marginal verdict
+MARGINAL_LAMBDA = "7.895683520953057"
+
 
 def test_sweep_record_grid(interval):
     table = sweep(interval, -1.0, 12.0, 40)
@@ -246,11 +250,11 @@ class TestCli:
         assert "strong" in capsys.readouterr().out
         # verdict none is still a clean exit
         assert main(["classify", "--graph", "catalog:interval", "--lambda", "15.0"]) == 0
-        # a dust band wider than the decisive margin forces the marginal verdict
-        rc = main(
-            ["classify", "--graph", "catalog:path-3", "--lambda", "15.0", "--tol", "0.333"]
-        )
-        assert rc == 4
+        assert '"verdict": "none"' in capsys.readouterr().out
+        # an off-diagonal entry between one and ten zero bands below zero
+        assert main(["classify", "--graph", "catalog:lasso-4", "--lambda", MARGINAL_LAMBDA]) == 4
+        evidence = json.loads(capsys.readouterr().out)["evidence"]
+        assert -10.0 < evidence["metzler_margin"] / evidence["metzler_tolerance"] < -1.0
 
     def test_classify_at_pole_is_error(self):
         lam = str(math.pi**2)
@@ -369,8 +373,8 @@ class TestCli:
         (["assemble", "--graph", "catalog:lasso-4", "--lambda", "nan"], "--lambda"),
         (["classify", "--graph", "catalog:lasso-4", "--lambda", "inf"], "--lambda"),
         (["find-positive", "--graph", "catalog:path-3", "--above=-inf"], "--above"),
-        (["sweep", "--graph", "catalog:path-3", "--from", "0", "--to", "1", "--steps", "5",
-          "--tol", "nan"], "--tol"),
+        # in process too, the missing option is an error, not a SystemExit
+        (["spectrum", "--graph", "catalog:path-3", "--kind", "full"], "--lambda-max"),
         (["spectrum", "--graph", "catalog:two-cluster", "--count", "0"], "count"),
         (["spectrum", "--graph", "catalog:two-cluster", "--resolution", "0"], "resolution"),
         (["spectrum", "--graph", "catalog:two-cluster", "--resolution", "0.25"], "resolution"),
@@ -412,10 +416,13 @@ class TestCli:
         ["kronecker", "--graph", "catalog:lasso-4", "--gamma", "1,1,1,1", "--tol", "1"],
         ["catalog", "--tol", "1"],
         ["catalog", "--graph", "catalog:path-3"],
+        ["classify", "--graph", "catalog:path-3", "--lambda", "15.0", "--tol", "1"],
+        ["sweep", "--graph", "catalog:path-3", "--from", "0", "--to", "1", "--steps", "5",
+         "--tol", "1"],
     ])
     def test_options_only_where_read(self, argv, capsys):
-        # --tol is taken only by the commands that classify, --graph by the
-        # ones that load a graph
+        # the zero band is fixed, so no command takes --tol; --graph is taken
+        # by the commands that load a graph
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and "usage:" in err and "unrecognized arguments" in err
@@ -436,14 +443,14 @@ class TestCli:
         # options given to one call must not carry over to the next call,
         # which omits them
         sweep_argv = ["sweep", "--graph", "catalog:lasso-4", "--from", "-2", "--to", "40",
-                      "--steps", "30", "--report"]
+                      "--steps", "30"]
         search_argv = ["find-positive", "--graph", "catalog:path-3", "--above", "30",
                        "--budget", "100000"]
-        out = str(tmp_path / "sweep.csv")
+        out = str(tmp_path / "out.txt")
         sequence = [
-            ["classify", "--graph", "catalog:path-3", "--lambda", "15.0", "--tol", "0.333"],
+            ["classify", "--graph", "catalog:lasso-4", "--lambda", MARGINAL_LAMBDA, "--out", out],
             ["classify", "--graph", "catalog:path-3", "--lambda", "15.0"],
-            sweep_argv + ["--out", out, "--tol", "0.1"],
+            sweep_argv + ["--out", out, "--format", "json", "--report"],
             sweep_argv,
             search_argv + ["--assert-independent"],
             search_argv,
@@ -466,8 +473,10 @@ class TestCli:
             proc = _cli(argv, timeout=60)
             fresh.append((proc.returncode, proc.stdout, take_out()))
         assert in_process == fresh
-        assert in_process[0][0] == 4 and in_process[1][0] == 0
-        assert in_process[2][2] is not None and in_process[3][2] is None
+        assert in_process[0][0] == 4 and in_process[0][2] is not None
+        assert in_process[1][0] == 0 and in_process[1][2] is None
+        assert in_process[2][2].startswith("[") and in_process[2][1].startswith('{\n  "bands"')
+        assert in_process[3][2] is None and in_process[3][1].startswith("lambda,")
 
     def test_poles_ignores_samples(self, capsys):
         assert main(["poles", "--graph", "catalog:path-3", "--from", "0", "--to", "4"]) == 0
