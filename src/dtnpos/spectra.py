@@ -11,10 +11,13 @@ Two reference spectra:
 The assembled outer matrix is singular on a discrete set of parameters: the
 edge poles together with the inner-block Kirchhoff eigenvalues.  pole_scan
 locates both kinds inside a window: the edge poles in closed form, once each,
-and the inner ones by counting the negative eigenvalues of the inner block
-(its inertia), which gives each with its multiplicity and needs no grid.
-near_pole reads the same inertia off a sweep's own grid to flag the samples
-within reach of a pole, without locating any.
+and the inner ones as the zeros of the eigenvalues of the inner block C.
+Between edge poles every eigenvalue of C decreases strictly, so its inertia
+at the ends of a bracket names the eigenvalues that cross zero inside, each
+crossing one pole counted with its multiplicity, and a stacked bracketing
+root-find locates every crossing; no grid is sampled.  near_pole reads the
+same inertia off a sweep's own grid to flag the samples within reach of a
+pole, without locating any.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .errors import ResolutionTooLow
 from .graphs import MetricGraph
 
 DEFAULT_RESOLUTION = 32
+# pole_scan places every inner pole within POLE_BISECT_TOL * max(1, lam) of it
 POLE_BISECT_TOL = 1e-10
 # a sweep sample within NEAR_POLE_REACH * max(1, |lam|) of a pole is near_pole
 NEAR_POLE_REACH = 1e-9
@@ -242,57 +246,89 @@ def _edge_poles(g: MetricGraph, lo: float, hi: float) -> list[float]:
     return poles
 
 
-def _inner_negative_counts(g: MetricGraph, lams: np.ndarray, low: np.ndarray,
-                           high: np.ndarray) -> np.ndarray:
-    """Negative eigenvalues of C, the inner block of the full matrix, at each of lams.
+def _inner_eigenvalues(g: MetricGraph, lams: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of C, the inner block of the full matrix, at each of lams.
 
-    Each count is known to lie in [low, high].  Where that leaves two values,
-    the sign of det C = (-1)^neg decides through slogdet, a fraction of the
-    cost of eigvalsh, which counts elsewhere.  Zero does not count as negative.
-    A parameter at an edge pole, where C has no value, counts -1.
+    One row per parameter, assembled STACK_CHUNK parameters per call.  A
+    parameter at an edge pole, where C has no value, gets a row of NaN.
     """
     m = g.n_outer
-    counts = np.empty(len(lams), dtype=int)
+    ev = np.empty((len(lams), g.n_vertices - m))
     for at in range(0, len(lams), STACK_CHUNK):
-        part = slice(at, at + STACK_CHUNK)
-        full = assemble_full(g, lams[part])
-        C, lo, hi, out = full.entries[:, m:, m:], low[part], high[part], counts[part]
-        pair = (hi - lo == 1) & ~full.singular
-        rest = ~pair & ~full.singular
-        sign, _ = np.linalg.slogdet(C[pair])
-        out[pair] = lo[pair] + (sign == -(-1.0) ** lo[pair])
-        out[rest] = np.clip((np.linalg.eigvalsh(C[rest]) < 0).sum(axis=1), lo[rest], hi[rest])
-        out[full.singular] = -1
-    return counts
+        full = assemble_full(g, lams[at:at + STACK_CHUNK])
+        out = ev[at:at + STACK_CHUNK]
+        out[full.singular] = np.nan
+        out[~full.singular] = np.linalg.eigvalsh(full.entries[~full.singular][:, m:, m:])
+    return ev
 
 
-def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
-    """Locate the singular parameters of the outer assembly inside (lo, hi).
+def _bracketed_poles(g: MetricGraph, left: np.ndarray, right: np.ndarray) -> list[float]:
+    """The inner poles inside brackets (left, right) that hold no edge pole, with multiplicity.
 
-    Edge poles come in closed form, once each; some are removable for the
-    reduced map but still reported, since the assembly breaks down there.
-    Between consecutive edge poles C(lam) decreases strictly in the Loewner
-    order, so by Sylvester's law of inertia a bracket (a, b) holds exactly
-    neg C(b) - neg C(a) inner poles, with multiplicity.  Each round cuts
-    every bracket at its quarter points in one stacked count and drops the
-    pieces without a pole; one narrower than POLE_BISECT_TOL * max(1, lam)
-    reports its midpoint once per pole it holds.  Returns sorted plain floats.
+    One row per pole: the bracket and the index j of the eigenvalue of C
+    that crosses zero in it.  Every row takes one Chandrupatla step per
+    iteration, all rows in one stacked evaluation; see pole_scan.
     """
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError("the scan range must be finite and nonempty")
+    ev_left, ev_right = np.split(_inner_eigenvalues(g, np.concatenate([left, right])), 2)
+    low, high = (ev_left < 0).sum(axis=1), (ev_right < 0).sum(axis=1)
+    held = np.maximum(high - low, 0)
+    bracket = np.repeat(np.arange(len(left)), held)
+    j = low[bracket] + np.arange(len(bracket)) - np.repeat(np.cumsum(held) - held, held)
+    # a is the newest point, b the other end of the sign bracket, c the
+    # point the last step dropped; f is ev_j at each
+    a, fa = left[bracket], ev_left[bracket, j]
+    b, fb = right[bracket], ev_right[bracket, j]
+    c, fc = a, fa
+    start = b - a
+    t = np.full(len(j), 0.5)
+    poles = []
+    step = 0
+    while len(j):
+        step += 1
+        x = a + t * (b - a)
+        fx = _inner_eigenvalues(g, x)[np.arange(len(j)), j]
+        # zero is not negative: ev_j >= 0 at one end of the bracket, < 0 at the other
+        same = (fx < 0) == (fa < 0)
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)
+        b, fb = np.where(same, b, a), np.where(same, fb, fa)
+        a, fa = x, fx
+        width = np.abs(b - a)
+        stop = POLE_BISECT_TOL * np.maximum(a, b)
+        done = width <= stop
+        poles += (0.5 * (a + b))[done].tolist()
+        live = ~done
+        j, a, b, c, fa, fb, fc, start, width, stop = (
+            v[live] for v in (j, a, b, c, fa, fb, fc, start, width, stop))
+        # inverse quadratic interpolation through a, b, c where Chandrupatla's
+        # test finds it safe and the bracket keeps to the safeguard's budget
+        # (see pole_scan); otherwise bisection
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (a - b) / (c - b)
+            phi = (fa - fb) / (fc - fb)
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+        interpolate = ((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+                       & (width <= start * 2.0 ** (1 - (step + 1) // 2)))
+        # no step shorter than half the stop width, so the one after the
+        # estimates settle on the root crosses it
+        reach = 0.5 * stop / width
+        t = np.clip(np.where(interpolate, t, 0.5), reach, 1.0 - reach)
+    return poles
 
-    edge_poles = _edge_poles(g, lo, hi)
-    if g.n_outer == g.n_vertices:
-        return edge_poles
 
-    # one bracket per segment between edge poles, kept clear of them; the
-    # margin keeps every count away from an edge pole
+def _brackets(g: MetricGraph, lo: float, hi: float,
+              edge_poles: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The brackets (left, right) of pole_scan: one per segment of (lo, hi) between edge poles.
+
+    Each is kept clear of the edge poles by a margin of 1e-7 * max(1, |lam|),
+    which keeps every evaluation of C away from them.  A window end with no
+    edge pole within its margin can be evaluated at: the sliver between it
+    and the bracket next to it is one more bracket, or, when that bracket is
+    too narrow to keep, the bracket reaches the end.
+    """
     ends = np.array([lo] + edge_poles + [hi])
     margin = 1e-7 * np.maximum(1.0, np.maximum(np.abs(ends[:-1]), np.abs(ends[1:])))
     left, right = ends[:-1] + margin, ends[1:] - margin
-    # a window end with no edge pole within its margin can be counted at: the
-    # sliver between it and the bracket next to it is one more bracket, or,
-    # when that bracket is too narrow to keep, the bracket reaches the end
     kept = right > left
     extra_left, extra_right = [], []
     if not _edge_poles(g, lo - margin[0], lo + margin[0]):
@@ -308,27 +344,53 @@ def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
         else:
             right[-1] = hi
     keep = right > left
-    left = np.concatenate([left[keep], extra_left])
-    right = np.concatenate([right[keep], extra_right])
-    low, high = np.split(_inner_negative_counts(
-        g, np.concatenate([left, right]), np.zeros(2 * len(left), dtype=int),
-        np.full(2 * len(left), g.n_vertices - g.n_outer)), 2)
+    return np.concatenate([left[keep], extra_left]), np.concatenate([right[keep], extra_right])
 
-    inner = []
-    while True:
-        done = right - left <= POLE_BISECT_TOL * np.maximum(1.0, left)
-        inner += np.repeat(0.5 * (left + right)[done], (high - low)[done]).tolist()
-        live = ~done & (high > low)
-        if not live.any():
-            break
-        left, right, low, high = left[live], right[live], low[live], high[live]
-        cuts = left[:, None] + (right - left)[:, None] * np.array([0.25, 0.5, 0.75])
-        mid = _inner_negative_counts(g, cuts.ravel(), np.repeat(low, 3), np.repeat(high, 3))
-        x = np.column_stack([left, cuts, right])
-        n = np.column_stack([low, mid.reshape(-1, 3), high])
-        held = n[:, 1:] > n[:, :-1]
-        left, right, low, high = x[:, :-1][held], x[:, 1:][held], n[:, :-1][held], n[:, 1:][held]
-    return sorted(edge_poles + inner)
+
+def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
+    """Locate the singular parameters of the outer assembly inside (lo, hi).
+
+    Edge poles come in closed form, once each; some are removable for the
+    reduced map but still reported, since the assembly breaks down there.
+
+    Between consecutive edge poles C(lam) decreases strictly in the Loewner
+    order, so by Weyl's monotonicity theorem each ascending eigenvalue
+    ev_j(C(lam)) is continuous and strictly decreasing there.  With
+    low = neg C(left) and high = neg C(right) at the ends of a bracket (zero
+    does not count as negative), every j in [low, high) has
+    ev_j(left) >= 0 > ev_j(right): ev_j has exactly one zero in the bracket,
+    and it is the (j - low + 1)-th inner pole there, counted with
+    multiplicity (a double pole is where two eigenvalues vanish together).
+
+    Every (bracket, j) row runs Chandrupatla's method on ev_j, keeping a sign
+    bracket: inverse quadratic interpolation where it passes Chandrupatla's
+    monotonicity test, bisection otherwise.  One iteration of all rows is one
+    stacked assembly and eigvalsh, and the end values come from the count.
+    A Brent-style safeguard makes step k + 1 a bisection unless the bracket
+    is already within 2 w0 2^-floor((k + 1)/2), w0 its first width: then
+    even a step that gains nothing leaves it within 2 w0 2^-floor(k/2) after
+    every k steps, one halving in every two steps with one to spare.
+
+    A row stops once its bracket (x0, x1) is at most POLE_BISECT_TOL * x1
+    wide, and reports its midpoint.  Inner poles are positive, since C is
+    positive definite for lam <= 0, so x1 > 0.  The pole p lies in the
+    bracket, so x1 <= p + POLE_BISECT_TOL * x1, and the midpoint lies within
+    POLE_BISECT_TOL * x1 / 2 < POLE_BISECT_TOL * p of p: a relative error
+    below POLE_BISECT_TOL, and hence within POLE_BISECT_TOL * max(1, p).
+    Bisection alone would take N = ceil(log2(w0 / (POLE_BISECT_TOL p)))
+    steps, about 33 for a unit bracket near p = 1; the safeguard caps a row
+    at 2 N + 2 steps, so a scan makes at most 2 N + 3 stacked evaluations
+    with the count.  The catalog graphs on windows of 60 to 400 take 8 or 9 steps.
+
+    Returns sorted plain floats.
+    """
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError("the scan range must be finite and nonempty")
+
+    edge_poles = _edge_poles(g, lo, hi)
+    if g.n_outer == g.n_vertices:
+        return edge_poles
+    return sorted(edge_poles + _bracketed_poles(g, *_brackets(g, lo, hi, edge_poles)))
 
 
 def near_pole(g: MetricGraph, lams: np.ndarray, singular: np.ndarray,
@@ -372,7 +434,8 @@ def near_pole(g: MetricGraph, lams: np.ndarray, singular: np.ndarray,
     probe = np.flatnonzero(~near & (held[last + 1] > held[first]))
     if len(probe):
         x = np.concatenate([lams[probe] - reach[probe], lams[probe] + reach[probe]])
-        below, above = np.split(_inner_negative_counts(
-            g, x, np.zeros(len(x), dtype=int), np.full(len(x), g.n_vertices - g.n_outer)), 2)
+        ev = _inner_eigenvalues(g, x)
+        counts = np.where(np.isnan(ev[:, 0]), -1, (ev < 0).sum(axis=1))
+        below, above = np.split(counts, 2)
         near[probe] = (below != negative[probe]) | (above != negative[probe])
     return near

@@ -68,6 +68,18 @@ def test_lattice_scaling_refuses_ten_edges():
     assert run_script("lattice_scaling.py", "--edges", "10", returncode=1) == []
 
 
+def test_pole_scan_scaling():
+    lines = run_script("pole_scan_scaling.py", "--graphs", "path-3", "--edge-poles", "4",
+                       "--repeats", "1")
+    assert lines[0].split() == ["graph", "start", "width", "poles", "calls", "median_ms"]
+    rows = [line.split() for line in lines[1:]]
+    assert [(r[0], float(r[1])) for r in rows] == [("path-3", s) for s in (1e2, 1e4, 1e6, 1e8)]
+    # four edge poles and four inner poles of the free tip; the root-find
+    # takes 8 or 9 stacked calls there, quarter cuts took 12 to 17
+    assert [int(r[3]) for r in rows] == [8, 8, 8, 8]
+    assert all(int(r[4]) <= 11 for r in rows)
+
+
 def test_outputs_script_sweep_workload():
     # one digest over the exit code, stdout and --out file of every request;
     # the script finds this checkout's package without PYTHONPATH

@@ -928,7 +928,7 @@ def test_commensurable_family_mu_above_counted_lambda_1():
     assert pole < 0.6168658 < lambda_1(g)
     with pytest.raises(MuOutOfRange) as exc:
         commensurable_family(g, 0.6168658, [0, 1, 2])
-    # both scans bisect to POLE_BISECT_TOL
+    # both scans locate the pole to POLE_BISECT_TOL
     assert exc.value.lam1 == pytest.approx(pole, rel=0, abs=1e-10)
     fam = commensurable_family(g, 0.6168, [1])
     assert fam.lam1 == exc.value.lam1 and fam.base_length == 1.0

@@ -2,14 +2,17 @@
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
+import dtnpos.spectra
 from dtnpos import (
     ResolutionTooLow,
+    assemble_full,
     assemble_outer,
     catalog,
     commensurable_family,
@@ -26,6 +29,8 @@ from dtnpos.spectra import (
     DEFAULT_RESOLUTION,
     NEAR_POLE_REACH,
     POLE_BISECT_TOL,
+    _bracketed_poles,
+    _brackets,
     _edge_poles,
     _elements,
     _fem_eigenvalues,
@@ -259,7 +264,7 @@ def test_pole_scan_finds_inner_pole_in_narrow_window(path3, below, above):
 
 
 def test_pole_scan_returns_plain_floats(path3, lasso):
-    # inner poles come out of the bisection, edge poles out of the closed form;
+    # inner poles come out of the root-find, edge poles out of the closed form;
     # both must be Python floats
     for g, hi in ((path3, 4.0), (lasso, 20.0)):
         got = pole_scan(g, 0.0, hi)
@@ -267,8 +272,24 @@ def test_pole_scan_returns_plain_floats(path3, lasso):
         assert all(type(p) is float for p in got)
 
 
-# pole_scan(lasso-4, 0, 150) by inertia counting with quarter cuts
+# pole_scan(lasso-4, 0, 150): Chandrupatla's method on each eigenvalue of C
 LASSO_POLES_150 = [
+    0.9092194697698389, 1.4099434858699083, 1.9739208802178716, 2.505744502330618,
+    3.289868133696453, 5.019182804609615, 5.639773943479633, 7.895683520871486,
+    8.451985318896057, 9.869604401089358, 11.930654395709821, 12.689491372829172,
+    13.159472534785811, 16.12515906248204, 17.765287921960844, 22.50049665860641,
+    22.559095773918532, 29.60881320326808, 30.62187614904669, 31.582734083485946,
+    34.729746456756835, 35.24858714674771, 39.47841760435743, 45.31068810398683,
+    49.348022005446786, 50.75796549131669, 50.92926334782567, 52.637890139143245,
+    62.50695839455, 69.08723080762552, 71.06115168784338, 74.52601841286895,
+    82.24670334241131, 84.57731556423921, 88.82643960980423, 90.23638309567413,
+    94.45885063234682, 96.7221231306757, 108.42786737724816, 114.20542235546255,
+    118.43525281307232, 122.79703251052402, 126.33093633394378, 136.5643699562229,
+    140.99434858699084,
+]
+
+# the same scan by inertia counting with quarter cuts (_quarter_cut_scan)
+LASSO_POLES_150_QUARTER = [
     0.9092194697530616, 1.4099434858699083, 1.9739208802178716, 2.5057445022335205,
     3.289868133696453, 5.019182804477209, 5.639773943479633, 7.895683520871486,
     8.4519853191612, 9.869604401089358, 11.930654395994285, 12.689491372829172,
@@ -283,8 +304,8 @@ LASSO_POLES_150 = [
     140.99434858699084,
 ]
 
-# the same scan by the earlier sign grid and bisection: a different route to
-# the same poles, each within the bisection tolerance
+# and by the earlier sign grid and bisection: three routes to the same
+# poles, each within the location tolerance
 LASSO_POLES_150_GRID = [
     0.90921946974582, 1.4099434858699083, 1.9739208802178716, 2.5057445021952214,
     3.289868133696453, 5.019182804527363, 5.639773943479633, 7.895683520871486,
@@ -304,9 +325,116 @@ LASSO_POLES_150_GRID = [
 def test_pole_scan_frozen_lasso(lasso):
     got = pole_scan(lasso, 0.0, 150.0)
     assert got == LASSO_POLES_150
-    assert len(got) == len(LASSO_POLES_150_GRID)
-    for p, q in zip(got, LASSO_POLES_150_GRID):
+    assert _quarter_cut_scan(lasso, 0.0, 150.0) == LASSO_POLES_150_QUARTER
+    for route in (LASSO_POLES_150_QUARTER, LASSO_POLES_150_GRID):
+        assert len(got) == len(route)
+        for p, q in zip(got, route):
+            assert abs(p - q) <= POLE_BISECT_TOL * max(1.0, q)
+
+
+def _negative_counts(g, lams, low, high):
+    """neg C at each of lams, known to lie in [low, high]; -1 at an edge pole.
+
+    Where [low, high] leaves two values, the sign of det C = (-1)^neg
+    decides through slogdet; eigvalsh counts elsewhere.
+    """
+    m = g.n_outer
+    full = assemble_full(g, lams)
+    C = full.entries[:, m:, m:]
+    counts = np.full(len(lams), -1)
+    pair = (high - low == 1) & ~full.singular
+    rest = ~pair & ~full.singular
+    sign, _ = np.linalg.slogdet(C[pair])
+    counts[pair] = low[pair] + (sign == -(-1.0) ** low[pair])
+    counts[rest] = np.clip((np.linalg.eigvalsh(C[rest]) < 0).sum(axis=1), low[rest], high[rest])
+    return counts
+
+
+def _all_counts(g, lams):
+    n = g.n_vertices - g.n_outer
+    return _negative_counts(g, lams, np.zeros(len(lams), dtype=int), np.full(len(lams), n))
+
+
+def _quarter_cut_scan(g, lo, hi):
+    """pole_scan by inertia counting alone, the reference for its root-find.
+
+    The same brackets; each round cuts every bracket that still holds a pole
+    at its quarter points in one stacked count, until it is narrower than
+    POLE_BISECT_TOL * max(1, lam), and reports its midpoint once per pole.
+    """
+    edge = _edge_poles(g, lo, hi)
+    if g.n_outer == g.n_vertices:
+        return edge
+    left, right = _brackets(g, lo, hi, edge)
+    low, high = np.split(_all_counts(g, np.concatenate([left, right])), 2)
+    inner = []
+    while True:
+        done = right - left <= POLE_BISECT_TOL * np.maximum(1.0, left)
+        inner += np.repeat(0.5 * (left + right)[done], (high - low)[done]).tolist()
+        live = ~done & (high > low)
+        if not live.any():
+            break
+        left, right, low, high = left[live], right[live], low[live], high[live]
+        cuts = left[:, None] + (right - left)[:, None] * np.array([0.25, 0.5, 0.75])
+        mid = _negative_counts(g, cuts.ravel(), np.repeat(low, 3), np.repeat(high, 3))
+        x = np.column_stack([left, cuts, right])
+        n = np.column_stack([low, mid.reshape(-1, 3), high])
+        held = n[:, 1:] > n[:, :-1]
+        left, right, low, high = x[:, :-1][held], x[:, 1:][held], n[:, :-1][held], n[:, 1:][held]
+    return sorted(edge + inner)
+
+
+def _counted_eigenvalues(g, lams):
+    """Stand-in eigenvalues of C carrying the counts of _all_counts: -1 for each negative one."""
+    counts = _all_counts(g, lams)
+    ev = np.where(np.arange(g.n_vertices - g.n_outer) < counts[:, None], -1.0, 1.0)
+    ev[counts < 0] = np.nan
+    return ev
+
+
+def _check_against_quarter_cuts(g, lo, hi):
+    got = pole_scan(g, lo, hi)
+    want = _quarter_cut_scan(g, lo, hi)
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
         assert abs(p - q) <= POLE_BISECT_TOL * max(1.0, q)
+
+    # neg C rises across every inner pole reported
+    edge = _edge_poles(g, lo, hi)
+    inner = np.array([p for p in got if p not in edge])
+    if len(inner):
+        d = POLE_BISECT_TOL * np.maximum(1.0, inner)
+        below, above = np.split(_all_counts(g, np.concatenate([inner - d, inner + d])), 2)
+        assert (below < above).all()
+
+    # near_pole on a grid with samples planted around every pole flags the
+    # samples it flagged when it counted with _all_counts
+    reach = NEAR_POLE_REACH * np.maximum(1.0, np.abs(got))
+    planted = [p + f * r for p, r in zip(got, reach) for f in (-2.0, -0.99, -0.5, 0.5, 1.01, 2.0)]
+    lams = np.unique(np.concatenate([np.linspace(lo, hi, 40), planted]))
+    lams = lams[(lo <= lams) & (lams <= hi)]
+    D = assemble_outer(g, lams)
+    flags = near_pole(g, lams, D.singular, D.inner_negative)
+    with mock.patch.object(dtnpos.spectra, "_inner_eigenvalues", _counted_eigenvalues):
+        assert flags.tolist() == near_pole(g, lams, D.singular, D.inner_negative).tolist()
+
+
+def _windows(g):
+    """Windows reaching below zero, with both ends within 1e-7 of edge poles, and near 1e8."""
+    L = max(g.lengths)
+    first, third = (math.pi / L) ** 2, (3.0 * math.pi / L) ** 2
+    return [(-3.0, 15.0),
+            (first + 3e-8 * max(1.0, first), third - 3e-8 * max(1.0, third)),
+            (1e8, 1e8 + 5e4)]
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_pole_scan_matches_quarter_cuts(seed):
+    g = random_surd_graph(np.random.default_rng(seed), 3, 6)
+    assume(g.inner)
+    for lo, hi in _windows(g):
+        _check_against_quarter_cuts(g, lo, hi)
 
 
 def _pendant_graph():
@@ -338,6 +466,48 @@ def test_pole_scan_counts_double_pole():
     assert table.near_pole.tolist() == [False, True, False]
     lam = (math.pi / 2) ** 2 * (1.0 + 5e-9)
     assert not sweep(g, lam - 1.0, lam + 1.0, 3).near_pole[1]
+
+
+def test_pole_scan_matches_quarter_cuts_on_double_pole():
+    _check_against_quarter_cuts(_pendant_graph(), 0.5, 12.0)
+
+
+def _stacked_calls(monkeypatch, run):
+    """The assemble_full calls spectra makes while run() runs."""
+    calls = []
+    real = dtnpos.spectra.assemble_full
+    monkeypatch.setattr(dtnpos.spectra, "assemble_full",
+                        lambda g, lam: calls.append(lam) or real(g, lam))
+    run()
+    return len(calls)
+
+
+def test_pole_scan_call_budget(monkeypatch, lasso):
+    # quarter cuts took 18 and 19 stacked counts
+    assert _stacked_calls(monkeypatch, lambda: pole_scan(lasso, 0.0, 150.0)) <= 14
+    g = validate({
+        "vertices": ["v1", "v2", "v3", "v4"],
+        "edges": [{"u": "v1", "v": "v2", "length": 1.0}, {"u": "v1", "v": "v3", "length": 0.5},
+                  {"u": "v2", "v": "v3", "length": 1.25}, {"u": "v2", "v": "v4", "length": 1.5}],
+        "outer": ["v1", "v4"],
+    })
+    assert _stacked_calls(monkeypatch, lambda: commensurable_family(g, 0.1, [1])) <= 12
+
+
+@pytest.mark.parametrize("left,right", [(0.1, 1.0 + 1e-9), (1.0 - 1e-9, 0.5 / 0.145), (-1e6, 3.4)],
+                         ids=["pole-at-right", "pole-at-left", "wide-below-zero"])
+def test_bracketed_root_find_within_safeguard_bound(monkeypatch, path3, left, right):
+    # brackets around the free tip's first inner pole p, in units of p: the
+    # safeguard keeps a row within twice the steps of bisection, plus two,
+    # and the count adds one call
+    p = (math.pi / 2) ** 2 / 17
+    left, right = p * left, p * right
+    got = []
+    calls = _stacked_calls(monkeypatch, lambda: got.extend(
+        _bracketed_poles(path3, np.array([left]), np.array([right]))))
+    assert len(got) == 1 and abs(got[0] - p) <= POLE_BISECT_TOL * p
+    bisections = math.ceil(math.log2((right - left) / (POLE_BISECT_TOL * p)))
+    assert calls <= 2 * bisections + 3
 
 
 def _reach(lam):

@@ -286,7 +286,7 @@ class TestCli:
             assert main(["poles", "--graph", "catalog:path-3", "--from", repr(lo),
                          "--to", repr(hi)]) == 0
             vals = json.loads(capsys.readouterr().out)["poles"]
-            # located to the bisection tolerance, 1e-10 * max(1, lam)
+            # located to the pole tolerance, 1e-10 * max(1, lam)
             assert vals == pytest.approx([p], abs=1e-10)
 
     def test_sweep_to_file(self, tmp_path, capsys):
