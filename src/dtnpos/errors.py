@@ -64,18 +64,6 @@ class InnerBlockSingular(DtnError):
         super().__init__(f"inner block singular at lambda={lam!r} (condition estimate {cond:.3e})")
 
 
-class PatternViolation(DtnError):
-    """A reduced matrix has a non-negligible entry outside its adjacency pattern."""
-
-    def __init__(self, index: tuple[int, int], value: float, bound: float) -> None:
-        self.index = index
-        self.value = value
-        self.bound = bound
-        super().__init__(
-            f"entry {index} = {value!r} violates the zero pattern (tolerance {bound!r})"
-        )
-
-
 class PoleCluster(DtnError):
     """Another pole lies inside the residue probe window."""
 

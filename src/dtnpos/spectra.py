@@ -267,8 +267,11 @@ def _bracketed_poles(g: MetricGraph, left: np.ndarray, right: np.ndarray) -> lis
 
     One row per pole: the bracket and the index j of the eigenvalue of C
     that crosses zero in it.  Every row takes one Chandrupatla step per
-    iteration, all rows in one stacked evaluation; see pole_scan.
+    iteration, all rows in one stacked evaluation; see pole_scan.  A row
+    starts at max(left, 0): C is positive definite for lam <= 0, so the
+    count there is 0 either way, and no inner pole lies below.
     """
+    left = np.maximum(left, 0.0)
     ev_left, ev_right = np.split(_inner_eigenvalues(g, np.concatenate([left, right])), 2)
     low, high = (ev_left < 0).sum(axis=1), (ev_right < 0).sum(axis=1)
     held = np.maximum(high - low, 0)
@@ -378,7 +381,8 @@ def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
     POLE_BISECT_TOL * x1 / 2 < POLE_BISECT_TOL * p of p: a relative error
     below POLE_BISECT_TOL, and hence within POLE_BISECT_TOL * max(1, p).
     Bisection alone would take N = ceil(log2(w0 / (POLE_BISECT_TOL p)))
-    steps, about 33 for a unit bracket near p = 1; the safeguard caps a row
+    steps, about 33 for a unit bracket near p = 1, with w0 measured from
+    max(left, 0) since no row starts below 0; the safeguard caps a row
     at 2 N + 2 steps, so a scan makes at most 2 N + 3 stacked evaluations
     with the count.  The catalog graphs on windows of 60 to 400 take 8 or 9 steps.
 

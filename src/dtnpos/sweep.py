@@ -40,12 +40,12 @@ def sweep(g: MetricGraph, lo: float, hi: float, steps: int) -> SweepTable:
     """Classify the outer matrix on a uniform grid of `steps` samples.
 
     The grid is the stack axis: each chunk of STACK_CHUNK samples is
-    assembled, reduced, pattern-checked and classified by one call each, so
-    memory stays bounded for any number of steps.  The sign pattern flips
-    exactly at a pole, so classifications remain valid arbitrarily close to
-    one; near_pole flags only the tight zone where the assembly loses
-    precision: the samples within spectra.NEAR_POLE_REACH * max(1, |lam|)
-    of an edge or inner pole, one beyond the ends of the window included.
+    assembled, reduced and classified by one call each, so memory stays
+    bounded for any number of steps.  The sign pattern flips exactly at a
+    pole, so classifications remain valid arbitrarily close to one;
+    near_pole flags only the tight zone where the assembly loses precision:
+    the samples within spectra.NEAR_POLE_REACH * max(1, |lam|) of an edge
+    or inner pole, one beyond the ends of the window included.
     The flags come from the inertia of the inner block that the Schur
     reduction computes at every sample (spectra.near_pole), read once after
     the last chunk; no pole is located.  Samples that the assembly marks

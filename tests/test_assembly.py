@@ -8,18 +8,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dtnpos import (
     AtPole,
     InnerBlockSingular,
     PoleCluster,
+    adjacency_pattern,
     assemble_full,
     assemble_outer,
     catalog,
     edge_alpha_beta,
     pole_residue_probe,
     pole_scan,
+    reduced_graph,
     schur_reduce,
     validate,
 )
@@ -151,8 +153,40 @@ def test_inner_block_singular(path3):
 def test_outer_pattern_zeros(braid):
     # v1 and v3 share no reduced edge, so the (0, 2) entry is forbidden
     S = assemble_outer(braid, 7.19)
-    scale = np.abs(S.entries).max()
-    assert abs(S.entries[0, 2]) <= 1e-12 * scale
+    assert S.entries[0, 2] == 0.0
+
+
+def exact_zero_grid(rng, size):
+    """Parameters from every regime: negative, the series window, moderate, 1e8 to 1e19."""
+    quarter = size // 4
+    return np.concatenate([
+        -(10.0 ** rng.uniform(-3.0, 6.0, quarter)),
+        rng.uniform(-1e-9, 1e-9, quarter),
+        rng.uniform(0.0, 500.0, quarter),
+        10.0 ** rng.uniform(8.0, 19.0, size - 3 * quarter),
+    ])
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from([None, "braid-5", "two-cluster"]),
+       seed=st.integers(min_value=0, max_value=2**31 - 1),
+       size=st.integers(min_value=4, max_value=256))
+def test_outer_zeros_are_exact(name, seed, size):
+    # C is block-diagonal by inner component, so B C^{-1} B^T couples no two
+    # outer vertices that share no component: outside the reduced graph's
+    # pattern every live sample holds an exact 0.0, with no tolerance
+    rng = np.random.default_rng(seed)
+    g = random_surd_graph(rng) if name is None else catalog(name)
+    forbidden = ~adjacency_pattern(reduced_graph(g))
+    assume(forbidden.any())
+    grid = exact_zero_grid(rng, size)
+    D = assemble_outer(g, grid)
+    live = ~D.singular
+    assert live.any()
+    assert (D.entries[live][:, forbidden] == 0.0).all()
+    for k in rng.choice(np.flatnonzero(live), size=min(8, int(live.sum())), replace=False):
+        one = assemble_outer(g, float(grid[k]))
+        assert np.array_equal(one.entries, D.entries[k]), f"lam={grid[k]!r}"
 
 
 RESIDUE_ORACLE = {

@@ -7,6 +7,7 @@ rename or deletion in src/ breaks those at run time only, so each is
 exercised here.
 """
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -19,7 +20,8 @@ import pytest
 import dtnpos.search
 from dtnpos.cli import build_parser, main
 
-BENCH = Path(__file__).resolve().parent.parent / "benchmark"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "benchmark"
 
 
 def load(name, monkeypatch):
@@ -36,6 +38,28 @@ def test_traced_names_resolve(monkeypatch):
     missing = [(module, attr) for module, attr, *_ in wraps
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert missing == []
+
+
+def unused_imports(path):
+    """The names a module imports at module level and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - read
+
+
+def test_unused_imports_are_traced(monkeypatch):
+    # a module may keep an import it never uses only because the tracer wraps
+    # the name there; once the tracer drops the wrap, the import must go too
+    tracing = load("tracing", monkeypatch)
+    wrapped = {(module, attr) for module, attr, *_ in tracing.WRAPS}
+    unused = {(f"dtnpos.{path.stem}", name)
+              for path in sorted((ROOT / "src" / "dtnpos").glob("*.py"))
+              if path.name != "__init__.py" for name in unused_imports(path)}
+    assert unused - wrapped == set()
 
 
 def test_verifier_imports(monkeypatch):

@@ -494,19 +494,33 @@ def test_pole_scan_call_budget(monkeypatch, lasso):
     assert _stacked_calls(monkeypatch, lambda: commensurable_family(g, 0.1, [1])) <= 12
 
 
+@pytest.mark.parametrize("name,lo,hi", [("path-3", -1e6, 0.5), ("lasso-4", -50.0, 150.0)])
+def test_pole_scan_below_zero_call_budget(monkeypatch, name, lo, hi):
+    # no inner pole lies at lam <= 0, so every row starts at 0 or above; these
+    # windows took 29 and 12 stacked calls when the rows started at lo
+    g = catalog(name)
+    got = []
+    assert _stacked_calls(monkeypatch, lambda: got.extend(pole_scan(g, lo, hi))) <= 10
+    # each list places every pole within POLE_BISECT_TOL * max(1, p) of it
+    want = pole_scan(g, 0.0, hi)
+    assert len(got) == len(want)
+    assert all(abs(a - b) <= 2 * POLE_BISECT_TOL * max(1.0, b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("left,right", [(0.1, 1.0 + 1e-9), (1.0 - 1e-9, 0.5 / 0.145), (-1e6, 3.4)],
                          ids=["pole-at-right", "pole-at-left", "wide-below-zero"])
 def test_bracketed_root_find_within_safeguard_bound(monkeypatch, path3, left, right):
     # brackets around the free tip's first inner pole p, in units of p: the
     # safeguard keeps a row within twice the steps of bisection, plus two,
-    # and the count adds one call
+    # and the count adds one call; a row starts no lower than 0, so bisection
+    # counts from there
     p = (math.pi / 2) ** 2 / 17
     left, right = p * left, p * right
     got = []
     calls = _stacked_calls(monkeypatch, lambda: got.extend(
         _bracketed_poles(path3, np.array([left]), np.array([right]))))
     assert len(got) == 1 and abs(got[0] - p) <= POLE_BISECT_TOL * p
-    bisections = math.ceil(math.log2((right - left) / (POLE_BISECT_TOL * p)))
+    bisections = math.ceil(math.log2((right - max(left, 0.0)) / (POLE_BISECT_TOL * p)))
     assert calls <= 2 * bisections + 3
 
 
