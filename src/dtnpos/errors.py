@@ -73,14 +73,16 @@ class PoleCluster(DtnError):
 class ResolutionTooLow(DtnError):
     """The mesh cannot resolve the eigenvalues asked for; a finer one may.
 
-    `reason` replaces the drift message where no drift was measured.
+    `error` is the discretization error of the mesh's lowest eigenvalue
+    against lambda_1; `reason` replaces the error message where none was
+    measured.
     """
 
-    def __init__(self, estimate: float, lam1: float, reason: str | None = None) -> None:
-        self.estimate = estimate
+    def __init__(self, error: float, lam1: float, reason: str | None = None) -> None:
+        self.error = error
         self.lam1 = lam1
         if reason is None:
-            reason = (f"discretization error estimate {estimate:.3e} exceeds 1% of "
+            reason = (f"discretization error {error:.3e} exceeds 1% of "
                       f"lambda_1={lam1:.6g}")
         super().__init__(f"{reason}; increase the resolution")
 

@@ -55,7 +55,7 @@ from .errors import (
 from .graphs import MetricGraph, is_connected, is_tree, parse_surd, reduced_graph
 from .lattice import box_offsets, enumerate_near, integer_relation, lll_reduce
 from .positivity import TAG_EVENTUAL, TAG_NONE, TAG_STRONG, classify
-from .spectra import pole_scan
+from .spectra import lambda_1
 
 # expected-candidate threshold separating plain scanning from the lattice solver
 SCAN_CAP = 200_000
@@ -672,12 +672,11 @@ def commensurable_family(g: MetricGraph, mu: float, p_list: Sequence[int]) -> Co
     Every edge phase moves by a full multiple of 2 pi, so
     D_{lam_p} / sqrt(lam_p) = D_mu / sqrt(mu) exactly; the reported residual
     measures how closely the assembled matrices reproduce that identity.
-    Requires 0 < mu < lambda_1, the first pole `pole_scan` finds up to just above
-    (pi / L_max)^2: by min-max lambda_1 is at most that edge pole, and below
-    it the Kirchhoff eigenvalues are the inner poles (N_K = neg C, Friedlander 1991).
+    Requires 0 < mu < lambda_1, the bottom of the Kirchhoff spectrum (see
+    spectra.lambda_1), below which the semigroup is positive.
     """
     base = commensurable_base(g.lengths)
-    lam1 = pole_scan(g, 0.0, 1.01 * (math.pi / max(g.lengths)) ** 2)[0]
+    lam1 = lambda_1(g)
     if not 0.0 < mu < lam1:
         raise MuOutOfRange(mu, lam1)
 

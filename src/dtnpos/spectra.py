@@ -6,7 +6,9 @@ Two reference spectra:
   listed with multiplicity in closed form;
 * the spectrum with Dirichlet data on the outer vertices and continuity +
   Kirchhoff conditions on the inner ones, computed by a P1 finite element
-  discretization of each edge and a banded generalized eigensolver.
+  discretization of each edge and a banded generalized eigensolver, and
+  checked against lambda_1, its lowest value, which is counted exactly as
+  the first pole that pole_scan locates.
 
 The assembled outer matrix is singular on a discrete set of parameters: the
 edge poles together with the inner-block Kirchhoff eigenvalues.  pole_scan
@@ -40,7 +42,7 @@ DEFAULT_RESOLUTION = 32
 POLE_BISECT_TOL = 1e-10
 # a sweep sample within NEAR_POLE_REACH * max(1, |lam|) of a pole is near_pole
 NEAR_POLE_REACH = 1e-9
-# eigenvalue drift between resolution and resolution/2, relative to lambda_1
+# largest error of kirchhoff_spectrum's lowest value against lambda_1, relative to it
 RESOLUTION_DRIFT_MAX = 0.01
 
 
@@ -191,38 +193,34 @@ def kirchhoff_spectrum(g: MetricGraph, count: int = 1,
                        resolution: float = DEFAULT_RESOLUTION) -> SpectrumList:
     """First eigenvalues with Dirichlet outer data and Kirchhoff inner conditions.
 
-    A halved-resolution recomputation estimates the discretization error of
-    lambda_1 (P1 elements converge at order h^2, so the drift between the two
-    meshes is about three times the fine-mesh error); past 1 percent the
-    result is refused as under-resolved, and so is a resolution whose halving
-    leaves every edge's element count, and with it the estimate, unchanged.
+    The P1 reference spectrum, which converges at order h^2.  Its lowest
+    value is measured against the counted lambda_1: a mesh whose error there
+    exceeds RESOLUTION_DRIFT_MAX * lambda_1 is refused as under-resolved.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not 0 < resolution < math.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     fine = _fem_eigenvalues(g, count, resolution)
-    if _elements(g, resolution) == _elements(g, resolution / 2.0):
-        raise ResolutionTooLow(math.inf, float(fine[0]), (
-            f"halving resolution {resolution:g} leaves every edge's element count "
-            "unchanged, so the discretization error cannot be estimated"))
-    coarse = _fem_eigenvalues(g, 1, resolution / 2.0)
-    estimate = abs(fine[0] - coarse[0]) / 3.0
-    if estimate > RESOLUTION_DRIFT_MAX * fine[0]:
-        raise ResolutionTooLow(float(estimate), float(fine[0]))
+    lam1 = lambda_1(g)
+    error = abs(float(fine[0]) - lam1)
+    if error > RESOLUTION_DRIFT_MAX * lam1:
+        raise ResolutionTooLow(error, lam1)
     return SpectrumList(values=tuple(float(v) for v in fine), kind="kirchhoff",
                         resolution=float(resolution))
 
 
-def lambda_1(g: MetricGraph, resolution: float = DEFAULT_RESOLUTION) -> float:
-    """Lowest eigenvalue of the outer-Dirichlet problem.
+def lambda_1(g: MetricGraph) -> float:
+    """Lowest eigenvalue of the outer-Dirichlet problem, the first pole of pole_scan.
 
-    Without inner vertices every edge decouples and the closed form
-    (pi / L_max)^2 applies; otherwise fall back to the finite elements.
+    By min-max lambda_1 is at most the first edge pole (pi / L_max)^2, whose
+    sine is an admissible test function, and below the first edge pole the
+    Kirchhoff eigenvalues are the inner poles, with multiplicity
+    (N_K = neg C, Friedlander 1991).  So the first pole up to just above
+    (pi / L_max)^2 is lambda_1, located to POLE_BISECT_TOL; without inner
+    vertices it is that edge pole in closed form.
     """
-    if not g.inner:
-        return (math.pi / max(g.lengths)) ** 2
-    return kirchhoff_spectrum(g, count=1, resolution=resolution).values[0]
+    return pole_scan(g, 0.0, 1.01 * (math.pi / max(g.lengths)) ** 2)[0]
 
 
 def _edge_poles(g: MetricGraph, lo: float, hi: float) -> list[float]:
@@ -324,30 +322,19 @@ def _brackets(g: MetricGraph, lo: float, hi: float,
     """The brackets (left, right) of pole_scan: one per segment of (lo, hi) between edge poles.
 
     Each is kept clear of the edge poles by a margin of 1e-7 * max(1, |lam|),
-    which keeps every evaluation of C away from them.  A window end with no
-    edge pole within its margin can be evaluated at: the sliver between it
-    and the bracket next to it is one more bracket, or, when that bracket is
-    too narrow to keep, the bracket reaches the end.
+    which keeps every evaluation of C away from them.  A window end is moved
+    in by that margin only when an edge pole lies within it; any other end
+    can be evaluated at, so the bracket reaches it.
     """
     ends = np.array([lo] + edge_poles + [hi])
     margin = 1e-7 * np.maximum(1.0, np.maximum(np.abs(ends[:-1]), np.abs(ends[1:])))
     left, right = ends[:-1] + margin, ends[1:] - margin
-    kept = right > left
-    extra_left, extra_right = [], []
     if not _edge_poles(g, lo - margin[0], lo + margin[0]):
-        if kept[0]:
-            extra_left.append(lo)
-            extra_right.append(left[0])
-        else:
-            left[0] = lo
+        left[0] = lo
     if not _edge_poles(g, hi - margin[-1], hi + margin[-1]):
-        if kept[-1]:
-            extra_left.append(right[-1])
-            extra_right.append(hi)
-        else:
-            right[-1] = hi
+        right[-1] = hi
     keep = right > left
-    return np.concatenate([left[keep], extra_left]), np.concatenate([right[keep], extra_right])
+    return left[keep], right[keep]
 
 
 def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:

@@ -39,7 +39,7 @@ from dtnpos import (
     verify_limit,
 )
 from dtnpos.cli import main
-from dtnpos.errors import BudgetExhausted, ResolutionTooLow
+from dtnpos.errors import BudgetExhausted
 
 from conftest import random_surd_graph
 
@@ -143,15 +143,8 @@ def test_c05_random_graphs_below_lambda1():
     t0 = time.perf_counter()
     for _ in range(20):
         g = random_surd_graph(rng)
-        res = min(32.0, max(8.0, 600.0 / sum(g.lengths)))
-        lam1 = None
-        for _attempt in range(3):
-            try:
-                lam1 = lambda_1(g, resolution=res)
-                break
-            except ResolutionTooLow:
-                res *= 2.0
-        assert lam1 is not None and lam1 > 0.0
+        lam1 = lambda_1(g)
+        assert lam1 > 0.0
         for lam in rng.uniform(-0.5 * lam1, 0.9 * lam1, size=10):
             M = assemble_outer(g, float(lam))
             assert is_metzler(-M.entries).satisfied, f"lam={lam}"

@@ -35,6 +35,7 @@ from dtnpos import (
     find_not_eventually_positive_above,
     find_strongly_positive_above,
     graph_laplacian,
+    kirchhoff_spectrum,
     kronecker_sequence,
     lambda_1,
     limit_matrix_Q,
@@ -915,20 +916,34 @@ def test_family_residual_exposes_surd_lengths(path3):
         commensurable_family(path3, 0.05, [1])
 
 
-def test_commensurable_family_mu_above_counted_lambda_1():
+def _star_123():
     # an inner centre with edges 1, 2, 3 to outer leaves: its lambda_1 is the
     # first inner pole, 0.6168503, which the finite elements overestimate
-    g = validate({
+    return validate({
         "vertices": ["a", "b", "c", "o"],
         "edges": [{"u": "o", "v": x, "length": L} for x, L in (("a", 1.0), ("b", 2.0),
                                                                ("c", 3.0))],
         "outer": ["a", "b", "c"],
     })
+
+
+def test_commensurable_family_mu_above_counted_lambda_1():
+    g = _star_123()
     pole = pole_scan(g, 0.0, 1.0)[0]
-    assert pole < 0.6168658 < lambda_1(g)
+    assert pole < 0.6168658 < kirchhoff_spectrum(g).values[0]
     with pytest.raises(MuOutOfRange) as exc:
         commensurable_family(g, 0.6168658, [0, 1, 2])
     # both scans locate the pole to POLE_BISECT_TOL
     assert exc.value.lam1 == pytest.approx(pole, rel=0, abs=1e-10)
     fam = commensurable_family(g, 0.6168, [1])
     assert fam.lam1 == exc.value.lam1 and fam.base_length == 1.0
+
+
+@pytest.mark.parametrize("name", ["two-cluster", "star-123"])
+def test_lambda_1_is_the_commensurable_bound(name):
+    # the family accepts every mu below the public lambda_1 and refuses it
+    g = catalog(name) if name == "two-cluster" else _star_123()
+    lam1 = lambda_1(g)
+    assert commensurable_family(g, (1.0 - 1e-9) * lam1, [1]).lam1 == lam1
+    with pytest.raises(MuOutOfRange):
+        commensurable_family(g, lam1, [1])

@@ -165,10 +165,9 @@ def test_banded_fem_keeps_double_eigenvalues():
 
 
 def test_resolution_too_low(interval, path3):
-    # one or two elements per edge cannot support a drift estimate: the
-    # halved mesh has no free node at all
-    with pytest.raises(ResolutionTooLow, match="resolution 1 has 0 free nodes, "
-                                               "fewer than the 1 eigenvalues asked for"):
+    # two elements leave one free node, whose eigenvalue 12 is 22 % above pi^2
+    with pytest.raises(ResolutionTooLow, match=r"discretization error 2\.130e\+00 exceeds 1% "
+                                               r"of lambda_1=9\.8696"):
         kirchhoff_spectrum(interval, count=1, resolution=2)
     with pytest.raises(ResolutionTooLow, match="resolution 4 has 20 free nodes, "
                                                "fewer than the 500 eigenvalues asked for"):
@@ -197,23 +196,43 @@ def test_lambda_1_path3(path3):
     assert lambda_1(path3) == pytest.approx((math.pi / 2) ** 2 / 17, rel=1e-4)
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_lambda_1_is_first_counted_pole(name):
+    g = catalog(name)
+    assert lambda_1(g) == pole_scan(g, 0.0, 1.01 * (math.pi / max(g.lengths)) ** 2)[0]
+
+
+def test_fem_solves_per_call(monkeypatch, path3):
+    # kirchhoff_spectrum measures its error against the counted lambda_1, so
+    # it solves one mesh and lambda_1 solves none
+    calls = []
+    real = dtnpos.spectra._fem_eigenvalues
+    monkeypatch.setattr(dtnpos.spectra, "_fem_eigenvalues",
+                        lambda *args: calls.append(args) or real(*args))
+    kirchhoff_spectrum(path3, count=3)
+    assert len(calls) == 1
+    calls.clear()
+    lambda_1(path3)
+    assert calls == []
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_counted_lambda_1_below_fem(seed):
-    # P1 eigenvalues are Rayleigh-Ritz upper bounds, so the lambda_1 that
-    # commensurable_family counts lies below the FEM one, by about the FEM's
-    # own error estimate (a third of the drift from the halved mesh)
+    # P1 eigenvalues are Rayleigh-Ritz upper bounds, so the counted lambda_1
+    # lies below the FEM one, by about the FEM's own error estimate (a third
+    # of the drift from the halved mesh)
     rng = np.random.default_rng(seed)
     raw = graph_to_json(random_surd_graph(rng))
     for e in raw["edges"]:
         e["length"] = int(rng.integers(2, 7)) / 4.0
     g = validate(raw)
-    counted = commensurable_family(g, 1e-3, [1]).lam1
-    fem = lambda_1(g)
+    counted = lambda_1(g)
+    fem = kirchhoff_spectrum(g).values[0]
     estimate = abs(fem - _fem_eigenvalues(g, 1, DEFAULT_RESOLUTION / 2)[0]) / 3.0
     assert counted <= fem
     assert fem - counted <= 2.0 * estimate + 1e-9 * fem
     if not g.inner:
-        assert counted == fem
+        assert counted == (math.pi / max(g.lengths)) ** 2
 
 
 def test_pole_scan_interval(interval):
@@ -274,7 +293,7 @@ def test_pole_scan_returns_plain_floats(path3, lasso):
 
 # pole_scan(lasso-4, 0, 150): Chandrupatla's method on each eigenvalue of C
 LASSO_POLES_150 = [
-    0.9092194697698389, 1.4099434858699083, 1.9739208802178716, 2.505744502330618,
+    0.9092194697698388, 1.4099434858699083, 1.9739208802178716, 2.505744502330618,
     3.289868133696453, 5.019182804609615, 5.639773943479633, 7.895683520871486,
     8.451985318896057, 9.869604401089358, 11.930654395709821, 12.689491372829172,
     13.159472534785811, 16.12515906248204, 17.765287921960844, 22.50049665860641,
@@ -290,7 +309,7 @@ LASSO_POLES_150 = [
 
 # the same scan by inertia counting with quarter cuts (_quarter_cut_scan)
 LASSO_POLES_150_QUARTER = [
-    0.9092194697530616, 1.4099434858699083, 1.9739208802178716, 2.5057445022335205,
+    0.9092194697430616, 1.4099434858699083, 1.9739208802178716, 2.5057445022335205,
     3.289868133696453, 5.019182804477209, 5.639773943479633, 7.895683520871486,
     8.4519853191612, 9.869604401089358, 11.930654395994285, 12.689491372829172,
     13.159472534785811, 16.12515906238011, 17.765287921960844, 22.500496658476866,
@@ -675,9 +694,11 @@ def test_spectrum_arguments_rejected(two_cluster):
 
 def test_resolution_without_coarser_mesh(two_cluster):
     # below one element per edge length, halving the resolution changes no
-    # element count, so the drift estimate would read 0 by construction
+    # element count, so a drift between the two meshes would read 0 by
+    # construction; the error measured against lambda_1 does not
     assert _elements(two_cluster, 0.25) == _elements(two_cluster, 0.125)
-    with pytest.raises(ResolutionTooLow, match="leaves every edge's element count unchanged"):
+    with pytest.raises(ResolutionTooLow, match=r"discretization error 4\.260e-02 exceeds 1% "
+                                               r"of lambda_1=0\.707397"):
         kirchhoff_spectrum(two_cluster, resolution=0.25)
 
 
