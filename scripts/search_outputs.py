@@ -7,16 +7,20 @@ is), writes their graph files into a temporary directory, calls
 exit code, standard output and, for a request that writes an ``--out`` file
 (every ``sweep`` request), that file, in request order.  Two checkouts whose
 lines agree answer every request alike; ``--requests`` prints one short digest
-per request to find the ones that differ.  The ``dtnpos`` it runs is the one
-in this checkout's ``src``, whatever else is installed.
+per request to find the ones that differ.  With ``--verdicts`` an ``--out``
+CSV enters the hash through its ``lambda``, ``class`` and ``near_pole``
+columns only, so a change that moves eigenvalue digits can show that no tag,
+near-pole flag or band moved.  The ``dtnpos`` it runs is the one in this
+checkout's ``src``, whatever else is installed.
 
 Example:
     python3 scripts/search_outputs.py --seeds 1-10
-    python3 scripts/search_outputs.py --workload sweep --seeds 1-10
+    python3 scripts/search_outputs.py --workload sweep --seeds 1-10 --verdicts
 """
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import sys
@@ -53,7 +57,18 @@ def run_request(argv: list[str]) -> tuple[int | str, str]:
     return rc, out.getvalue()
 
 
-def seed_digest(workload: str, seed: int, work: Path, per_request: bool) -> str:
+VERDICT_COLUMNS = ("lambda", "class", "near_pole")
+
+
+def verdict_columns(text: str) -> bytes:
+    """The lambda, class and near_pole columns of a sweep CSV, as CSV bytes."""
+    rows = list(csv.reader(io.StringIO(text)))
+    keep = [rows[0].index(name) for name in VERDICT_COLUMNS]
+    return "".join(",".join(row[k] for k in keep) + "\n" for row in rows).encode()
+
+
+def seed_digest(workload: str, seed: int, work: Path, per_request: bool,
+                verdicts: bool) -> str:
     inp = inputs.build(workload, seed)
     directory = work / f"seed-{seed}"
     inputs.write(inp, directory)
@@ -67,7 +82,8 @@ def seed_digest(workload: str, seed: int, work: Path, per_request: bool) -> str:
         rc, stdout = run_request(argv)
         record = f"{rc}\n{stdout}".encode()
         if req.out_file and out_file.exists():
-            record += out_file.read_bytes()
+            record += (verdict_columns(out_file.read_text()) if verdicts
+                       else out_file.read_bytes())
         total.update(len(record).to_bytes(8, "little") + record)
         if per_request:
             digest = hashlib.sha256(record).hexdigest()[:12]
@@ -83,10 +99,12 @@ def main():
                     help="seeds to run, e.g. 1-10 or 1,3,7 (default 1-10)")
     ap.add_argument("--requests", action="store_true",
                     help="also print one short digest per request")
+    ap.add_argument("--verdicts", action="store_true",
+                    help="hash only the lambda, class and near_pole columns of each --out CSV")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory(prefix=f"{args.workload}-outputs-") as tmp:
         for seed in args.seeds:
-            digest = seed_digest(args.workload, seed, Path(tmp), args.requests)
+            digest = seed_digest(args.workload, seed, Path(tmp), args.requests, args.verdicts)
             print(f"seed {seed:3d}  {digest}", flush=True)
     return 0
 

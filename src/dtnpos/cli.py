@@ -12,7 +12,6 @@ call; each call still parses into a fresh namespace.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import io
 import json
@@ -144,7 +143,7 @@ def cmd_sweep(args) -> int:
             write_csv(table, buf)
         _emit(args, buf.getvalue())
     if args.report:
-        bands = [dataclasses.asdict(b) for b in report(table)]
+        bands = [dict(vars(b)) for b in report(table)]
         sys.stdout.write(_json_dump({"bands": bands}))
     return EXIT_OK
 

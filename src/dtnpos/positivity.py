@@ -130,7 +130,7 @@ def is_irreducible(M) -> bool | np.ndarray:
     return bool(flags) if A.ndim == 2 else flags
 
 
-def classify(M) -> SemigroupClass | np.ndarray:
+def classify(M) -> SemigroupClass | tuple[np.ndarray, np.ndarray]:
     """Classify the positivity behavior of e^{-tM} for symmetric M.
 
     Tags: "strong" (positivity improving for every t > 0), "positive"
@@ -138,14 +138,19 @@ def classify(M) -> SemigroupClass | np.ndarray:
     positive), "none" (not eventually positive), "marginal" (a sign decision
     fell inside the numerical ambiguity band).
 
-    An (N, m, m) stack of finite matrices gives the (N,) object array of tags,
-    each the tag that the matrix alone would get.  An (m, m) matrix is the
-    N = 1 case and gives one SemigroupClass with the evidence behind its tag.
+    Every sample gets one eigendecomposition of the symmetrized generator
+    A = -M; the spectral projection of the samples that are not Metzler reads
+    its eigenpairs.  An (N, m, m) stack of finite matrices gives the pair
+    (tags, eigenvalues): the (N,) object array of tags, each the tag that the
+    matrix alone would get, and the (N, m) ascending eigenvalues of M, the
+    negated and reversed spectrum of A.  An (m, m) matrix is the N = 1 case
+    and gives one SemigroupClass with the evidence behind its tag.
     """
     Mat = _as_array(M)
     single = Mat.ndim == 2
     A = -(Mat[None] if single else Mat)
     metz = is_metzler(A)
+    w, V = np.linalg.eigh(0.5 * (A + _transpose(A)))
     tags = np.full(len(A), TAG_MARGINAL, dtype=object)
     # evidence columns; only a single matrix reads them, at element 0
     columns = {"metzler_margin": metz.margin, "metzler_tolerance": metz.tolerance}
@@ -159,11 +164,10 @@ def classify(M) -> SemigroupClass | np.ndarray:
     # not Metzler: decide by the spectral projection onto the top eigenvalue of A
     rest = ~metz.satisfied & ~metz.marginal
     if rest.any():
-        B = A[rest]
-        w, V = np.linalg.eigh(0.5 * (B + _transpose(B)))
-        s = w[:, -1]
-        sel = w >= (s - PROJECTION_TOL * np.maximum(1.0, np.abs(s)))[:, None]
-        P = (V * sel[:, None, :]) @ _transpose(V)
+        wr, Vr = w[rest], V[rest]
+        s = wr[:, -1]
+        sel = wr >= (s - PROJECTION_TOL * np.maximum(1.0, np.abs(s)))[:, None]
+        P = (Vr * sel[:, None, :]) @ _transpose(Vr)
         tol_p = SIGN_TOL * np.abs(P).max(axis=(1, 2))
         min_p = P.min(axis=(1, 2))
         tags[rest] = np.where(min_p > tol_p, TAG_EVENTUAL,
@@ -172,7 +176,7 @@ def classify(M) -> SemigroupClass | np.ndarray:
                        min_projection=min_p, projection_tolerance=tol_p)
 
     if not single:
-        return tags
+        return tags, -w[:, ::-1]
     return SemigroupClass(tags[0], {k: v[0].item() for k, v in columns.items()})
 
 

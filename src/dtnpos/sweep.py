@@ -17,6 +17,9 @@ from .positivity import classify
 from .spectra import near_pole, pole_scan  # noqa: F401
 
 TAG_POLE = "pole"
+# a row's eigenvalues are accurate to about SIGN_TOL * max|eig|; 12 digits
+# round each by at most 5e-12 * |e|, inside half that band
+EIG_FORMAT = "%.12g"
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,11 +44,13 @@ def sweep(g: MetricGraph, lo: float, hi: float, steps: int) -> SweepTable:
 
     The grid is the stack axis: each chunk of STACK_CHUNK samples is
     assembled, reduced and classified by one call each, so memory stays
-    bounded for any number of steps.  The sign pattern flips exactly at a
-    pole, so classifications remain valid arbitrarily close to one;
-    near_pole flags only the tight zone where the assembly loses precision:
-    the samples within spectra.NEAR_POLE_REACH * max(1, |lam|) of an edge
-    or inner pole, one beyond the ends of the window included.
+    bounded for any number of steps.  The eigenvalue columns are the ones
+    classify computes for its verdicts: one eigendecomposition per sample.
+    The sign pattern flips exactly at a pole, so classifications remain valid
+    arbitrarily close to one; near_pole flags only the tight zone where the
+    assembly loses precision: the samples within
+    spectra.NEAR_POLE_REACH * max(1, |lam|) of an edge or inner pole, one
+    beyond the ends of the window included.
     The flags come from the inertia of the inner block that the Schur
     reduction computes at every sample (spectra.near_pole), read once after
     the last chunk; no pole is located.  Samples that the assembly marks
@@ -65,8 +70,7 @@ def sweep(g: MetricGraph, lo: float, hi: float, steps: int) -> SweepTable:
         D = assemble_outer(g, grid[at:at + STACK_CHUNK])
         ok = ~D.singular
         live = at + np.flatnonzero(ok)
-        eigs[live] = np.linalg.eigvalsh(D.entries[ok])
-        tags[live] = classify(D.entries[ok])
+        tags[live], eigs[live] = classify(D.entries[ok])
         singular.append(D.singular)
         negative.append(D.inner_negative)
     near = near_pole(g, grid, np.concatenate(singular),
@@ -96,20 +100,21 @@ def write_csv(table: SweepTable, out: TextIO) -> None:
     if not n:
         raise ValueError("nothing to write")
     header = ["lambda"] + ["eig_%d" % (i + 1) for i in range(m)] + ["class", "near_pole"]
-    # "%.17g" prints NaN as "nan", the eigenvalues of a pole row
-    row = "%.17g," * (m + 1) + "%s,%s\n"
+    # lambda at 17 digits round-trips, so the grid reads back bit for bit;
+    # "%g" prints NaN as "nan", the eigenvalues of a pole row
+    row = "%.17g," + (EIG_FORMAT + ",") * m + "%s,%s\n"
+    near = ["true" if x else "false" for x in table.near_pole.tolist()]
     out.write(",".join(header) + "\n")
-    out.write("".join([row % (lam, *eigs, tag, "true" if near else "false")
-                       for lam, eigs, tag, near in zip(
-                           table.lam.tolist(), table.eigenvalues.tolist(),
-                           table.tag.tolist(), table.near_pole.tolist())]))
+    out.write("".join(map(row.__mod__, zip(table.lam.tolist(), *table.eigenvalues.T.tolist(),
+                                           table.tag.tolist(), near))))
 
 
 def write_json(table: SweepTable, out: TextIO) -> None:
+    # the eigenvalues are the CSV's, rounded to the same digits
     payload = [
         {
             "lambda": lam,
-            "eigenvalues": [None if math.isnan(e) else e for e in eigs],
+            "eigenvalues": [None if math.isnan(e) else float(EIG_FORMAT % e) for e in eigs],
             "class": tag,
             "near_pole": near,
         }

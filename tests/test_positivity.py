@@ -263,12 +263,17 @@ def test_classify_shift_invariant(seed, c):
 
 
 def assert_stack_classifies_like_singles(stack):
-    got = classify(stack)
+    got, eigs = classify(stack)
     assert got.shape == (len(stack),) and got.dtype == object
-    for M, tag in zip(stack, got):
+    assert eigs.shape == stack.shape[:2]
+    for M, tag, row in zip(stack, got, eigs):
         assert type(tag) is str and tag == classify(M).tag
         if tag == "strong":
             assert power_positive(M)
+        # the ascending spectrum of M, from the classifier's own eigh
+        ref = np.linalg.eigvalsh(M)
+        assert (np.diff(row) >= 0).all()
+        assert np.abs(row - ref).max() <= 1e-14 * np.abs(ref).max()
     return set(got)
 
 
@@ -287,7 +292,8 @@ def test_stack_classify_covers_every_tag():
     tags |= assert_stack_classifies_like_singles(triples)
     assert tags == {"strong", "positive", "none", "eventual", "marginal"}
     assert assert_stack_classifies_like_singles(np.array([[[0.0]], [[2.0]]])) == {"strong"}
-    assert classify(np.zeros((0, 3, 3))).shape == (0,)
+    tags, eigs = classify(np.zeros((0, 3, 3)))
+    assert tags.shape == (0,) and eigs.shape == (0, 3)
 
 
 @settings(max_examples=30, deadline=None)

@@ -89,3 +89,15 @@ def test_outputs_script_sweep_workload():
     assert all(" sweep " in line and "rc=0" in line for line in lines[:12])
     label, digest = lines[-1].rsplit(None, 1)
     assert label.split() == ["seed", "1"] and len(digest) == 64
+
+
+def test_outputs_script_verdicts():
+    # --verdicts hashes only the lambda, class and near_pole columns of each
+    # --out csv, so every request's digest differs from the full one
+    full = run_script("search_outputs.py", "--workload", "sweep", "--seeds", "2", "--requests")
+    verdicts = run_script("search_outputs.py", "--workload", "sweep", "--seeds", "2",
+                          "--requests", "--verdicts")
+    assert len(verdicts) == 13
+    for a, b in zip(full, verdicts):
+        assert a.rsplit(None, 1)[0] == b.rsplit(None, 1)[0]
+        assert a.rsplit(None, 1)[1] != b.rsplit(None, 1)[1]

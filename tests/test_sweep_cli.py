@@ -31,7 +31,11 @@ from dtnpos import (
     write_csv,
     write_json,
 )
+from dtnpos.catalog import catalog_names
 from dtnpos.cli import build_parser, main
+from dtnpos.positivity import SIGN_TOL
+
+from conftest import random_surd_graph
 
 # the package re-exports the function sweep under the submodule's name
 sweep_module = importlib.import_module("dtnpos.sweep")
@@ -70,29 +74,58 @@ def test_sweep_flags_pole_rows(interval):
     assert np.isnan(table.eigenvalues[1]).all()
 
 
-def test_write_csv_roundtrip(interval):
-    table = sweep(interval, -2.0, 5.0, 25)
+def csv_rows(table):
     buf = io.StringIO()
     write_csv(table, buf)
-    rows = list(csv.reader(io.StringIO(buf.getvalue())))
+    return list(csv.reader(io.StringIO(buf.getvalue())))
+
+
+def assert_printed_digits(g, table):
+    # lambda round-trips bit for bit; each printed eigenvalue is within the
+    # classifier's zero band, SIGN_TOL * max|eig|, of a fresh eigvalsh
+    m = g.n_outer
+    for row, lam, tag in zip(csv_rows(table)[1:], table.lam.tolist(), table.tag):
+        assert float(row[0]) == lam
+        printed = np.array([float(x) for x in row[1:1 + m]])
+        if tag == "pole":
+            assert np.isnan(printed).all()
+            continue
+        ref = np.linalg.eigvalsh(assemble_outer(g, lam).entries)
+        assert np.abs(printed - ref).max() <= SIGN_TOL * np.abs(ref).max(), f"lam={lam!r}"
+
+
+def test_write_csv_roundtrip(interval):
+    table = sweep(interval, -2.0, 5.0, 25)
+    rows = csv_rows(table)
     assert rows[0] == ["lambda", "eig_1", "eig_2", "class", "near_pole"]
     assert len(rows) == 26
-    for row, lam, eigs, tag in zip(rows[1:], table.lam, table.eigenvalues, table.tag):
+    for row, lam, tag in zip(rows[1:], table.lam, table.tag):
         # %.17g output must round-trip bit for bit
         assert float(row[0]) == lam
-        assert float(row[1]) == eigs[0]
         assert row[3] == tag
         assert row[4] in ("true", "false")
+    assert_printed_digits(interval, table)
 
 
-# the bytes write_csv printed through a per-field formatter: 17 significant
-# digits, "nan" for the eigenvalues of a pole row, "-0", "inf"
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from([None, *catalog_names()]),
+       seed=st.integers(min_value=0, max_value=2**31 - 1),
+       lo=st.floats(-20.0, 200.0), width=st.floats(0.01, 100.0),
+       steps=st.integers(min_value=2, max_value=40))
+def test_write_csv_digits_within_zero_band(name, seed, lo, width, steps):
+    g = random_surd_graph(np.random.default_rng(seed)) if name is None else catalog(name)
+    assert_printed_digits(g, sweep(g, lo, lo + width, steps))
+
+
+# the bytes write_csv printed through a per-field formatter: lambda at 17
+# significant digits, eigenvalues at 12, "nan" for the eigenvalues of a pole
+# row, "-0", "inf"
 GOLDEN_CSV = (
     "lambda,eig_1,eig_2,class,near_pole\n"
-    "-5,0.10000000000000001,-0.33333333333333331,strong,false\n"
+    "-5,0.1,-0.333333333333,strong,false\n"
     "9.869604401089358,nan,nan,pole,true\n"
     "9.8696044060000006,-0,2.5e-300,marginal,true\n"
-    "1e+21,-1.2345678901234566e+17,inf,none,false\n"
+    "1e+21,-1.23456789012e+17,inf,none,false\n"
 )
 
 
@@ -132,6 +165,21 @@ def test_write_json_handles_nan(interval):
     data = json.loads(buf.getvalue())
     assert data[1]["class"] == "pole"
     assert data[1]["eigenvalues"][0] is None
+
+
+def test_sweep_json_and_csv_carry_equal_eigenvalues(tmp_path):
+    # the interval's first edge pole pi^2 is the middle sample: a pole row
+    pi2 = math.pi**2
+    argv = ["sweep", "--graph", "catalog:interval", "--from", repr(pi2 - 1.0),
+            "--to", repr(pi2 + 1.0), "--steps", "41"]
+    assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+    assert main(argv + ["--format", "json", "--out", str(tmp_path / "s.json")]) == 0
+    rows = list(csv.reader((tmp_path / "s.csv").open()))[1:]
+    from_csv = np.array([[float(x) for x in row[1:-2]] for row in rows])
+    data = json.loads((tmp_path / "s.json").read_text())
+    from_json = np.array([[math.nan if e is None else e for e in r["eigenvalues"]] for r in data])
+    assert np.isnan(from_csv).any()
+    assert np.array_equal(from_csv, from_json, equal_nan=True)
 
 
 def test_report_merges_runs():
@@ -610,7 +658,10 @@ def test_sweep_chunks_match_single_samples(monkeypatch, path3):
         except (AtPole, InnerBlockSingular):
             assert tag == "pole" and near
             continue
-        assert eigs == np.linalg.eigvalsh(D.entries).tolist()
+        # the one-sample case of the classifier's eigh, and eigvalsh up to roundoff
+        assert eigs == (-np.linalg.eigh(-D.entries)[0][::-1]).tolist()
+        ref = np.linalg.eigvalsh(D.entries)
+        assert np.abs(np.array(eigs) - ref).max() <= 1e-14 * np.abs(ref).max()
         assert tag == classify(D).tag
         assert near == any(abs(lam - p) <= 1e-9 * max(1.0, abs(p)) for p in poles)
 
