@@ -10,7 +10,8 @@ For a real symmetric matrix M the semigroup e^{-tM} is
 
 Two independent routes are kept side by side: the algebraic classifier above,
 and a direct matrix-exponential oracle that samples e^{-tM} on a geometric
-time grid.  They are compared in the test suite, never merged.
+time grid.  They are compared in the test suite, never merged.  Only the
+oracle loads scipy, on its first call, so classifying needs numpy alone.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .assembly import DtnMatrix
 
@@ -138,19 +138,22 @@ def classify(M) -> SemigroupClass | tuple[np.ndarray, np.ndarray]:
     positive), "none" (not eventually positive), "marginal" (a sign decision
     fell inside the numerical ambiguity band).
 
-    Every sample gets one eigendecomposition of the symmetrized generator
-    A = -M; the spectral projection of the samples that are not Metzler reads
-    its eigenpairs.  An (N, m, m) stack of finite matrices gives the pair
-    (tags, eigenvalues): the (N,) object array of tags, each the tag that the
-    matrix alone would get, and the (N, m) ascending eigenvalues of M, the
-    negated and reversed spectrum of A.  An (m, m) matrix is the N = 1 case
-    and gives one SemigroupClass with the evidence behind its tag.
+    The spectral projection of the samples that are not Metzler reads the
+    eigenpairs of the symmetrized generator A = -M.  An (N, m, m) stack of
+    finite matrices takes one eigendecomposition of every sample and gives
+    the pair (tags, eigenvalues): the (N,) object array of tags, each the tag
+    that the matrix alone would get, and the (N, m) ascending eigenvalues of
+    M, the negated and reversed spectrum of A.  An (m, m) matrix is the N = 1
+    case and gives one SemigroupClass with the evidence behind its tag; it
+    takes its eigendecomposition only when the projection test reads it.
     """
     Mat = _as_array(M)
     single = Mat.ndim == 2
     A = -(Mat[None] if single else Mat)
     metz = is_metzler(A)
-    w, V = np.linalg.eigh(0.5 * (A + _transpose(A)))
+    rest = ~metz.satisfied & ~metz.marginal
+    if not single or rest[0]:
+        w, V = np.linalg.eigh(0.5 * (A + _transpose(A)))
     tags = np.full(len(A), TAG_MARGINAL, dtype=object)
     # evidence columns; only a single matrix reads them, at element 0
     columns = {"metzler_margin": metz.margin, "metzler_tolerance": metz.tolerance}
@@ -162,7 +165,6 @@ def classify(M) -> SemigroupClass | tuple[np.ndarray, np.ndarray]:
         columns["irreducible"] = irr
 
     # not Metzler: decide by the spectral projection onto the top eigenvalue of A
-    rest = ~metz.satisfied & ~metz.marginal
     if rest.any():
         wr, Vr = w[rest], V[rest]
         s = wr[:, -1]
@@ -195,6 +197,8 @@ def expm_oracle(M) -> OracleReport:
     not overflow.  Verdicts: strict at every sample, strict from some sample
     on, or never strict; a non-monotone pattern is reported as ambiguous.
     """
+    import scipy.linalg
+
     Mat = _as_array(M)
     n = Mat.shape[0]
     A = -0.5 * (Mat + Mat.T)

@@ -25,13 +25,11 @@ pole, without locating any.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.cython_lapack
-import scipy.sparse
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .assembly import STACK_CHUNK, assemble_full
 from .errors import ResolutionTooLow
@@ -115,11 +113,16 @@ def _fem_matrices(g: MetricGraph, resolution: float) -> tuple[np.ndarray, np.nda
     return K, M
 
 
+@functools.cache
 def _lapack(name: str, n_args: int):
     """A routine of scipy's Cython LAPACK table, callable with ctypes pointers.
 
-    Every argument of a LAPACK routine is passed by pointer.
+    Every argument of a LAPACK routine is passed by pointer.  The table is
+    imported and the handle built on the first call for a routine; later
+    calls return the same handle.
     """
+    import scipy.linalg.cython_lapack
+
     capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
     # private prototypes: setting restype on ctypes.pythonapi's shared
     # function objects would change them for every other user
@@ -129,11 +132,6 @@ def _lapack(name: str, n_args: int):
         ("PyCapsule_GetPointer", ctypes.pythonapi))
     address = get_pointer(capsule, get_name(capsule))
     return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
-
-
-# generalized symmetric-definite banded eigensolver, selected eigenvalues;
-# scipy.linalg.lapack does not wrap it
-_dsbgvx = _lapack("dsbgvx", 25)
 
 
 def _fem_eigenvalues(g: MetricGraph, count: int, resolution: float) -> np.ndarray:
@@ -149,7 +147,14 @@ def _fem_eigenvalues(g: MetricGraph, count: int, resolution: float) -> np.ndarra
     lowest lambda come out more accurate than from a dense (K, M) solve,
     whose roundoff is relative to the largest lambda.  K is positive
     definite since every graph has an outer vertex.
+
+    scipy, for the ordering and for the dsbgvx handle (see _lapack), is
+    imported on the first call, so only this reference spectrum and
+    expm_oracle load it.
     """
+    import scipy.sparse
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
     n, rows, cols, k, m = _fem_entries(g, resolution)
     if n < count:
         raise ResolutionTooLow(math.inf, math.nan, (
@@ -178,12 +183,15 @@ def _fem_eigenvalues(g: MetricGraph, count: int, resolution: float) -> np.ndarra
     int_ = lambda x: ctypes.byref(ctypes.c_int(x))
     real = lambda x: ctypes.byref(ctypes.c_double(x))
     ptr = lambda a: a.ctypes.data_as(ctypes.c_void_p)
-    # eigenvalues only, indices n-count+1..n, tolerance 2 * safe minimum (most accurate)
-    _dsbgvx(char(b"N"), char(b"I"), char(b"U"), int_(n), int_(kd), int_(kd),
-            ptr(mass), int_(kd + 1), ptr(stiffness), int_(kd + 1), ptr(unused), int_(1),
-            real(0.0), real(0.0), int_(n - count + 1), int_(n), real(2.0 * np.finfo(float).tiny),
-            ctypes.byref(found), ptr(mu), ptr(unused), int_(1),
-            ptr(work), ptr(iwork), ptr(ifail), ctypes.byref(info))
+    # generalized symmetric-definite banded eigensolver, selected eigenvalues
+    # (scipy.linalg.lapack does not wrap it); eigenvalues only, indices
+    # n-count+1..n, tolerance 2 * safe minimum (most accurate)
+    dsbgvx = _lapack("dsbgvx", 25)
+    dsbgvx(char(b"N"), char(b"I"), char(b"U"), int_(n), int_(kd), int_(kd),
+           ptr(mass), int_(kd + 1), ptr(stiffness), int_(kd + 1), ptr(unused), int_(1),
+           real(0.0), real(0.0), int_(n - count + 1), int_(n), real(2.0 * np.finfo(float).tiny),
+           ctypes.byref(found), ptr(mu), ptr(unused), int_(1),
+           ptr(work), ptr(iwork), ptr(ifail), ctypes.byref(info))
     if info.value != 0 or found.value != count:
         raise np.linalg.LinAlgError(f"dsbgvx failed (info={info.value}, found {found.value} of {count})")
     return 1.0 / mu[count - 1::-1]

@@ -101,3 +101,12 @@ def test_outputs_script_verdicts():
     for a, b in zip(full, verdicts):
         assert a.rsplit(None, 1)[0] == b.rsplit(None, 1)[0]
         assert a.rsplit(None, 1)[1] != b.rsplit(None, 1)[1]
+
+
+def test_cold_start():
+    lines = run_script("cold_start.py", "--repeats", "1", "--only", "sweep", "spectrum-kirchhoff")
+    assert lines[0].startswith("# 1 fresh processes per row, python ")
+    assert lines[1].split() == ["command", "median_ms", "maxrss_mb", "scipy"]
+    rows = [line.split() for line in lines[2:]]
+    assert [(row[0], row[-1]) for row in rows] == [("sweep", "no"), ("spectrum-kirchhoff", "yes")]
+    assert all(float(row[1]) > 0 and float(row[2]) > 0 for row in rows)
