@@ -4,8 +4,7 @@ Every row runs --repeats new Python processes that import dtnpos.cli and
 call main() once on a catalog graph with cheap arguments, so the wall time
 is almost all start-up.  Prints the median wall time, the child's own peak
 resident set (ru_maxrss) and whether scipy was loaded when main() returned.
-Only the FEM reference spectrum (spectrum --kind kirchhoff) and expm_oracle
-import scipy; every other row should say "no".
+No command imports scipy, so every row should say "no".
 
 Example:
     python3 scripts/cold_start.py --repeats 9
@@ -20,7 +19,7 @@ import sys
 import time
 from pathlib import Path
 
-# (row name, argv); the rows whose commands must start without scipy come first
+# (row name, argv) of every command, all of which must start without scipy
 COMMANDS = [
     ("validate", ["validate", "--graph", "catalog:path-3"]),
     ("reduce", ["reduce", "--graph", "catalog:lasso-4"]),
@@ -39,9 +38,9 @@ COMMANDS = [
                    "--count", "2"]),
     ("commensurable", ["commensurable", "--graph", "catalog:two-cluster", "--mu", "0.5",
                        "--p", "1,2"]),
+    ("spectrum-kirchhoff", ["spectrum", "--graph", "catalog:lasso-4", "--kind", "kirchhoff",
+                            "--count", "3"]),
 ]
-KIRCHHOFF = ("spectrum-kirchhoff", ["spectrum", "--graph", "catalog:lasso-4",
-                                    "--kind", "kirchhoff", "--count", "3"])
 
 # the child runs the command as `dtnpos` would, then reports on stderr's last line
 CHILD = """\
@@ -70,8 +69,7 @@ def run_once(argv, env):
 
 
 def main():
-    rows = COMMANDS + [KIRCHHOFF]
-    names = [name for name, _ in rows]
+    names = [name for name, _ in COMMANDS]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeats", type=int, default=9, help="fresh processes per row (>= 1)")
     ap.add_argument("--only", nargs="+", choices=names, default=names, metavar="ROW",
@@ -83,7 +81,7 @@ def main():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    argv_of = dict(rows)
+    argv_of = dict(COMMANDS)
     print(f"# {args.repeats} fresh processes per row, python {sys.version.split()[0]}, "
           f"{os.cpu_count()} cores")
     print(f"{'command':<20} {'median_ms':>10} {'maxrss_mb':>10}  scipy")

@@ -5,10 +5,16 @@ Two reference spectra:
 * the fully Dirichlet spectrum decouples edge by edge into (pi k / L_e)^2,
   listed with multiplicity in closed form;
 * the spectrum with Dirichlet data on the outer vertices and continuity +
-  Kirchhoff conditions on the inner ones, computed by a P1 finite element
-  discretization of each edge and a banded generalized eigensolver, and
-  checked against lambda_1, its lowest value, which is counted exactly as
-  the first pole that pole_scan locates.
+  Kirchhoff conditions on the inner ones, of a P1 finite element
+  discretization of each edge, and checked against lambda_1, its lowest
+  value, which is counted exactly as the first pole that pole_scan locates.
+  Its eigenvalues are counted too: each edge's interior chain is eliminated
+  in closed form, and by Haynsworth's inertia additivity the count below
+  lam is the chain poles below lam plus the negative eigenvalues of the
+  Schur complement S(lam) on the inner vertices, the structure pole_scan
+  uses for C(lam).  The zeros of the eigenvalues of S come from the same
+  stacked root-find, so the cost follows the number of eigenvalues asked
+  for and not the mesh, and numpy is all it needs.
 
 The assembled outer matrix is singular on a discrete set of parameters: the
 edge poles together with the inner-block Kirchhoff eigenvalues.  pole_scan
@@ -24,8 +30,6 @@ pole, without locating any.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 
@@ -113,97 +117,164 @@ def _fem_matrices(g: MetricGraph, resolution: float) -> tuple[np.ndarray, np.nda
     return K, M
 
 
-@functools.cache
-def _lapack(name: str, n_args: int):
-    """A routine of scipy's Cython LAPACK table, callable with ctypes pointers.
+def _chain_schur(g: MetricGraph, ne: np.ndarray):
+    """S(lam), the P1 pencil K - lam M reduced to the inner vertices, as a stacked evaluator.
 
-    Every argument of a LAPACK routine is passed by pointer.  The table is
-    imported and the handle built on the first call for a routine; later
-    calls return the same handle.
+    ne is every edge's element count.  Eliminating an edge's ne - 1 interior
+    nodes in closed form leaves the block [[alpha, beta], [beta, alpha]] on
+    its two ends, with h = L/ne, a = 1/h - lam h/3, b = -1/h - lam h/6,
+    x = -a/b and U_m the Chebyshev polynomials of the second kind:
+
+        alpha = a + b U_{ne-2}(x) / U_{ne-1}(x),    beta = b / U_{ne-1}(x).
+
+    With y = |x| = cos phi, or cosh t past 1 (lam beyond 12/h^2),
+    U_m(y) = sin((m + 1) phi) / sin phi = sinh((m + 1) t) / sinh t, and
+    U_m(-y) = (-1)^m U_m(y); phi and t come from 1 - y without cancellation,
+    the hyperbolic ratios in expm1 form cannot overflow, and at y = 1 the
+    ratios take their limits (ne - 1)/ne and 1/ne.  A fixed scatter matrix
+    adds every alpha to the diagonal entries of the edge's inner ends and
+    every beta to the entries between them, so S is one product.
+
+    Returns the function that maps parameters, none of them on a chain pole
+    (where U_{ne-1}(x) = 0), to the ascending eigenvalues of S, one row each.
     """
-    import scipy.linalg.cython_lapack
+    m = g.n_outer
+    k = g.n_vertices - m
+    inner = [(e, u - m, v - m) for e, (u, v) in enumerate(g.edge_indices) if max(u, v) >= m]
+    scatter = np.zeros((len(inner), 2, k * k))
+    for r, (_, u, v) in enumerate(inner):
+        for w in (u, v):
+            if w >= 0:
+                scatter[r, 0, w * k + w] = 1.0
+        if min(u, v) >= 0:
+            scatter[r, 1, [u * k + v, v * k + u]] = 1.0
+    scatter = scatter.reshape(2 * len(inner), k * k)
+    edges = [e for e, _, _ in inner]
+    n = ne[edges]
+    h = np.array(g.lengths)[edges] / n
+    h2, inv_h, h3, h6 = h * h, 1.0 / h, h / 3.0, h / 6.0
+    # per edge, the multiples of phi (or t) in the numerators of
+    # [U_{n-2} / U_{n-1}, 1 / U_{n-1}] and in their denominator
+    multiples = np.stack([n - 1.0, np.ones(len(n)), n], axis=1)
+    flip = np.stack([-np.ones(len(n)), (-1.0) ** (n - 1)], axis=1)
+    limit = np.stack([(n - 1.0) / n, 1.0 / n], axis=1)
 
-    capsule = scipy.linalg.cython_lapack.__pyx_capi__[name]
-    # private prototypes: setting restype on ctypes.pythonapi's shared
-    # function objects would change them for every other user
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    address = get_pointer(capsule, get_name(capsule))
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)(address)
+    def eigenvalues(lams: np.ndarray) -> np.ndarray:
+        s = np.multiply.outer(lams, h2)
+        reflect = s > 3.0  # x < 0
+        d = np.where(reflect, 12.0 - s, 3.0 * s) / (6.0 + s)  # 1 - y
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sines = np.sin(2.0 * np.arcsin(np.sqrt(0.5 * d))[..., None] * multiples)
+            ratios = sines[..., :2] / sines[..., 2:]
+            if not (d > 0).all():
+                t = 2.0 * np.arcsinh(np.sqrt(-0.5 * d))[..., None]
+                e = np.expm1(-2.0 * t * multiples)
+                hyperbolic = np.exp(-t * multiples[:, [1, 0]]) * e[..., :2] / e[..., 2:]
+                ratios = np.where((d < 0)[..., None], hyperbolic, ratios)
+                ratios = np.where((d == 0)[..., None], limit, ratios)
+        ratios = np.where(reflect[..., None], flip * ratios, ratios)
+        coefficients = -(inv_h + np.multiply.outer(lams, h6))[..., None] * ratios
+        coefficients[..., 0] += inv_h - np.multiply.outer(lams, h3)
+        S = coefficients.reshape(len(lams), -1) @ scatter
+        return np.linalg.eigvalsh(S.reshape(len(lams), k, k))
+
+    return eigenvalues
 
 
 def _fem_eigenvalues(g: MetricGraph, count: int, resolution: float) -> np.ndarray:
-    """The `count` lowest eigenvalues of the P1 pencil (K, M), ascending.
+    """The `count` lowest eigenvalues of the P1 pencil (K, M), ascending, by counting.
 
-    K and M have the sparsity of the discretized graph.  A reverse
-    Cuthill-McKee ordering turns them into band matrices whose half-bandwidth
-    kd is a few nodes (1-3 on the usual graphs, where a dense order has n),
-    and LAPACK dsbgvx reduces the banded pencil and bisects for the wanted
-    eigenvalues: O(n^2 kd) work instead of the O(n^3) of a dense solve.  It
-    solves M x = mu K x for the largest mu = 1/lambda: the reduction then
-    factors K, and its roundoff is relative to mu_max = 1/lambda_1, so the
-    lowest lambda come out more accurate than from a dense (K, M) solve,
-    whose roundoff is relative to the largest lambda.  K is positive
-    definite since every graph has an outer vertex.
+    Order the free nodes as inner vertices, then edge interiors.  The
+    interior block of K - lam M is one tridiagonal chain per edge, singular
+    only at its chain poles
 
-    scipy, for the ordering and for the dsbgvx handle (see _lapack), is
-    imported on the first call, so only this reference spectrum and
-    expm_oracle load it.
+        mu_j = (6/h^2)(1 - cos(j pi/ne))/(2 + cos(j pi/ne)),   0 < j < ne,
+
+    and its Schur complement is S(lam) on the inner vertices (see
+    _chain_schur).  By Haynsworth's inertia additivity (1968) and
+    Sylvester's law of inertia, away from the chain poles
+
+        #{eigenvalues < lam} = sum_e #{j : mu_j^e < lam} + neg S(lam),
+
+    and between consecutive chain poles S decreases strictly in the Loewner
+    order (its derivative is minus a compression of M), so, as ev_j(C) in
+    pole_scan, each ev_j(S) that changes sign in such a bracket crosses zero
+    once there.
+
+    The chains alone are the pencil on the interior nodes, so by Cauchy
+    interlacing the count has reached `count` at the `count`-th chain pole;
+    a coarse mesh with fewer chain poles has every free node below
+    12/h_min^2, the largest eigenvalue any element allows.  The window ends
+    there, and only the chain poles below it are formed.  Each pole p is
+    widened to [p - g, p + g] with g = POLE_BISECT_TOL p / 4, poles whose
+    intervals meet form one group, and the jump of the count across a group
+    gives the eigenvalues on it, reported at the mean of its outer poles:
+    equal edges share their poles, and an eigenvector that vanishes on every
+    vertex sits on one.  Between groups, _stacked_root finds the zero of
+    ev_j(S) for each eigenvalue among the lowest `count`; the counts at all
+    group ends come from one stacked evaluation of S, and every step of the
+    root-find from one more.
+
+    So every eigenvalue lam comes out within POLE_BISECT_TOL * lam: a root
+    within half that by the stop rule (see _stacked_root), a value on a
+    group of one or two poles within POLE_BISECT_TOL * p / 2 of its every
+    point.  The cost follows `count` and the number of inner vertices, not
+    the mesh: at most 2 count + 1 parameters in the first evaluation of S,
+    one per live row in each later one.
     """
-    import scipy.sparse
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    n, rows, cols, k, m = _fem_entries(g, resolution)
+    ne = np.array(_elements(g, resolution))
+    h = np.array(g.lengths) / ne
+    n = g.n_vertices - g.n_outer + int((ne - 1).sum())
     if n < count:
         raise ResolutionTooLow(math.inf, math.nan, (
             f"the mesh at resolution {resolution:g} has {n} free nodes, "
             f"fewer than the {count} eigenvalues asked for"))
-    pattern = scipy.sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    order = np.empty(n, dtype=np.intp)
-    order[reverse_cuthill_mckee(pattern, symmetric_mode=True)] = np.arange(n)
-    r, c = order[rows], order[cols]
-    upper = r <= c
-    r, c, k, m = r[upper], c[upper], k[upper], m[upper]
-    kd = int((c - r).max())
-    # LAPACK upper band storage: A[i, j] sits at band[kd + i - j, j]
-    mass = np.zeros((kd + 1, n), order="F")
-    stiffness = np.zeros((kd + 1, n), order="F")
-    np.add.at(mass, (kd + r - c, c), m)
-    np.add.at(stiffness, (kd + r - c, c), k)
 
-    mu = np.empty(n)
-    unused = np.empty(1)
-    work = np.empty(7 * n)
-    iwork = np.empty(5 * n, dtype=np.intc)
-    ifail = np.empty(n, dtype=np.intc)
-    found, info = ctypes.c_int(0), ctypes.c_int(0)
-    char = lambda x: ctypes.byref(ctypes.c_char(x))
-    int_ = lambda x: ctypes.byref(ctypes.c_int(x))
-    real = lambda x: ctypes.byref(ctypes.c_double(x))
-    ptr = lambda a: a.ctypes.data_as(ctypes.c_void_p)
-    # generalized symmetric-definite banded eigensolver, selected eigenvalues
-    # (scipy.linalg.lapack does not wrap it); eigenvalues only, indices
-    # n-count+1..n, tolerance 2 * safe minimum (most accurate)
-    dsbgvx = _lapack("dsbgvx", 25)
-    dsbgvx(char(b"N"), char(b"I"), char(b"U"), int_(n), int_(kd), int_(kd),
-           ptr(mass), int_(kd + 1), ptr(stiffness), int_(kd + 1), ptr(unused), int_(1),
-           real(0.0), real(0.0), int_(n - count + 1), int_(n), real(2.0 * np.finfo(float).tiny),
-           ctypes.byref(found), ptr(mu), ptr(unused), int_(1),
-           ptr(work), ptr(iwork), ptr(ifail), ctypes.byref(info))
-    if info.value != 0 or found.value != count:
-        raise np.linalg.LinAlgError(f"dsbgvx failed (info={info.value}, found {found.value} of {count})")
-    return 1.0 / mu[count - 1::-1]
+    # the first `count` chain poles of every edge, with multiplicity
+    j = np.arange(1, count + 1)
+    q = np.sin(0.5 * np.pi * j / ne[:, None]) ** 2
+    poles = np.sort((12.0 * q / ((3.0 - 2.0 * q) * (h * h)[:, None]))[j < ne[:, None]])
+    top, end = (poles[count - 1], []) if len(poles) >= count else (math.inf, [12.0 / h.min() ** 2])
+    p = np.unique(poles)
+    gap = 0.25 * POLE_BISECT_TOL * p
+    first = np.ones(len(p), dtype=bool)
+    first[1:] = p[1:] - gap[1:] > p[:-1] + gap[:-1]
+    last = np.roll(first, -1)
+    keep = p[first] <= top
+    lo, hi = (p - gap)[first][keep], (p + gap)[last][keep]
+    at = 0.5 * (p[first] + p[last])[keep]
+
+    # the window [0, hi] or [0, 12/h_min^2]: brackets (x[2i], x[2i + 1]),
+    # groups (x[2i + 1], x[2i + 2])
+    x = np.concatenate([[0.0], np.column_stack([lo, hi]).ravel(), end])
+    schur = _chain_schur(g, ne)
+    ev = schur(x)
+    neg = (ev < 0).sum(axis=1)
+    chained = np.searchsorted(poles, x)
+    left = np.arange(0, len(x) - 1, 2)
+    bracket, row = _crossings(neg[left], neg[left + 1])
+    # the row's eigenvalue is the (chained + row + 1)-th
+    wanted = chained[left[bracket]] + row < count
+    bracket, row = left[bracket[wanted]], row[wanted]
+    roots = _stacked_root(lambda rows, y: schur(y)[np.arange(len(rows)), row[rows]],
+                          x[bracket], ev[bracket, row], x[bracket + 1], ev[bracket + 1, row])
+    group = np.arange(1, 2 * len(at), 2)
+    below = chained + neg
+    on_poles = np.repeat(at, below[group + 1] - below[group])
+    return np.sort(np.concatenate([on_poles, roots]))[:count]
 
 
 def kirchhoff_spectrum(g: MetricGraph, count: int = 1,
                        resolution: float = DEFAULT_RESOLUTION) -> SpectrumList:
     """First eigenvalues with Dirichlet outer data and Kirchhoff inner conditions.
 
-    The P1 reference spectrum, which converges at order h^2.  Its lowest
-    value is measured against the counted lambda_1: a mesh whose error there
-    exceeds RESOLUTION_DRIFT_MAX * lambda_1 is refused as under-resolved.
+    The P1 reference spectrum, which converges at order h^2, counted on the
+    inner vertices (see _fem_eigenvalues): #{eigenvalues < lam} is
+    sum_e #{j : mu_j^e < lam} + neg S(lam) (Haynsworth 1968), and every
+    value lies within POLE_BISECT_TOL times itself of the P1 eigenvalue.
+    Its lowest value is measured against the counted lambda_1: a mesh whose
+    error there exceeds RESOLUTION_DRIFT_MAX * lambda_1 is refused as
+    under-resolved.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -268,35 +339,53 @@ def _inner_eigenvalues(g: MetricGraph, lams: np.ndarray) -> np.ndarray:
     return ev
 
 
-def _bracketed_poles(g: MetricGraph, left: np.ndarray, right: np.ndarray) -> list[float]:
-    """The inner poles inside brackets (left, right) that hold no edge pole, with multiplicity.
+def _crossings(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row per eigenvalue that crosses zero in a bracket: the bracket and its index j.
 
-    One row per pole: the bracket and the index j of the eigenvalue of C
-    that crosses zero in it.  Every row takes one Chandrupatla step per
-    iteration, all rows in one stacked evaluation; see pole_scan.  A row
-    starts at max(left, 0): C is positive definite for lam <= 0, so the
-    count there is 0 either way, and no inner pole lies below.
+    low and high are the negative counts at the ends of each bracket of a
+    decreasing matrix function; the eigenvalues j = low, ..., high - 1 cross.
     """
-    left = np.maximum(left, 0.0)
-    ev_left, ev_right = np.split(_inner_eigenvalues(g, np.concatenate([left, right])), 2)
-    low, high = (ev_left < 0).sum(axis=1), (ev_right < 0).sum(axis=1)
     held = np.maximum(high - low, 0)
-    bracket = np.repeat(np.arange(len(left)), held)
-    j = low[bracket] + np.arange(len(bracket)) - np.repeat(np.cumsum(held) - held, held)
+    bracket = np.repeat(np.arange(len(low)), held)
+    return bracket, low[bracket] + np.arange(len(bracket)) - np.repeat(np.cumsum(held) - held, held)
+
+
+def _stacked_root(f, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    """The zero of each row's function inside its bracket (a, b), all rows in stacked evaluations.
+
+    Row i's function is continuous with fa[i] >= 0 > fb[i] (zero is not
+    negative), and f(rows, x) evaluates the functions of the live rows, row
+    rows[r] at x[r], in one call.  Brackets lie in lam >= 0.  Returns the
+    zeros in row order.
+
+    Every row runs Chandrupatla's method, keeping a sign bracket: inverse
+    quadratic interpolation where it passes Chandrupatla's monotonicity
+    test, bisection otherwise; the first step bisects.  A Brent-style
+    safeguard makes step k + 1 a bisection unless the bracket is already
+    within 2 w0 2^-floor((k + 1)/2), w0 its first width: then even a step
+    that gains nothing leaves it within 2 w0 2^-floor(k/2) after every k
+    steps, one halving in every two steps with one to spare.
+
+    A row stops once its bracket (x0, x1) is at most POLE_BISECT_TOL * x1
+    wide, and reports its midpoint.  The zero p lies in the bracket, so
+    x1 <= p + POLE_BISECT_TOL * x1, and the midpoint lies within
+    POLE_BISECT_TOL * x1 / 2 < POLE_BISECT_TOL * p of p.  Bisection alone
+    would take N = ceil(log2(w0 / (POLE_BISECT_TOL p))) steps; the safeguard
+    caps a row at 2 N + 2.
+    """
+    rows = np.arange(len(a))
+    roots = np.empty(len(a))
     # a is the newest point, b the other end of the sign bracket, c the
-    # point the last step dropped; f is ev_j at each
-    a, fa = left[bracket], ev_left[bracket, j]
-    b, fb = right[bracket], ev_right[bracket, j]
+    # point the last step dropped
     c, fc = a, fa
     start = b - a
-    t = np.full(len(j), 0.5)
-    poles = []
+    t = np.full(len(a), 0.5)
     step = 0
-    while len(j):
+    while len(rows):
         step += 1
         x = a + t * (b - a)
-        fx = _inner_eigenvalues(g, x)[np.arange(len(j)), j]
-        # zero is not negative: ev_j >= 0 at one end of the bracket, < 0 at the other
+        fx = f(rows, x)
+        # zero is not negative: f >= 0 at one end of the bracket, < 0 at the other
         same = (fx < 0) == (fa < 0)
         c, fc = np.where(same, a, b), np.where(same, fa, fb)
         b, fb = np.where(same, b, a), np.where(same, fb, fa)
@@ -304,13 +393,13 @@ def _bracketed_poles(g: MetricGraph, left: np.ndarray, right: np.ndarray) -> lis
         width = np.abs(b - a)
         stop = POLE_BISECT_TOL * np.maximum(a, b)
         done = width <= stop
-        poles += (0.5 * (a + b))[done].tolist()
+        roots[rows[done]] = (0.5 * (a + b))[done]
         live = ~done
-        j, a, b, c, fa, fb, fc, start, width, stop = (
-            v[live] for v in (j, a, b, c, fa, fb, fc, start, width, stop))
+        rows, a, b, c, fa, fb, fc, start, width, stop = (
+            v[live] for v in (rows, a, b, c, fa, fb, fc, start, width, stop))
         # inverse quadratic interpolation through a, b, c where Chandrupatla's
-        # test finds it safe and the bracket keeps to the safeguard's budget
-        # (see pole_scan); otherwise bisection
+        # test finds it safe and the bracket keeps to the safeguard's budget;
+        # otherwise bisection
         with np.errstate(divide="ignore", invalid="ignore"):
             xi = (a - b) / (c - b)
             phi = (fa - fb) / (fc - fb)
@@ -322,7 +411,23 @@ def _bracketed_poles(g: MetricGraph, left: np.ndarray, right: np.ndarray) -> lis
         # estimates settle on the root crosses it
         reach = 0.5 * stop / width
         t = np.clip(np.where(interpolate, t, 0.5), reach, 1.0 - reach)
-    return poles
+    return roots
+
+
+def _bracketed_poles(g: MetricGraph, left: np.ndarray, right: np.ndarray) -> list[float]:
+    """The inner poles inside brackets (left, right) that hold no edge pole, with multiplicity.
+
+    One row per pole: the bracket and the index j of the eigenvalue of C
+    that crosses zero in it, located by _stacked_root on ev_j(C).  A row
+    starts at max(left, 0): C is positive definite for lam <= 0, so the
+    count there is 0 either way, and no inner pole lies below.
+    """
+    left = np.maximum(left, 0.0)
+    ev_left, ev_right = np.split(_inner_eigenvalues(g, np.concatenate([left, right])), 2)
+    bracket, j = _crossings((ev_left < 0).sum(axis=1), (ev_right < 0).sum(axis=1))
+    return _stacked_root(lambda rows, x: _inner_eigenvalues(g, x)[np.arange(len(rows)), j[rows]],
+                         left[bracket], ev_left[bracket, j],
+                         right[bracket], ev_right[bracket, j]).tolist()
 
 
 def _brackets(g: MetricGraph, lo: float, hi: float,
@@ -360,26 +465,16 @@ def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
     and it is the (j - low + 1)-th inner pole there, counted with
     multiplicity (a double pole is where two eigenvalues vanish together).
 
-    Every (bracket, j) row runs Chandrupatla's method on ev_j, keeping a sign
-    bracket: inverse quadratic interpolation where it passes Chandrupatla's
-    monotonicity test, bisection otherwise.  One iteration of all rows is one
-    stacked assembly and eigvalsh, and the end values come from the count.
-    A Brent-style safeguard makes step k + 1 a bisection unless the bracket
-    is already within 2 w0 2^-floor((k + 1)/2), w0 its first width: then
-    even a step that gains nothing leaves it within 2 w0 2^-floor(k/2) after
-    every k steps, one halving in every two steps with one to spare.
-
-    A row stops once its bracket (x0, x1) is at most POLE_BISECT_TOL * x1
-    wide, and reports its midpoint.  Inner poles are positive, since C is
-    positive definite for lam <= 0, so x1 > 0.  The pole p lies in the
-    bracket, so x1 <= p + POLE_BISECT_TOL * x1, and the midpoint lies within
-    POLE_BISECT_TOL * x1 / 2 < POLE_BISECT_TOL * p of p: a relative error
-    below POLE_BISECT_TOL, and hence within POLE_BISECT_TOL * max(1, p).
-    Bisection alone would take N = ceil(log2(w0 / (POLE_BISECT_TOL p)))
-    steps, about 33 for a unit bracket near p = 1, with w0 measured from
-    max(left, 0) since no row starts below 0; the safeguard caps a row
-    at 2 N + 2 steps, so a scan makes at most 2 N + 3 stacked evaluations
-    with the count.  The catalog graphs on windows of 60 to 400 take 8 or 9 steps.
+    Every (bracket, j) row goes to _stacked_root on ev_j, and one iteration
+    of all rows is one stacked assembly and eigvalsh; the end values come
+    from the count.  Inner poles are positive, since C is positive definite
+    for lam <= 0, so every bracket starts at max(left, 0), and each pole p
+    comes out within POLE_BISECT_TOL * p, hence within
+    POLE_BISECT_TOL * max(1, p).  Bisection alone would take
+    N = ceil(log2(w0 / (POLE_BISECT_TOL p))) steps, about 33 for a unit
+    bracket near p = 1; the safeguard caps a row at 2 N + 2 steps, so a scan
+    makes at most 2 N + 3 stacked evaluations with the count.  The catalog
+    graphs on windows of 60 to 400 take 8 or 9 steps.
 
     Returns sorted plain floats.
     """

@@ -108,5 +108,5 @@ def test_cold_start():
     assert lines[0].startswith("# 1 fresh processes per row, python ")
     assert lines[1].split() == ["command", "median_ms", "maxrss_mb", "scipy"]
     rows = [line.split() for line in lines[2:]]
-    assert [(row[0], row[-1]) for row in rows] == [("sweep", "no"), ("spectrum-kirchhoff", "yes")]
+    assert [(row[0], row[-1]) for row in rows] == [("sweep", "no"), ("spectrum-kirchhoff", "no")]
     assert all(float(row[1]) > 0 and float(row[2]) > 0 for row in rows)

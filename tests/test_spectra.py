@@ -141,15 +141,34 @@ def test_fem_matrices_equal_element_loop():
             assert np.array_equal(K, K_ref) and np.array_equal(M, M_ref)
 
 
-@pytest.mark.parametrize("resolution", [8, 32])
-def test_banded_fem_eigenvalues_match_dense_solve(resolution):
+def _star_on_chain_pole(fourth=math.sqrt(2)):
+    # three unit edges share their chain poles; two combinations of their
+    # chain modes vanish on the inner vertex c with no net flux there
+    return validate({
+        "vertices": ["c", "a", "b", "d", "e"],
+        "edges": [{"u": "c", "v": v, "length": L}
+                  for v, L in (("a", 1.0), ("b", 1.0), ("d", 1.0), ("e", fourth))],
+        "outer": ["a", "b", "d", "e"],
+    })
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 4, 8, 32])
+def test_fem_eigenvalues_match_dense_solve(resolution):
+    # on the coarse meshes every free node is asked for: only they reach
+    # past 12/h^2 (the hyperbolic branch), the limits at x = +-1 and edges
+    # of one element, and they have fewer chain poles than eigenvalues
     rng = np.random.default_rng(11)
     graphs = [catalog(name) for name in ("interval", "path-3", "lasso-4", "star-5",
                                          "braid-5", "two-cluster")]
     graphs += [random_surd_graph(rng) for _ in range(8)] + [_pendant_pair()]
+    # a fourth edge 1e-12 short of the others: its chain poles and theirs
+    # are distinct but closer than their gaps, so they form groups
+    graphs += [_star_on_chain_pole(1.0 - 1e-12)]
     for g in graphs:
         K, M = _fem_matrices(g, resolution)
-        count = min(10, K.shape[0])
+        count = K.shape[0] if resolution <= 4 else min(10, K.shape[0])
+        if count == 0:  # interval at resolution 1 has no free node
+            continue
         want = scipy.linalg.eigh(K, M, eigvals_only=True)[:count]
         got = _fem_eigenvalues(g, count, resolution)
         assert got == pytest.approx(want, rel=1e-9)
@@ -162,6 +181,38 @@ def test_banded_fem_keeps_double_eigenvalues():
     assert got[1] == pytest.approx((math.pi / 2) ** 2, rel=1e-3)
     assert got[2] == pytest.approx(got[1], rel=1e-12)
     assert got[3] > got[2] * (1 + 1e-6)
+
+
+
+
+@pytest.mark.parametrize("resolution,value", [(8, 9.997081), (32, 9.877534)])
+def test_fem_double_eigenvalue_on_chain_pole(resolution, value):
+    g = _star_on_chain_pole()
+    got = _fem_eigenvalues(g, 6, resolution)
+    K, M = _fem_matrices(g, resolution)
+    assert got == pytest.approx(scipy.linalg.eigh(K, M, eigvals_only=True)[:6], rel=1e-9)
+    on_pole = got[np.abs(got - value) < 1e-6]
+    assert len(on_pole) == 2 and on_pole[1] == pytest.approx(on_pole[0], rel=1e-12)
+    # the first chain pole of a unit edge of `resolution` elements
+    c = math.cos(math.pi / resolution)
+    assert on_pole[0] == pytest.approx(6.0 * resolution**2 * (1 - c) / (2 + c), rel=1e-12)
+
+
+@pytest.mark.parametrize("resolution", [32, 128, 512])
+def test_fem_schur_evaluations_do_not_grow_with_mesh(monkeypatch, two_cluster, resolution):
+    # the window ends at the count-th chain pole, so the stacked evaluations
+    # of S follow count and not the mesh (9 at every resolution here)
+    calls = []
+    real = dtnpos.spectra._chain_schur
+
+    def counting(*args):
+        schur = real(*args)
+        return lambda lams: calls.append(len(lams)) or schur(lams)
+
+    monkeypatch.setattr(dtnpos.spectra, "_chain_schur", counting)
+    _fem_eigenvalues(two_cluster, 8, resolution)
+    assert len(calls) <= 12
+    assert calls[0] <= 2 * 8 + 1
 
 
 def test_resolution_too_low(interval, path3):
