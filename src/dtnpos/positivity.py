@@ -196,8 +196,12 @@ def expm_oracle(M) -> OracleReport:
     (scaling by e^{-ts} > 0, which cannot change any sign) so large times do
     not overflow.  Verdicts: strict at every sample, strict from some sample
     on, or never strict; a non-monotone pattern is reported as ambiguous.
+    It needs scipy, which the package's `test` extra installs.
     """
-    import scipy.linalg
+    try:
+        import scipy.linalg
+    except ImportError as exc:
+        raise ImportError('expm_oracle needs scipy: pip install "dtnpos[test]"') from exc
 
     Mat = _as_array(M)
     n = Mat.shape[0]

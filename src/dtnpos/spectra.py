@@ -8,24 +8,17 @@ Two reference spectra:
   Kirchhoff conditions on the inner ones, of a P1 finite element
   discretization of each edge, and checked against lambda_1, its lowest
   value, which is counted exactly as the first pole that pole_scan locates.
-  Its eigenvalues are counted too: each edge's interior chain is eliminated
-  in closed form, and by Haynsworth's inertia additivity the count below
-  lam is the chain poles below lam plus the negative eigenvalues of the
-  Schur complement S(lam) on the inner vertices, the structure pole_scan
-  uses for C(lam).  The zeros of the eigenvalues of S come from the same
-  stacked root-find, so the cost follows the number of eigenvalues asked
-  for and not the mesh, and numpy is all it needs.
 
 The assembled outer matrix is singular on a discrete set of parameters: the
 edge poles together with the inner-block Kirchhoff eigenvalues.  pole_scan
-locates both kinds inside a window: the edge poles in closed form, once each,
-and the inner ones as the zeros of the eigenvalues of the inner block C.
-Between edge poles every eigenvalue of C decreases strictly, so its inertia
-at the ends of a bracket names the eigenvalues that cross zero inside, each
-crossing one pole counted with its multiplicity, and a stacked bracketing
-root-find locates every crossing; no grid is sampled.  near_pole reads the
-same inertia off a sweep's own grid to flag the samples within reach of a
-pole, without locating any.
+lists the edge poles in closed form, once each, and counts the inner ones.
+It and the P1 spectrum are two instances of one counted root-finder,
+_counted_zeros: a matrix function that decreases between its poles, plus the
+poles themselves with integer weights, count the zeros below every
+parameter, and a stacked bracketing root-find locates each of them; no grid
+is sampled, and the cost follows the number of zeros, not a mesh.  near_pole
+reads the same inertia off a sweep's own grid to flag the samples within
+reach of a pole, without locating any.
 """
 
 from __future__ import annotations
@@ -190,37 +183,20 @@ def _fem_eigenvalues(g: MetricGraph, count: int, resolution: float) -> np.ndarra
 
         mu_j = (6/h^2)(1 - cos(j pi/ne))/(2 + cos(j pi/ne)),   0 < j < ne,
 
-    and its Schur complement is S(lam) on the inner vertices (see
-    _chain_schur).  By Haynsworth's inertia additivity (1968) and
-    Sylvester's law of inertia, away from the chain poles
-
-        #{eigenvalues < lam} = sum_e #{j : mu_j^e < lam} + neg S(lam),
-
-    and between consecutive chain poles S decreases strictly in the Loewner
-    order (its derivative is minus a compression of M), so, as ev_j(C) in
-    pole_scan, each ev_j(S) that changes sign in such a bracket crosses zero
-    once there.
+    and its Schur complement S(lam) on the inner vertices (_chain_schur)
+    decreases between them, its derivative minus a compression of M.  By
+    Haynsworth's inertia additivity (1968), #{eigenvalues < lam} is
+    sum_e #{j : mu_j^e < lam} + neg S(lam): the count of _counted_zeros with
+    F = S, each chain pole weighted by its multiplicity (equal edges share
+    their poles).
 
     The chains alone are the pencil on the interior nodes, so by Cauchy
     interlacing the count has reached `count` at the `count`-th chain pole;
     a coarse mesh with fewer chain poles has every free node below
     12/h_min^2, the largest eigenvalue any element allows.  The window ends
-    there, and only the chain poles below it are formed.  Each pole p is
-    widened to [p - g, p + g] with g = POLE_BISECT_TOL p / 4, poles whose
-    intervals meet form one group, and the jump of the count across a group
-    gives the eigenvalues on it, reported at the mean of its outer poles:
-    equal edges share their poles, and an eigenvector that vanishes on every
-    vertex sits on one.  Between groups, _stacked_root finds the zero of
-    ev_j(S) for each eigenvalue among the lowest `count`; the counts at all
-    group ends come from one stacked evaluation of S, and every step of the
-    root-find from one more.
-
-    So every eigenvalue lam comes out within POLE_BISECT_TOL * lam: a root
-    within half that by the stop rule (see _stacked_root), a value on a
-    group of one or two poles within POLE_BISECT_TOL * p / 2 of its every
-    point.  The cost follows `count` and the number of inner vertices, not
-    the mesh: at most 2 count + 1 parameters in the first evaluation of S,
-    one per live row in each later one.
+    there, and only the chain poles below it are formed.  Every eigenvalue
+    comes out within POLE_BISECT_TOL times itself, and the cost follows
+    `count` and the number of inner vertices, not the mesh.
     """
     ne = np.array(_elements(g, resolution))
     h = np.array(g.lengths) / ne
@@ -234,34 +210,9 @@ def _fem_eigenvalues(g: MetricGraph, count: int, resolution: float) -> np.ndarra
     j = np.arange(1, count + 1)
     q = np.sin(0.5 * np.pi * j / ne[:, None]) ** 2
     poles = np.sort((12.0 * q / ((3.0 - 2.0 * q) * (h * h)[:, None]))[j < ne[:, None]])
-    top, end = (poles[count - 1], []) if len(poles) >= count else (math.inf, [12.0 / h.min() ** 2])
-    p = np.unique(poles)
-    gap = 0.25 * POLE_BISECT_TOL * p
-    first = np.ones(len(p), dtype=bool)
-    first[1:] = p[1:] - gap[1:] > p[:-1] + gap[:-1]
-    last = np.roll(first, -1)
-    keep = p[first] <= top
-    lo, hi = (p - gap)[first][keep], (p + gap)[last][keep]
-    at = 0.5 * (p[first] + p[last])[keep]
-
-    # the window [0, hi] or [0, 12/h_min^2]: brackets (x[2i], x[2i + 1]),
-    # groups (x[2i + 1], x[2i + 2])
-    x = np.concatenate([[0.0], np.column_stack([lo, hi]).ravel(), end])
-    schur = _chain_schur(g, ne)
-    ev = schur(x)
-    neg = (ev < 0).sum(axis=1)
-    chained = np.searchsorted(poles, x)
-    left = np.arange(0, len(x) - 1, 2)
-    bracket, row = _crossings(neg[left], neg[left + 1])
-    # the row's eigenvalue is the (chained + row + 1)-th
-    wanted = chained[left[bracket]] + row < count
-    bracket, row = left[bracket[wanted]], row[wanted]
-    roots = _stacked_root(lambda rows, y: schur(y)[np.arange(len(rows)), row[rows]],
-                          x[bracket], ev[bracket, row], x[bracket + 1], ev[bracket + 1, row])
-    group = np.arange(1, 2 * len(at), 2)
-    below = chained + neg
-    on_poles = np.repeat(at, below[group + 1] - below[group])
-    return np.sort(np.concatenate([on_poles, roots]))[:count]
+    top = poles[count - 1] if len(poles) >= count else 12.0 / h.min() ** 2
+    p, multiplicity = np.unique(poles, return_counts=True)
+    return _counted_zeros(_chain_schur(g, ne), p, multiplicity, 0.0, top, count)
 
 
 def kirchhoff_spectrum(g: MetricGraph, count: int = 1,
@@ -269,12 +220,10 @@ def kirchhoff_spectrum(g: MetricGraph, count: int = 1,
     """First eigenvalues with Dirichlet outer data and Kirchhoff inner conditions.
 
     The P1 reference spectrum, which converges at order h^2, counted on the
-    inner vertices (see _fem_eigenvalues): #{eigenvalues < lam} is
-    sum_e #{j : mu_j^e < lam} + neg S(lam) (Haynsworth 1968), and every
-    value lies within POLE_BISECT_TOL times itself of the P1 eigenvalue.
-    Its lowest value is measured against the counted lambda_1: a mesh whose
-    error there exceeds RESOLUTION_DRIFT_MAX * lambda_1 is refused as
-    under-resolved.
+    inner vertices (see _fem_eigenvalues), each value within POLE_BISECT_TOL
+    times itself of the P1 eigenvalue.  Its lowest value is measured against
+    the counted lambda_1: a mesh whose error there exceeds
+    RESOLUTION_DRIFT_MAX * lambda_1 is refused as under-resolved.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -414,40 +363,92 @@ def _stacked_root(f, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarra
     return roots
 
 
-def _bracketed_poles(g: MetricGraph, left: np.ndarray, right: np.ndarray) -> list[float]:
-    """The inner poles inside brackets (left, right) that hold no edge pole, with multiplicity.
+def _counted_zeros(ev, poles: np.ndarray, weights: np.ndarray, lo: float, hi: float,
+                   count: int | None = None) -> np.ndarray:
+    """The zeros of the count N(lam) = sum_{p < lam} w_p + neg F(lam) near [lo, hi], ascending.
 
-    One row per pole: the bracket and the index j of the eigenvalue of C
-    that crosses zero in it, located by _stacked_root on ev_j(C).  A row
-    starts at max(left, 0): C is positive definite for lam <= 0, so the
-    count there is 0 either way, and no inner pole lies below.
+    F is a symmetric matrix function that decreases strictly in the Loewner
+    order between its poles, ev(lams) its ascending eigenvalues, one row per
+    parameter; the poles are positive, ascending and distinct, and their
+    integer weights w_p make N(lam) the number of zeros below lam, with
+    multiplicity.  By Weyl's monotonicity theorem every ev_j(F) decreases
+    strictly between poles, so an interval (a, b) holding no pole holds one
+    zero of each ev_j with neg F(a) <= j < neg F(b) (zero is not negative).
+
+    Each pole p is widened to [p - gap, p + gap] with gap = POLE_BISECT_TOL
+    p / 4, and poles whose intervals meet form one group.  Every group that
+    meets [lo, hi] holds the jump of N across it, reported at the mean of
+    its outer poles; between groups, and between a group and a window end
+    outside it, _crossings names the rows (bracket, j) and _stacked_root
+    finds each zero.  A window end inside a group brackets nothing, so F is
+    never evaluated closer than gap to a pole, given every pole whose group
+    reaches [lo, hi].  Every zero lam comes out within
+    POLE_BISECT_TOL * lam: a root within half that by the stop rule, a value
+    on a group of one or two poles within POLE_BISECT_TOL * p / 2 of its
+    every point.  With `count`, only the rows whose zero is among the lowest
+    `count` of N run, and the lowest `count` values are returned.  The
+    bracket and group ends take one stacked evaluation of F, and every step
+    of the root-find one more.
     """
-    left = np.maximum(left, 0.0)
-    ev_left, ev_right = np.split(_inner_eigenvalues(g, np.concatenate([left, right])), 2)
-    bracket, j = _crossings((ev_left < 0).sum(axis=1), (ev_right < 0).sum(axis=1))
-    return _stacked_root(lambda rows, x: _inner_eigenvalues(g, x)[np.arange(len(rows)), j[rows]],
-                         left[bracket], ev_left[bracket, j],
-                         right[bracket], ev_right[bracket, j]).tolist()
+    gap = 0.25 * POLE_BISECT_TOL * poles
+    first = np.ones(len(poles), dtype=bool)
+    first[1:] = poles[1:] - gap[1:] > poles[:-1] + gap[:-1]
+    last = np.roll(first, -1)
+    start, end = (poles - gap)[first], (poles + gap)[last]
+    meet = (end >= lo) & (start <= hi)
+    at = 0.5 * (poles[first] + poles[last])[meet]
+    ends = np.column_stack([start[meet], end[meet]]).ravel()
+    # a window end inside a group brackets nothing
+    head = int(not len(ends) or lo < ends[0])
+    tail = int(not len(ends) or hi > ends[-1])
+    # brackets (x[k], x[k + 1]) for k = 1 - head, 3 - head, ..., groups in between
+    x = np.concatenate([[lo] * head, ends, [hi] * tail])
+    values = ev(x)
+    neg = (values < 0).sum(axis=1)
+    below = np.concatenate([[0], np.cumsum(weights)])[np.searchsorted(poles, x)]
+    k = np.arange(1 - head, len(x) - 1, 2)
+    bracket, row = _crossings(neg[k], neg[k + 1])
+    if count is not None:
+        # the row's zero is the (below + row + 1)-th
+        wanted = below[k[bracket]] + row < count
+        bracket, row = bracket[wanted], row[wanted]
+    a = k[bracket]
+    roots = _stacked_root(lambda rows, y: ev(y)[np.arange(len(rows)), row[rows]],
+                          x[a], values[a, row], x[a + 1], values[a + 1, row])
+    N, group = below + neg, np.arange(head, len(x) - 1, 2)
+    return np.sort(np.concatenate([np.repeat(at, N[group + 1] - N[group]), roots]))[:count]
 
 
-def _brackets(g: MetricGraph, lo: float, hi: float,
-              edge_poles: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The brackets (left, right) of pole_scan: one per segment of (lo, hi) between edge poles.
+def _residue_ranks(g: MetricGraph, poles: np.ndarray) -> np.ndarray:
+    """The weight of each edge pole in pole_scan's count: the rank of C's residue there.
 
-    Each is kept clear of the edge poles by a margin of 1e-7 * max(1, |lam|),
-    which keeps every evaluation of C away from them.  A window end is moved
-    in by that margin only when an edge pole lies within it; any other end
-    can be evaluated at, so the bracket reaches it.
+    Near the pole p = (pi k / L)^2 of an edge from u to v, sin(sqrt(lam) L)
+    is (-1)^k (lam - p) L / (2 sqrt p) to first order, so the edge's block
+    [[alpha, -beta], [-beta, alpha]] is (2p/L) w w^T / (lam - p) plus a part
+    bounded near p, w = e_u - (-1)^k e_v on the inner ends (e_u when only u
+    is inner).  So C's residue R = sum_e (2p/L_e) w_e w_e^T is positive
+    semidefinite, neg C drops by rank R across p, and with these weights
+    the count of _counted_zeros moves there only for an inner pole.  rank R
+    is 1 for a pole of one edge that touches an inner vertex, 0 where no
+    such edge has it, and the rank of the rows w_e where several share it
+    (within 1e-12 relative, as _edge_poles lists them): 3 at odd k and 2 at
+    even k on a triangle of inner vertices.
     """
-    ends = np.array([lo] + edge_poles + [hi])
-    margin = 1e-7 * np.maximum(1.0, np.maximum(np.abs(ends[:-1]), np.abs(ends[1:])))
-    left, right = ends[:-1] + margin, ends[1:] - margin
-    if not _edge_poles(g, lo - margin[0], lo + margin[0]):
-        left[0] = lo
-    if not _edge_poles(g, hi - margin[-1], hi + margin[-1]):
-        right[-1] = hi
-    keep = right > left
-    return left[keep], right[keep]
+    m = g.n_outer
+    ends = np.array(g.edge_indices) - m
+    touch = ends.max(axis=1) >= 0
+    ends, scale = ends[touch], np.array(g.lengths)[touch] / np.pi
+    # k = 0 is no pole: (k / scale)^2 - p is then -p
+    k = np.rint(np.sqrt(poles)[:, None] * scale)
+    on = np.abs((k / scale) ** 2 - poles[:, None]) <= 1e-12 * np.maximum(1.0, poles)[:, None]
+    ranks = on.sum(axis=1)
+    shared = np.flatnonzero(ranks > 1)
+    if len(shared):
+        # the rows w_e of every shared pole, zero off its edges
+        u, v = np.moveaxis(ends[:, :, None] == np.arange(g.n_vertices - m), 1, 0)
+        w = on[shared][..., None] * (u - (-1.0) ** k[shared][..., None] * v)
+        ranks[shared] = np.linalg.matrix_rank(w)
+    return ranks
 
 
 def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
@@ -455,36 +456,30 @@ def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
 
     Edge poles come in closed form, once each; some are removable for the
     reduced map but still reported, since the assembly breaks down there.
-
-    Between consecutive edge poles C(lam) decreases strictly in the Loewner
-    order, so by Weyl's monotonicity theorem each ascending eigenvalue
-    ev_j(C(lam)) is continuous and strictly decreasing there.  With
-    low = neg C(left) and high = neg C(right) at the ends of a bracket (zero
-    does not count as negative), every j in [low, high) has
-    ev_j(left) >= 0 > ev_j(right): ev_j has exactly one zero in the bracket,
-    and it is the (j - low + 1)-th inner pole there, counted with
-    multiplicity (a double pole is where two eigenvalues vanish together).
-
-    Every (bracket, j) row goes to _stacked_root on ev_j, and one iteration
-    of all rows is one stacked assembly and eigvalsh; the end values come
-    from the count.  Inner poles are positive, since C is positive definite
-    for lam <= 0, so every bracket starts at max(left, 0), and each pole p
-    comes out within POLE_BISECT_TOL * p, hence within
-    POLE_BISECT_TOL * max(1, p).  Bisection alone would take
-    N = ceil(log2(w0 / (POLE_BISECT_TOL p))) steps, about 33 for a unit
-    bracket near p = 1; the safeguard caps a row at 2 N + 2 steps, so a scan
-    makes at most 2 N + 3 stacked evaluations with the count.  The catalog
-    graphs on windows of 60 to 400 take 8 or 9 steps.
+    The inner poles are the zeros of _counted_zeros with F = C, the inner
+    block of the full matrix, and each edge pole weighted by the rank of C's
+    residue there (_residue_ranks), counted from max(lo, 0) since C is
+    positive definite for lam <= 0.  Each inner pole p comes out within
+    POLE_BISECT_TOL * p, a double pole twice, and one next to an edge pole
+    at that pole's group, kept when the group's mean lies in the window.  A
+    scan makes at most 2 N + 3 stacked assemblies, N the bisection steps of
+    its widest bracket (see _stacked_root); the catalog graphs on windows of
+    60 to 400 take 8 to 12.
 
     Returns sorted plain floats.
     """
     if not -math.inf < lo < hi < math.inf:
         raise ValueError("the scan range must be finite and nonempty")
-
-    edge_poles = _edge_poles(g, lo, hi)
     if g.n_outer == g.n_vertices:
-        return edge_poles
-    return sorted(edge_poles + _bracketed_poles(g, *_brackets(g, lo, hi, edge_poles)))
+        return _edge_poles(g, lo, hi)
+
+    lo0 = max(lo, 0.0)
+    # every pole whose group can reach into the window
+    poles = _edge_poles(g, lo0 - POLE_BISECT_TOL * max(1.0, lo0),
+                        hi + POLE_BISECT_TOL * max(1.0, abs(hi)))
+    p = np.array(poles)
+    inner = _counted_zeros(lambda x: _inner_eigenvalues(g, x), p, _residue_ranks(g, p), lo0, hi)
+    return sorted(v for v in poles + inner.tolist() if lo < v < hi)
 
 
 def near_pole(g: MetricGraph, lams: np.ndarray, singular: np.ndarray,

@@ -4,6 +4,8 @@ The classifier and the oracle are independent routes to the same answer, so
 several tests drive both and compare.
 """
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -314,3 +316,10 @@ def test_stack_classify_matches_single_random(n, seed):
     g = random_surd_graph(rng)
     D = assemble_outer(g, rng.uniform(-10.0, 60.0, 30))
     assert_stack_classifies_like_singles(D.entries[~D.singular])
+
+
+def test_expm_oracle_names_the_extra_without_scipy(monkeypatch):
+    # scipy is a test dependency only: without it the oracle says how to get it
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    with pytest.raises(ImportError, match=r'expm_oracle needs scipy: pip install "dtnpos\[test\]"'):
+        expm_oracle(-np.eye(2))

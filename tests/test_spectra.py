@@ -29,12 +29,12 @@ from dtnpos.spectra import (
     DEFAULT_RESOLUTION,
     NEAR_POLE_REACH,
     POLE_BISECT_TOL,
-    _bracketed_poles,
-    _brackets,
+    _counted_zeros,
     _edge_poles,
     _elements,
     _fem_eigenvalues,
     _fem_matrices,
+    _inner_eigenvalues,
     near_pole,
 )
 
@@ -312,8 +312,8 @@ def test_pole_scan_empty_window(interval):
 
 @pytest.mark.parametrize("side", ["lo", "hi"])
 def test_pole_scan_finds_inner_pole_next_to_window_end(path3, side):
-    # the free tip's first inner pole 1e-8 inside either end, closer than the
-    # margin that keeps brackets clear of edge poles
+    # the free tip's first inner pole 1e-8 inside either end, with no edge
+    # pole near that end: the bracket reaches the end itself
     p = (math.pi / 2) ** 2 / 17
     want = [p] if side == "hi" else [p, PI2 / 17]
     got = pole_scan(path3, 0.1, p + 1e-8) if side == "hi" else pole_scan(path3, p - 1e-8, 1.0)
@@ -326,8 +326,8 @@ def test_pole_scan_finds_inner_pole_next_to_window_end(path3, side):
 
 @pytest.mark.parametrize("below,above", [(1e-8, 1e-8), (3e-8, 1e-7)])
 def test_pole_scan_finds_inner_pole_in_narrow_window(path3, below, above):
-    # a window narrower than the two margins that keep a bracket clear of edge
-    # poles, with no edge pole in it: the one bracket is the window itself
+    # a window of 2e-8 to 1.3e-7 around an inner pole, with no edge pole
+    # in it: the one bracket is the window itself
     p = (math.pi / 2) ** 2 / 17
     got = pole_scan(path3, p - below, p + above)
     assert len(got) == 1 and abs(got[0] - p) <= POLE_BISECT_TOL * max(1.0, p)
@@ -342,8 +342,23 @@ def test_pole_scan_returns_plain_floats(path3, lasso):
         assert all(type(p) is float for p in got)
 
 
-# pole_scan(lasso-4, 0, 150): Chandrupatla's method on each eigenvalue of C
+# pole_scan(lasso-4, 0, 150): the counted root-finder on the eigenvalues of C
 LASSO_POLES_150 = [
+    0.909219469769839, 1.4099434858699083, 1.9739208802178716, 2.505744502330617,
+    3.289868133696453, 5.019182804358659, 5.639773943479633, 7.895683520871486, 8.451985319318654,
+    9.869604401089358, 11.930654395709823, 12.689491372829172, 13.159472534785811,
+    16.12515906248204, 17.765287921960844, 22.50049665860641, 22.559095773918532,
+    29.60881320326808, 30.621876149046713, 31.582734083485946, 34.72974645675683,
+    35.24858714674771, 39.47841760435743, 45.310688103986834, 49.348022005446786,
+    50.75796549131669, 50.92926334782567, 52.637890139143245, 62.50695839455, 69.08723080762552,
+    71.06115168784338, 74.52601840914267, 82.24670334241131, 84.5773155642392, 88.82643960980423,
+    90.23638309567413, 94.4588506323468, 96.7221231306757, 108.42786737724819, 114.20542235546255,
+    118.43525281307232, 122.79703251052402, 126.33093633394378, 136.5643699562229,
+    140.99434858699084,
+]
+
+# the same scan with brackets kept 1e-7 * max(1, lam) clear of the edge poles
+LASSO_POLES_150_MARGIN = [
     0.9092194697698388, 1.4099434858699083, 1.9739208802178716, 2.505744502330618,
     3.289868133696453, 5.019182804609615, 5.639773943479633, 7.895683520871486,
     8.451985318896057, 9.869604401089358, 11.930654395709821, 12.689491372829172,
@@ -360,21 +375,20 @@ LASSO_POLES_150 = [
 
 # the same scan by inertia counting with quarter cuts (_quarter_cut_scan)
 LASSO_POLES_150_QUARTER = [
-    0.9092194697430616, 1.4099434858699083, 1.9739208802178716, 2.5057445022335205,
-    3.289868133696453, 5.019182804477209, 5.639773943479633, 7.895683520871486,
-    8.4519853191612, 9.869604401089358, 11.930654395994285, 12.689491372829172,
-    13.159472534785811, 16.12515906238011, 17.765287921960844, 22.500496658476866,
-    22.559095773918532, 29.60881320326808, 30.621876150230467, 31.582734083485946,
-    34.729746455711535, 35.24858714674771, 39.47841760435743, 45.3106881041586,
-    49.348022005446786, 50.75796549131669, 50.92926334822599, 52.637890139143245,
-    62.50695839580037, 69.08723080762552, 71.06115168784338, 74.52601841113659,
-    82.24670334241131, 84.57731556589377, 88.82643960980423, 90.23638309567413,
-    94.45885063043096, 96.7221231306757, 108.42786737787263, 114.20542235546255,
-    118.43525281307232, 122.79703251225887, 126.33093633394378, 136.56436995715234,
+    0.9092194697092673, 1.4099434858699083, 1.9739208802178716, 2.505744502271578,
+    3.289868133696453, 5.0191828044469435, 5.639773943479633, 7.895683520871486, 8.451985319209495,
+    9.869604401089358, 11.930654396177161, 12.689491372829172, 13.159472534785811,
+    16.125159063047725, 17.765287921960844, 22.50049665764609, 22.559095773918532,
+    29.60881320326808, 30.621876149149422, 31.582734083485946, 34.72974645573194,
+    35.24858714674771, 39.47841760435743, 45.31068810510341, 49.348022005446786, 50.75796549131669,
+    50.92926334997148, 52.637890139143245, 62.50695839781814, 69.08723080762552, 71.06115168784338,
+    74.52601841025455, 82.24670334241131, 84.57731556852058, 88.82643960980423, 90.23638309567413,
+    94.45885062789573, 96.7221231306757, 108.42786737802528, 114.20542235546255,
+    118.43525281307232, 122.79703251282788, 126.33093633394378, 136.56436996410474,
     140.99434858699084,
 ]
 
-# and by the earlier sign grid and bisection: three routes to the same
+# and by the earlier sign grid and bisection: four routes to the same
 # poles, each within the location tolerance
 LASSO_POLES_150_GRID = [
     0.90921946974582, 1.4099434858699083, 1.9739208802178716, 2.5057445021952214,
@@ -396,7 +410,7 @@ def test_pole_scan_frozen_lasso(lasso):
     got = pole_scan(lasso, 0.0, 150.0)
     assert got == LASSO_POLES_150
     assert _quarter_cut_scan(lasso, 0.0, 150.0) == LASSO_POLES_150_QUARTER
-    for route in (LASSO_POLES_150_QUARTER, LASSO_POLES_150_GRID):
+    for route in (LASSO_POLES_150_MARGIN, LASSO_POLES_150_QUARTER, LASSO_POLES_150_GRID):
         assert len(got) == len(route)
         for p, q in zip(got, route):
             assert abs(p - q) <= POLE_BISECT_TOL * max(1.0, q)
@@ -425,19 +439,56 @@ def _all_counts(g, lams):
     return _negative_counts(g, lams, np.zeros(len(lams), dtype=int), np.full(len(lams), n))
 
 
+def _residue_rank(g, p):
+    """Rank of C's residue at the edge pole p, summed as a matrix edge by edge."""
+    m = g.n_outer
+    R = np.zeros((g.n_vertices, g.n_vertices))
+    for (u, v), L in zip(g.edge_indices, g.lengths):
+        k = round(math.sqrt(p) * L / math.pi)
+        if k >= 1 and abs((math.pi * k / L) ** 2 - p) <= 1e-12 * max(1.0, p):
+            w = np.zeros(g.n_vertices)
+            w[u], w[v] = 1.0, -(-1.0) ** k
+            R += 2.0 * p / L * np.outer(w, w)
+    return np.linalg.matrix_rank(R[m:, m:])
+
+
 def _quarter_cut_scan(g, lo, hi):
     """pole_scan by inertia counting alone, the reference for its root-find.
 
-    The same brackets; each round cuts every bracket that still holds a pole
-    at its quarter points in one stacked count, until it is narrower than
-    POLE_BISECT_TOL * max(1, lam), and reports its midpoint once per pole.
+    Its own brackets, by the same rule: each edge pole p widened by
+    POLE_BISECT_TOL * p / 4, widened poles that meet form a group, and the
+    brackets run between the groups and the window ends outside them.  A
+    group meeting the window reports the jump of neg C plus the residue
+    ranks of the edge poles below, at the mean of its outer poles, if that
+    lies in the window.  Each round cuts every bracket that still holds a
+    pole at its quarter points in one stacked count, until it is narrower
+    than POLE_BISECT_TOL * max(1, lam), and reports its midpoint once per
+    pole.
     """
     edge = _edge_poles(g, lo, hi)
     if g.n_outer == g.n_vertices:
         return edge
-    left, right = _brackets(g, lo, hi, edge)
-    low, high = np.split(_all_counts(g, np.concatenate([left, right])), 2)
+    groups = []  # [start, end, first pole, last pole]
+    for p in _edge_poles(g, lo - POLE_BISECT_TOL * max(1.0, abs(lo)),
+                         hi + POLE_BISECT_TOL * max(1.0, abs(hi))):
+        gap = POLE_BISECT_TOL * p / 4
+        if groups and p - gap <= groups[-1][1]:
+            groups[-1][1], groups[-1][3] = p + gap, p
+        else:
+            groups.append([p - gap, p + gap, p, p])
+    groups = [grp for grp in groups if grp[1] >= lo and grp[0] <= hi]
     inner = []
+    if groups:
+        ranks = {p: _residue_rank(g, p) for p in _edge_poles(g, groups[0][0], groups[-1][1])}
+        ends = np.array([[grp[0], grp[1]] for grp in groups]).ravel()
+        counts = _all_counts(g, ends) + [sum(r for p, r in ranks.items() if p < x) for x in ends]
+        for (start, end, first, last), jump in zip(groups, counts[1::2] - counts[::2]):
+            if lo < 0.5 * (first + last) < hi:
+                inner += [0.5 * (first + last)] * jump
+    bounds = [lo] + [x for grp in groups for x in grp[:2]] + [hi]
+    left, right = np.array(bounds[::2]), np.array(bounds[1::2])
+    left, right = left[right > left], right[right > left]
+    low, high = np.split(_all_counts(g, np.concatenate([left, right])), 2)
     while True:
         done = right - left <= POLE_BISECT_TOL * np.maximum(1.0, left)
         inner += np.repeat(0.5 * (left + right)[done], (high - low)[done]).tolist()
@@ -490,11 +541,14 @@ def _check_against_quarter_cuts(g, lo, hi):
 
 
 def _windows(g):
-    """Windows reaching below zero, with both ends within 1e-7 of edge poles, and near 1e8."""
+    """Windows reaching below zero, with both ends within 1e-7 of edge poles, with both
+    ends within 1e-11 * p of edge poles p, the first inside the window and the other
+    outside, and near 1e8."""
     L = max(g.lengths)
     first, third = (math.pi / L) ** 2, (3.0 * math.pi / L) ** 2
     return [(-3.0, 15.0),
             (first + 3e-8 * max(1.0, first), third - 3e-8 * max(1.0, third)),
+            (first * (1.0 - 1e-11), third * (1.0 - 1e-11)),
             (1e8, 1e8 + 5e4)]
 
 
@@ -542,6 +596,48 @@ def test_pole_scan_matches_quarter_cuts_on_double_pole():
     _check_against_quarter_cuts(_pendant_graph(), 0.5, 12.0)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+def test_pole_scan_keeps_inner_pole_between_close_edge_poles(eps):
+    # a - o - b with a and b outer: the edge poles (pi / (1 + eps))^2 and pi^2
+    # hold the inner pole (2 pi / (2 + eps))^2 between them, closer to each
+    # than 1e-7 from eps = 1e-7 on, and within one group of them from 1e-11 on
+    g = validate({
+        "vertices": ["a", "o", "b"],
+        "edges": [{"u": "a", "v": "o", "length": 1.0}, {"u": "o", "v": "b", "length": 1.0 + eps}],
+        "outer": ["a", "b"],
+    })
+    got = pole_scan(g, 5.0, 15.0)
+    want = [(math.pi / (1.0 + eps)) ** 2, (2.0 * math.pi / (2.0 + eps)) ** 2, PI2]
+    assert len(got) == 3
+    assert all(abs(p - q) <= POLE_BISECT_TOL * q for p, q in zip(got, want))
+
+
+def _inner_triangle():
+    # an inner triangle of unit edges, each corner on a pendant to an outer
+    # vertex: its three edges share the pole (pi k)^2, where C's residue has
+    # rank 3 for odd k and 2 for even k, and the pendants share none of them
+    return validate({
+        "vertices": ["o1", "o2", "o3", "a", "b", "c"],
+        "edges": [{"u": "a", "v": "b", "length": 1.0}, {"u": "b", "v": "c", "length": 1.0},
+                  {"u": "c", "v": "a", "length": 1.0},
+                  {"u": "o1", "v": "a", "length": math.sqrt(2)},
+                  {"u": "o2", "v": "b", "length": math.sqrt(3)},
+                  {"u": "o3", "v": "c", "length": math.sqrt(5)}],
+        "outer": ["o1", "o2", "o3"],
+    })
+
+
+def test_pole_scan_weights_shared_edge_pole_by_residue_rank():
+    g = _inner_triangle()
+    _check_against_quarter_cuts(g, 1.0, 200.0)
+    # weighting (2 pi k)^2 by its three edges would add a phantom inner pole
+    # there; the edge pole itself is listed once
+    got = np.array(pole_scan(g, 1.0, 200.0))
+    for k in (1, 2):
+        p = (2.0 * math.pi * k) ** 2
+        assert (np.abs(got - p) <= POLE_BISECT_TOL * p).sum() == 1
+
+
 def _stacked_calls(monkeypatch, run):
     """The assemble_full calls spectra makes while run() runs."""
     calls = []
@@ -587,8 +683,10 @@ def test_bracketed_root_find_within_safeguard_bound(monkeypatch, path3, left, ri
     p = (math.pi / 2) ** 2 / 17
     left, right = p * left, p * right
     got = []
-    calls = _stacked_calls(monkeypatch, lambda: got.extend(
-        _bracketed_poles(path3, np.array([left]), np.array([right]))))
+    # pole_scan starts its count at max(lo, 0) too
+    calls = _stacked_calls(monkeypatch, lambda: got.extend(_counted_zeros(
+        lambda x: _inner_eigenvalues(path3, x), np.empty(0), np.empty(0, dtype=int),
+        max(left, 0.0), right)))
     assert len(got) == 1 and abs(got[0] - p) <= POLE_BISECT_TOL * p
     bisections = math.ceil(math.log2((right - max(left, 0.0)) / (POLE_BISECT_TOL * p)))
     assert calls <= 2 * bisections + 3
