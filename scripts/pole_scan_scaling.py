@@ -4,8 +4,9 @@ For each catalog graph and each start lambda in 1e2, 1e4, 1e6 and 1e8, the
 window runs from the start to halfway between the K-th and (K+1)-th edge
 pole above it, so it holds K edge poles (--edge-poles) and K brackets of
 inner poles, whatever the spacing of the poles there.  Prints the poles
-found, the stacked assemble_full calls of one scan and the median wall time
-over --repeats scans.
+found, the stacked evaluations of the inner block C in one scan (calls of
+the evaluator that spectra._inner_block builds; none on a graph without
+inner vertices) and the median wall time over --repeats scans.
 
 Example:
     python3 scripts/pole_scan_scaling.py --graphs lasso-4 two-cluster --edge-poles 8
@@ -45,8 +46,13 @@ def main():
         return 1
 
     calls = []
-    real = dtnpos.spectra.assemble_full
-    dtnpos.spectra.assemble_full = lambda g, lam: calls.append(lam) or real(g, lam)
+    real = dtnpos.spectra._inner_block
+
+    def counting(g):
+        block = real(g)
+        return lambda lams: calls.append(len(lams)) or block(lams)
+
+    dtnpos.spectra._inner_block = counting
     print("graph        start   width         poles  calls  median_ms")
     for name in args.graphs:
         g = catalog(name)
@@ -55,6 +61,8 @@ def main():
             calls.clear()
             poles = pole_scan(g, lo, hi)
             n_calls = len(calls)
+            if g.inner and not n_calls:
+                raise RuntimeError("the scan evaluated no inner block: the count wraps a stale name")
             times = []
             for _ in range(args.repeats):
                 t = time.perf_counter()

@@ -78,20 +78,24 @@ def edge_alpha_beta(lam, length) -> EdgeCoefficients:
     parameters as a column and the edge lengths as a row); two floats give
     floats back.  At a Dirichlet pole of the edge (sin(sqrt(lam) L) = 0,
     lam > 0) the result carries at_pole=True with infinite entries; it never
-    raises.
+    raises.  When every sample is trigonometric (lam > 0 beyond the series
+    window) the broadcast inputs go through that one branch whole, with no
+    masks, and each entry takes the same operations as in a mixed stack.
     """
     lam_b = np.asarray(lam, dtype=float)
     L = np.asarray(length, dtype=float)
     w = lam_b * L * L
     shape = w.shape
+    if np.count_nonzero(w >= SERIES_WINDOW) == w.size:
+        return _coefficients(*_trigonometric(np.atleast_1d(lam_b), np.atleast_1d(L)), shape)
+
     ones = np.ones(shape)  # broadcasts both inputs to the shape of w; exact
     lam_b, L, w = (lam_b * ones).reshape(-1), (L * ones).reshape(-1), w.reshape(-1)
+    series = np.abs(w) < SERIES_WINDOW
+    trig = ~series & (lam_b > 0)
     alpha = np.empty_like(w)
     beta = np.empty_like(w)
     at_pole = np.zeros(w.shape, dtype=bool)
-
-    series = np.abs(w) < SERIES_WINDOW
-    trig = ~series & (lam_b > 0)
     hyp = ~series & ~trig
 
     if series.any():
@@ -102,18 +106,7 @@ def edge_alpha_beta(lam, length) -> EdgeCoefficients:
         beta[series] = (1.0 + ws / 6.0 + 7.0 * ws * ws / 360.0 + 31.0 * ws ** 3 / 15120.0) / Ls
 
     if trig.any():
-        r = np.sqrt(lam_b[trig])
-        x = r * L[trig]
-        s = np.sin(x)
-        hit = np.abs(s) < POLE_TOL * np.maximum(1.0, x)
-        poles = hit.any()
-        if poles:
-            s[hit] = math.inf  # keeps the division quiet; these entries become inf below
-        alpha[trig] = r * np.cos(x) / s
-        beta[trig] = r / s
-        if poles:
-            at_pole[trig] = hit
-            alpha[at_pole] = beta[at_pole] = math.inf
+        alpha[trig], beta[trig], at_pole[trig] = _trigonometric(lam_b[trig], L[trig])
 
     if hyp.any():
         s = np.sqrt(-lam_b[hyp])
@@ -132,6 +125,26 @@ def edge_alpha_beta(lam, length) -> EdgeCoefficients:
         alpha[hyp] = a
         beta[hyp] = b
 
+    return _coefficients(alpha, beta, at_pole, shape)
+
+
+def _trigonometric(lam: np.ndarray, L: np.ndarray):
+    """(alpha, beta, at_pole) for lam > 0 and L, broadcast; both entries inf at a pole."""
+    r = np.sqrt(lam)
+    x = r * L
+    s = np.sin(x)
+    hit = np.abs(s) < POLE_TOL * np.maximum(1.0, x)
+    poles = np.count_nonzero(hit)
+    if poles:
+        s[hit] = math.inf  # keeps the division quiet; these entries become inf below
+    alpha = r * np.cos(x) / s
+    beta = r / s
+    if poles:
+        alpha[hit] = beta[hit] = math.inf
+    return alpha, beta, hit
+
+
+def _coefficients(alpha, beta, at_pole, shape) -> EdgeCoefficients:
     if not shape:
         return EdgeCoefficients(float(alpha[0]), float(beta[0]), bool(at_pole[0]))
     return EdgeCoefficients(alpha.reshape(shape), beta.reshape(shape), at_pole.reshape(shape))

@@ -628,11 +628,13 @@ def commensurable_base(lengths: Sequence[float]) -> float:
 
     The `integer_relation` witness c of each pair (L_min, L) gives the ratio
     L / L_min = -c_1 / c_2 exactly; a pair without one raises NotCommensurable.
+    Each distinct length is related once, and L_min to itself by (1, -1).
     """
     L_min = min(lengths)
-    relations = [integer_relation((L_min, L)) for L in lengths]
+    distinct = list(dict.fromkeys(lengths))
+    relations = [(1, -1) if L == L_min else integer_relation((L_min, L)) for L in distinct]
     if None in relations:
-        L = lengths[relations.index(None)]
+        L = distinct[relations.index(None)]
         raise NotCommensurable(f"edge length {L!r} is not an integer multiple of a common base")
     Q = math.lcm(*(c2 for _, c2 in relations))
     return (L_min / Q) * math.gcd(*(c1 * (Q // c2) for c1, c2 in relations))

@@ -7,7 +7,8 @@ Two reference spectra:
 * the spectrum with Dirichlet data on the outer vertices and continuity +
   Kirchhoff conditions on the inner ones, of a P1 finite element
   discretization of each edge, and checked against lambda_1, its lowest
-  value, which is counted exactly as the first pole that pole_scan locates.
+  value, by counting the inner poles below the two ends of the check;
+  lambda_1 itself is the first pole that pole_scan locates.
 
 The assembled outer matrix is singular on a discrete set of parameters: the
 edge poles together with the inner-block Kirchhoff eigenvalues.  pole_scan
@@ -28,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import STACK_CHUNK, assemble_full
+# spectra no longer calls assemble_full; the name stays because the
+# benchmark's tracer wraps it here and requires it to resolve
+from .assembly import STACK_CHUNK, assemble_full, edge_alpha_beta  # noqa: F401
 from .errors import ResolutionTooLow
 from .graphs import MetricGraph
 
@@ -221,19 +224,39 @@ def kirchhoff_spectrum(g: MetricGraph, count: int = 1,
 
     The P1 reference spectrum, which converges at order h^2, counted on the
     inner vertices (see _fem_eigenvalues), each value within POLE_BISECT_TOL
-    times itself of the P1 eigenvalue.  Its lowest value is measured against
-    the counted lambda_1: a mesh whose error there exceeds
+    times itself of the P1 eigenvalue.  Its lowest value f is measured
+    against lambda_1: a mesh whose error there exceeds
     RESOLUTION_DRIFT_MAX * lambda_1 is refused as under-resolved.
+
+    The check counts rather than locates lambda_1.  It passes exactly when
+    a = f / (1 + RESOLUTION_DRIFT_MAX) <= lambda_1 <= f / (1 -
+    RESOLUTION_DRIFT_MAX) = b.  With p_1 = (pi / L_max)^2 the first edge
+    pole, lambda_1 <= p_1, and below p_1 the Kirchhoff eigenvalues under a
+    parameter number neg C there (see lambda_1).  So lambda_1 >= a exactly
+    when a <= p_1 and neg C(a) = 0, and lambda_1 <= b exactly when b >= p_1
+    or neg C(b) >= 1: one stacked evaluation of C at a and b.
+    Where the count does not pass the mesh, lambda_1 is located (see
+    lambda_1), for the message of the refusal or because an end falls in
+    p_1's pole group, and the error against it decides.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not 0 < resolution < math.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
     fine = _fem_eigenvalues(g, count, resolution)
-    lam1 = lambda_1(g)
-    error = abs(float(fine[0]) - lam1)
-    if error > RESOLUTION_DRIFT_MAX * lam1:
-        raise ResolutionTooLow(error, lam1)
+    f = float(fine[0])
+    p1 = (math.pi / max(g.lengths)) ** 2
+    ends = np.array([f / (1.0 + RESOLUTION_DRIFT_MAX), f / (1.0 - RESOLUTION_DRIFT_MAX)])
+    passes = False
+    # C is not evaluated inside p_1's pole group
+    if not (np.abs(ends - p1) <= 0.25 * POLE_BISECT_TOL * p1).any():
+        neg = (_inner_block(g)(ends) < 0).sum(axis=1)
+        passes = ends[0] < p1 and neg[0] == 0 and (ends[1] > p1 or neg[1] >= 1)
+    if not passes:
+        lam1 = lambda_1(g)
+        error = abs(f - lam1)
+        if error > RESOLUTION_DRIFT_MAX * lam1:
+            raise ResolutionTooLow(error, lam1)
     return SpectrumList(values=tuple(float(v) for v in fine), kind="kirchhoff",
                         resolution=float(resolution))
 
@@ -272,20 +295,60 @@ def _edge_poles(g: MetricGraph, lo: float, hi: float) -> list[float]:
     return poles
 
 
-def _inner_eigenvalues(g: MetricGraph, lams: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of C, the inner block of the full matrix, at each of lams.
+def _inner_block(g: MetricGraph):
+    """C(lam), the inner block of the full matrix, as a stacked evaluator.
 
-    One row per parameter, assembled STACK_CHUNK parameters per call.  A
-    parameter at an edge pole, where C has no value, gets a row of NaN.
+    Built once per scan: every edge's alpha and -beta become columns, each
+    entry of C off the diagonal copies the column of its edge (or a zero
+    column), and each diagonal entry is the running sum, from 0.0, of the
+    alphas of the edges at its vertex in edge order, gathered and padded
+    with the zero column.  Every value is the one that
+    assemble_full(g, lam).entries[:, m:, m:] holds, bit for bit, and the
+    outer rows are never formed.
+
+    Returns the function that maps parameters to the ascending eigenvalues
+    of C, one row each, STACK_CHUNK parameters per eigvalsh call; a
+    parameter at a pole of any edge, where C has no value, gets a row of NaN.
     """
     m = g.n_outer
-    ev = np.empty((len(lams), g.n_vertices - m))
-    for at in range(0, len(lams), STACK_CHUNK):
-        full = assemble_full(g, lams[at:at + STACK_CHUNK])
-        out = ev[at:at + STACK_CHUNK]
-        out[full.singular] = np.nan
-        out[~full.singular] = np.linalg.eigvalsh(full.entries[~full.singular][:, m:, m:])
-    return ev
+    k = g.n_vertices - m
+    n_edges = len(g.edges)
+    lengths = np.array(g.lengths)
+    # columns [0 | alpha | -beta], one of each per edge
+    table = np.zeros((k, k), dtype=np.intp)
+    incident: list[list[int]] = [[] for _ in range(k)]
+    for e, (u, v) in enumerate(g.edge_indices):
+        u, v = u - m, v - m
+        if min(u, v) >= 0:
+            table[u, v] = table[v, u] = 1 + n_edges + e
+        for w in (u, v):
+            if w >= 0:
+                incident[w].append(1 + e)
+    table = table.reshape(-1)
+    diagonal_at = np.arange(k) * (k + 1)
+    depth = max(map(len, incident), default=0)
+    slots = np.array([[0] + a + [0] * (depth - len(a)) for a in incident],
+                     dtype=np.intp).reshape(k, depth + 1)
+
+    def eigenvalues(lams: np.ndarray) -> np.ndarray:
+        if len(lams) > STACK_CHUNK:
+            return np.concatenate([eigenvalues(lams[at:at + STACK_CHUNK])
+                                   for at in range(0, len(lams), STACK_CHUNK)])
+        coeff = edge_alpha_beta(lams[:, None], lengths)
+        columns = np.concatenate([np.zeros((len(lams), 1)), coeff.alpha, -coeff.beta], axis=1)
+        C = columns[:, table]
+        # a running sum adds in slot order, as assemble_full's np.add.at does,
+        # where a reduction may pair the terms differently
+        C[:, diagonal_at] = np.add.accumulate(columns[:, slots], axis=2)[..., -1]
+        C = C.reshape(len(lams), k, k)
+        if not np.count_nonzero(coeff.at_pole):
+            return np.linalg.eigvalsh(C)
+        pole = coeff.at_pole.any(axis=1)
+        ev = np.full((len(lams), k), np.nan)
+        ev[~pole] = np.linalg.eigvalsh(C[~pole])
+        return ev
+
+    return eigenvalues
 
 
 def _crossings(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,9 +366,11 @@ def _stacked_root(f, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarra
     """The zero of each row's function inside its bracket (a, b), all rows in stacked evaluations.
 
     Row i's function is continuous with fa[i] >= 0 > fb[i] (zero is not
-    negative), and f(rows, x) evaluates the functions of the live rows, row
-    rows[r] at x[r], in one call.  Brackets lie in lam >= 0.  Returns the
-    zeros in row order.
+    negative), and f(rows, x) evaluates the functions of the rows `rows` (an
+    index array, or slice(None) for every row), row rows[r] at x[r], in one
+    call.  Brackets lie in lam >= 0.  Returns the zeros in row order.  Rows
+    stay in place: a row that has stopped keeps its bracket, and once one
+    has, f sees only the rows still running.
 
     Every row runs Chandrupatla's method, keeping a sign bracket: inverse
     quadratic interpolation where it passes Chandrupatla's monotonicity
@@ -322,45 +387,56 @@ def _stacked_root(f, a: np.ndarray, fa: np.ndarray, b: np.ndarray, fb: np.ndarra
     would take N = ceil(log2(w0 / (POLE_BISECT_TOL p))) steps; the safeguard
     caps a row at 2 N + 2.
     """
-    rows = np.arange(len(a))
-    roots = np.empty(len(a))
+    if not len(a):
+        return np.empty(0)
     # a is the newest point, b the other end of the sign bracket, c the
     # point the last step dropped
-    c, fc = a, fa
-    start = b - a
+    c, fc, a_negative = a, fa, fa < 0
+    start = ba = b - a
     t = np.full(len(a), 0.5)
+    rows = slice(None)
     step = 0
-    while len(rows):
-        step += 1
-        x = a + t * (b - a)
-        fx = f(rows, x)
-        # zero is not negative: f >= 0 at one end of the bracket, < 0 at the other
-        same = (fx < 0) == (fa < 0)
-        c, fc = np.where(same, a, b), np.where(same, fa, fb)
-        b, fb = np.where(same, b, a), np.where(same, fb, fa)
-        a, fa = x, fx
-        width = np.abs(b - a)
-        stop = POLE_BISECT_TOL * np.maximum(a, b)
-        done = width <= stop
-        roots[rows[done]] = (0.5 * (a + b))[done]
-        live = ~done
-        rows, a, b, c, fa, fb, fc, start, width, stop = (
-            v[live] for v in (rows, a, b, c, fa, fb, fc, start, width, stop))
-        # inverse quadratic interpolation through a, b, c where Chandrupatla's
-        # test finds it safe and the bracket keeps to the safeguard's budget;
-        # otherwise bisection
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # a zero divisor in the interpolation fails Chandrupatla's test, or its
+    # row has stopped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            step += 1
+            x = a + t * ba
+            if isinstance(rows, slice):
+                fx = f(rows, x)
+            else:
+                # a row that has stopped keeps its newest point (t = 0) and value
+                fx = fa.copy()
+                fx[rows] = f(rows, x[rows])
+            # zero is not negative: f >= 0 at one end of the bracket, < 0 at the other
+            negative = fx < 0
+            same = negative == a_negative
+            c, fc = np.where(same, a, b), np.where(same, fa, fb)
+            b, fb = np.where(same, b, a), np.where(same, fb, fa)
+            a, fa, a_negative = x, fx, negative
+            ba = b - a
+            width = np.abs(ba)
+            stop = POLE_BISECT_TOL * np.maximum(a, b)
+            done = width <= stop
+            stopped = np.count_nonzero(done)
+            if stopped == len(done):
+                return 0.5 * (a + b)
+            # inverse quadratic interpolation through a, b, c where
+            # Chandrupatla's test finds it safe and the bracket keeps to the
+            # safeguard's budget; otherwise bisection
+            fcb = fc - fb
             xi = (a - b) / (c - b)
-            phi = (fa - fb) / (fc - fb)
-            t = (fa / (fb - fa) * fc / (fb - fc)
-                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
-        interpolate = ((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
-                       & (width <= start * 2.0 ** (1 - (step + 1) // 2)))
-        # no step shorter than half the stop width, so the one after the
-        # estimates settle on the root crosses it
-        reach = 0.5 * stop / width
-        t = np.clip(np.where(interpolate, t, 0.5), reach, 1.0 - reach)
-    return roots
+            phi = (fa - fb) / fcb
+            t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / ba * fa / (fc - fa) * fb / fcb
+            interpolate = ((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)
+                           & (width <= start * 2.0 ** (1 - (step + 1) // 2)))
+            # no step shorter than half the stop width, so the one after the
+            # estimates settle on the root crosses it
+            reach = 0.5 * stop / width
+            t = np.minimum(np.maximum(np.where(interpolate, t, 0.5), reach), 1.0 - reach)
+            if stopped:
+                t[done] = 0.0
+                rows = np.flatnonzero(~done)
 
 
 def _counted_zeros(ev, poles: np.ndarray, weights: np.ndarray, lo: float, hi: float,
@@ -393,11 +469,13 @@ def _counted_zeros(ev, poles: np.ndarray, weights: np.ndarray, lo: float, hi: fl
     gap = 0.25 * POLE_BISECT_TOL * poles
     first = np.ones(len(poles), dtype=bool)
     first[1:] = poles[1:] - gap[1:] > poles[:-1] + gap[:-1]
-    last = np.roll(first, -1)
+    last = np.ones(len(poles), dtype=bool)
+    last[:-1] = first[1:]
     start, end = (poles - gap)[first], (poles + gap)[last]
     meet = (end >= lo) & (start <= hi)
     at = 0.5 * (poles[first] + poles[last])[meet]
-    ends = np.column_stack([start[meet], end[meet]]).ravel()
+    ends = np.empty(2 * len(at))
+    ends[0::2], ends[1::2] = start[meet], end[meet]
     # a window end inside a group brackets nothing
     head = int(not len(ends) or lo < ends[0])
     tail = int(not len(ends) or hi > ends[-1])
@@ -413,7 +491,7 @@ def _counted_zeros(ev, poles: np.ndarray, weights: np.ndarray, lo: float, hi: fl
         wanted = below[k[bracket]] + row < count
         bracket, row = bracket[wanted], row[wanted]
     a = k[bracket]
-    roots = _stacked_root(lambda rows, y: ev(y)[np.arange(len(rows)), row[rows]],
+    roots = _stacked_root(lambda rows, y: ev(y)[np.arange(len(y)), row[rows]],
                           x[a], values[a, row], x[a + 1], values[a + 1, row])
     N, group = below + neg, np.arange(head, len(x) - 1, 2)
     return np.sort(np.concatenate([np.repeat(at, N[group + 1] - N[group]), roots]))[:count]
@@ -431,8 +509,8 @@ def _residue_ranks(g: MetricGraph, poles: np.ndarray) -> np.ndarray:
     the count of _counted_zeros moves there only for an inner pole.  rank R
     is 1 for a pole of one edge that touches an inner vertex, 0 where no
     such edge has it, and the rank of the rows w_e where several share it
-    (within 1e-12 relative, as _edge_poles lists them): 3 at odd k and 2 at
-    even k on a triangle of inner vertices.
+    (within 1e-12 relative, as _edge_poles lists them), which _signed_rank
+    counts: 3 at odd k and 2 at even k on a triangle of inner vertices.
     """
     m = g.n_outer
     ends = np.array(g.edge_indices) - m
@@ -442,13 +520,49 @@ def _residue_ranks(g: MetricGraph, poles: np.ndarray) -> np.ndarray:
     k = np.rint(np.sqrt(poles)[:, None] * scale)
     on = np.abs((k / scale) ** 2 - poles[:, None]) <= 1e-12 * np.maximum(1.0, poles)[:, None]
     ranks = on.sum(axis=1)
-    shared = np.flatnonzero(ranks > 1)
-    if len(shared):
-        # the rows w_e of every shared pole, zero off its edges
-        u, v = np.moveaxis(ends[:, :, None] == np.arange(g.n_vertices - m), 1, 0)
-        w = on[shared][..., None] * (u - (-1.0) ** k[shared][..., None] * v)
-        ranks[shared] = np.linalg.matrix_rank(w)
+    for i in np.flatnonzero(ranks > 1):
+        ranks[i] = _signed_rank(ends[on[i]].tolist(), k[i, on[i]].tolist())
     return ranks
+
+
+def _signed_rank(ends: list, k: list) -> int:
+    """The rank of the rows e_u - (-1)^k e_v of edges (u, v), an outer end (index < 0) dropped.
+
+    A vector x orthogonal to every row has x_u = (-1)^k x_v along each edge
+    between inner vertices and x_u = 0 at an edge to an outer vertex.  On a
+    connected component of the inner ends, joined by the edges between them,
+    that leaves one free value when the component is balanced (every cycle
+    holds an even number of odd k, so signs s_u with s_u = (-1)^k s_v exist)
+    and touches no outer end, and none otherwise.  The rank is the number of
+    inner ends less the number of such components.
+    """
+    adjacent: dict[int, list] = {}
+    grounded = set()
+    for (u, v), kk in zip(ends, k):
+        for a, b in ((u, v), (v, u)):
+            if a >= 0:
+                adjacent.setdefault(a, [])
+                if b >= 0:
+                    adjacent[a].append((b, int(kk) % 2))
+                else:
+                    grounded.add(a)
+    sign: dict[int, int] = {}
+    free = 0
+    for root in adjacent:
+        if root in sign:
+            continue
+        sign[root], stack, balanced, touched = 0, [root], True, False
+        while stack:
+            a = stack.pop()
+            touched |= a in grounded
+            for b, odd in adjacent[a]:
+                if b not in sign:
+                    sign[b] = sign[a] ^ odd
+                    stack.append(b)
+                elif sign[b] != sign[a] ^ odd:
+                    balanced = False
+        free += balanced and not touched
+    return len(adjacent) - free
 
 
 def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
@@ -457,12 +571,13 @@ def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
     Edge poles come in closed form, once each; some are removable for the
     reduced map but still reported, since the assembly breaks down there.
     The inner poles are the zeros of _counted_zeros with F = C, the inner
-    block of the full matrix, and each edge pole weighted by the rank of C's
-    residue there (_residue_ranks), counted from max(lo, 0) since C is
-    positive definite for lam <= 0.  Each inner pole p comes out within
-    POLE_BISECT_TOL * p, a double pole twice, and one next to an edge pole
-    at that pole's group, kept when the group's mean lies in the window.  A
-    scan makes at most 2 N + 3 stacked assemblies, N the bisection steps of
+    block of the full matrix, evaluated by one _inner_block per scan, and
+    each edge pole weighted by the rank of C's residue there
+    (_residue_ranks), counted from max(lo, 0) since C is positive definite
+    for lam <= 0.  Each inner pole p comes out within POLE_BISECT_TOL * p, a
+    double pole twice, and one next to an edge pole at that pole's group,
+    kept when the group's mean lies in the window.  A scan makes at most
+    2 N + 3 stacked evaluations of C, N the bisection steps of
     its widest bracket (see _stacked_root); the catalog graphs on windows of
     60 to 400 take 8 to 12.
 
@@ -478,7 +593,7 @@ def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
     poles = _edge_poles(g, lo0 - POLE_BISECT_TOL * max(1.0, lo0),
                         hi + POLE_BISECT_TOL * max(1.0, abs(hi)))
     p = np.array(poles)
-    inner = _counted_zeros(lambda x: _inner_eigenvalues(g, x), p, _residue_ranks(g, p), lo0, hi)
+    inner = _counted_zeros(_inner_block(g), p, _residue_ranks(g, p), lo0, hi)
     return sorted(v for v in poles + inner.tolist() if lo < v < hi)
 
 
@@ -523,7 +638,7 @@ def near_pole(g: MetricGraph, lams: np.ndarray, singular: np.ndarray,
     probe = np.flatnonzero(~near & (held[last + 1] > held[first]))
     if len(probe):
         x = np.concatenate([lams[probe] - reach[probe], lams[probe] + reach[probe]])
-        ev = _inner_eigenvalues(g, x)
+        ev = _inner_block(g)(x)
         counts = np.where(np.isnan(ev[:, 0]), -1, (ev < 0).sum(axis=1))
         below, above = np.split(counts, 2)
         near[probe] = (below != negative[probe]) | (above != negative[probe])

@@ -296,6 +296,31 @@ def test_stack_edge_coefficients_match_single():
     assert got.at_pole.tolist() == [False] * 4 + [True] + [False] * 3
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1), n=st.integers(1, 40),
+       edges=st.integers(1, 9))
+def test_single_branch_stack_matches_mixed_stack(seed, n, edges):
+    # a stack whose samples are all trigonometric skips the masks; the same
+    # samples inside a stack that also reaches the series window and lam < 0
+    # go through the masked branches, and every entry agrees bit for bit,
+    # edge poles and single floats included
+    rng = np.random.default_rng(seed)
+    lengths = rng.uniform(0.2, 5.0, edges)
+    lams = 10.0 ** rng.uniform(-7.0, 8.0, n)
+    k = rng.integers(1, 50, n)
+    poles = (math.pi * k / lengths[rng.integers(0, edges, n)]) ** 2
+    # clear of the series window on every edge
+    lams = np.maximum(np.where(rng.random(n) < 0.3, poles, lams), 2e-8 / lengths.min() ** 2)
+    single = edge_alpha_beta(lams[:, None], lengths)
+    mixed = edge_alpha_beta(np.concatenate([lams, [-3.0, 1e-12, 0.0]])[:, None], lengths)
+    for name in ("alpha", "beta", "at_pole"):
+        assert np.array_equal(getattr(single, name), getattr(mixed, name)[:len(lams)])
+    one = edge_alpha_beta(float(lams[0]), float(lengths[0]))
+    assert (one.alpha, one.beta, one.at_pole) == (
+        single.alpha[0, 0], single.beta[0, 0], single.at_pole[0, 0])
+    assert type(one.alpha) is float and type(one.at_pole) is bool
+
+
 def test_stack_full_marks_poles_float_raises(path3):
     pole = (math.pi / SQRT17) ** 2
     full = assemble_full(path3, np.array([1.0, pole]))

@@ -7,6 +7,7 @@ import json
 import math
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -863,6 +864,41 @@ def test_commensurable_base():
     assert commensurable_base((2.0, 4.0, 6.0)) == pytest.approx(2.0, rel=1e-12)
     assert commensurable_base((1.0,)) == pytest.approx(1.0)
     assert commensurable_base((1.0 / 3.0, 0.5)) == pytest.approx(1.0 / 6.0, rel=1e-9)
+
+
+def _base_pair_by_pair(lengths):
+    """commensurable_base with one integer_relation per edge, L_min with itself included;
+    None where an edge has none."""
+    L_min = min(lengths)
+    relations = [integer_relation((L_min, L)) for L in lengths]
+    if None in relations:
+        return None
+    Q = math.lcm(*(c2 for _, c2 in relations))
+    return (L_min / Q) * math.gcd(*(c1 * (Q // c2) for c1, c2 in relations))
+
+
+@given(base=st.floats(0.05, 3.0), multiples=st.lists(st.integers(1, 12), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_commensurable_base_one_relation_per_length(base, multiples):
+    # lengths repeat, as in the benchmark's commensurable graphs; the base is
+    # the one the relation of every edge gives, from one relation per
+    # distinct length other than L_min
+    lengths = tuple(base * m for m in multiples)
+    want = _base_pair_by_pair(lengths)
+    calls = []
+    with mock.patch.object(dtnpos.search, "integer_relation",
+                           lambda v: calls.append(v) or integer_relation(v)):
+        if want is None:
+            with pytest.raises(NotCommensurable):
+                commensurable_base(lengths)
+        else:
+            assert commensurable_base(lengths) == want
+    assert len(calls) == len(set(lengths)) - 1
+
+
+def test_commensurable_base_repeated_lengths():
+    lengths = (0.75, 1.0, 1.0, 1.25, 1.25)
+    assert commensurable_base(lengths) == _base_pair_by_pair(lengths) == 0.25
 
 
 def test_commensurable_base_rejects_stranded_ratio():

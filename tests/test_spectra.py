@@ -23,18 +23,21 @@ from dtnpos import (
     sweep,
     validate,
 )
+from dtnpos.assembly import STACK_CHUNK
 from dtnpos.catalog import catalog_names
 from dtnpos.graphs import graph_to_json
 from dtnpos.spectra import (
     DEFAULT_RESOLUTION,
     NEAR_POLE_REACH,
     POLE_BISECT_TOL,
+    RESOLUTION_DRIFT_MAX,
     _counted_zeros,
     _edge_poles,
     _elements,
     _fem_eigenvalues,
     _fem_matrices,
-    _inner_eigenvalues,
+    _inner_block,
+    _residue_ranks,
     near_pole,
 )
 
@@ -284,6 +287,98 @@ def test_counted_lambda_1_below_fem(seed):
     assert fem - counted <= 2.0 * estimate + 1e-9 * fem
     if not g.inner:
         assert counted == (math.pi / max(g.lengths)) ** 2
+
+
+def _quarter_graph(rng):
+    """A random graph of random_surd_graph's shape with lengths in quarters, 0.5 to 1.5."""
+    raw = graph_to_json(random_surd_graph(rng))
+    for e in raw["edges"]:
+        e["length"] = int(rng.integers(2, 7)) / 4.0
+    return validate(raw)
+
+
+def _located_refuses(g, resolution):
+    """The 1 % check of kirchhoff_spectrum decided by the located lambda_1."""
+    try:
+        f = _fem_eigenvalues(g, 1, resolution)[0]
+    except ResolutionTooLow:  # a mesh without enough free nodes
+        return True
+    lam1 = lambda_1(g)
+    return abs(f - lam1) > RESOLUTION_DRIFT_MAX * lam1
+
+
+def _refuses(g, resolution):
+    try:
+        kirchhoff_spectrum(g, resolution=resolution)
+    except ResolutionTooLow:
+        return True
+    return False
+
+
+def _star_and_long_edge():
+    # an inner centre with unit edges to outer leaves, whose own lowest
+    # eigenvalue is (pi / 2)^2, and an outer edge of length 3 between two
+    # leaves: lambda_1 is that edge's pole p_1 = (pi / 3)^2
+    return validate({
+        "vertices": ["c", "o1", "o2", "o3"],
+        "edges": [{"u": "c", "v": "o1", "length": 1.0}, {"u": "c", "v": "o2", "length": 1.0},
+                  {"u": "c", "v": "o3", "length": 1.0}, {"u": "o1", "v": "o2", "length": 3.0}],
+        "outer": ["o1", "o2", "o3"],
+    })
+
+
+def _equal_star():
+    # an inner centre with three unit edges to outer leaves: lambda_1 is
+    # (pi / 2)^2, a quarter of p_1, which all three edges share
+    return validate({
+        "vertices": ["c", "o1", "o2", "o3"],
+        "edges": [{"u": "c", "v": w, "length": 1.0} for w in ("o1", "o2", "o3")],
+        "outer": ["o1", "o2", "o3"],
+    })
+
+
+@given(seed=st.integers(0, 2**32 - 1), log_resolution=st.floats(-2.0, 6.0))
+@settings(max_examples=40, deadline=None)
+def test_counted_check_decides_as_located_lambda_1(seed, log_resolution):
+    # the check counts neg C at f / 1.01 and f / 0.99 instead of locating
+    # lambda_1, and refuses exactly the meshes the located lambda_1 refuses
+    g = random_surd_graph(np.random.default_rng(seed), 3, 6)
+    resolution = 2.0 ** log_resolution
+    assert _refuses(g, resolution) == _located_refuses(g, resolution)
+
+
+@pytest.mark.parametrize("resolution", [0.25, 0.5, 1, 2, 4, 8, 16, 32, 64])
+@pytest.mark.parametrize("graph", [_star_and_long_edge, _equal_star, lambda: catalog("interval"),
+                                   lambda: catalog("two-cluster")],
+                         ids=["lambda_1-is-p_1", "equal-star", "all-outer", "two-cluster"])
+def test_counted_check_on_edge_pole_graphs(graph, resolution):
+    g = graph()
+    if graph is _star_and_long_edge:
+        assert lambda_1(g) == (math.pi / 3) ** 2
+    assert _refuses(g, resolution) == _located_refuses(g, resolution)
+
+
+def test_counted_check_locates_lambda_1_only_to_refuse(monkeypatch, path3):
+    calls = []
+    real = dtnpos.spectra.lambda_1
+    monkeypatch.setattr(dtnpos.spectra, "lambda_1", lambda g: calls.append(g) or real(g))
+    kirchhoff_spectrum(path3, count=3)
+    assert calls == []
+    with pytest.raises(ResolutionTooLow):
+        kirchhoff_spectrum(path3, resolution=0.25)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("factor", [1.0 + RESOLUTION_DRIFT_MAX, 1.0 - RESOLUTION_DRIFT_MAX])
+def test_counted_check_end_in_first_pole_group(monkeypatch, factor):
+    # a lowest value that puts f / 1.01 or f / 0.99 on p_1 leaves the count
+    # undefined there; the located lambda_1 decides, here (pi / 2)^2 < p_1
+    g = _equal_star()
+    p1 = math.pi**2
+    monkeypatch.setattr(dtnpos.spectra, "_fem_eigenvalues",
+                        lambda g, count, resolution: np.array([factor * p1]))
+    with pytest.raises(ResolutionTooLow, match=r"of lambda_1=2\.4674"):
+        kirchhoff_spectrum(g)
 
 
 def test_pole_scan_interval(interval):
@@ -536,7 +631,8 @@ def _check_against_quarter_cuts(g, lo, hi):
     lams = lams[(lo <= lams) & (lams <= hi)]
     D = assemble_outer(g, lams)
     flags = near_pole(g, lams, D.singular, D.inner_negative)
-    with mock.patch.object(dtnpos.spectra, "_inner_eigenvalues", _counted_eigenvalues):
+    counted = lambda g: lambda lams: _counted_eigenvalues(g, lams)
+    with mock.patch.object(dtnpos.spectra, "_inner_block", counted):
         assert flags.tolist() == near_pole(g, lams, D.singular, D.inner_negative).tolist()
 
 
@@ -559,6 +655,41 @@ def test_pole_scan_matches_quarter_cuts(seed):
     assume(g.inner)
     for lo, hi in _windows(g):
         _check_against_quarter_cuts(g, lo, hi)
+
+
+def _full_inner_eigenvalues(g, lams):
+    """eigvalsh of the inner block of assemble_full, a row of NaN where the stack is singular."""
+    m = g.n_outer
+    full = assemble_full(g, lams)
+    ev = np.full((len(lams), g.n_vertices - m), np.nan)
+    ev[~full.singular] = np.linalg.eigvalsh(full.entries[~full.singular][:, m:, m:])
+    return ev
+
+
+@given(seed=st.integers(0, 2**32 - 1), quarters=st.booleans(), spread=st.floats(-12.0, 2.0))
+@settings(max_examples=40, deadline=None)
+def test_inner_block_matches_full_assembly(seed, quarters, spread):
+    # the evaluator's rows are eigvalsh of the full matrix's inner block, bit
+    # for bit: at 0, below it, inside the series window, at and within
+    # 1e-11 p of edge poles p, at 1e8 and on a grid, NaN rows included
+    rng = np.random.default_rng(seed)
+    g = _quarter_graph(rng) if quarters else random_surd_graph(rng, 3, 8)
+    assume(g.inner)
+    L = np.array(g.lengths)
+    poles = (math.pi * rng.integers(1, 6, len(L)) / L) ** 2
+    near = [poles * (1.0 + f) for f in (1e-11, -1e-11, 1e-13, 10.0**spread)]
+    lams = np.concatenate([poles, [0.0, -1e-9, -3.0, -1e4, 1e-12, 3e-9 / L.max() ** 2, 1e8],
+                           rng.uniform(-10.0, 200.0, 20), *near])
+    got = _inner_block(g)(lams)
+    assert got.shape == (len(lams), g.n_vertices - g.n_outer)
+    assert np.array_equal(got, _full_inner_eigenvalues(g, lams), equal_nan=True)
+    assert np.isnan(got[:len(L)]).all()
+
+
+def test_inner_block_longer_than_a_chunk(lasso):
+    lams = np.linspace(-6.0, 45.0, 2 * STACK_CHUNK + 7)
+    assert np.array_equal(_inner_block(lasso)(lams), _full_inner_eigenvalues(lasso, lams),
+                          equal_nan=True)
 
 
 def _pendant_graph():
@@ -638,13 +769,35 @@ def test_pole_scan_weights_shared_edge_pole_by_residue_rank():
         assert (np.abs(got - p) <= POLE_BISECT_TOL * p).sum() == 1
 
 
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_residue_ranks_match_matrix_rank(seed):
+    # the signed-graph count of _residue_ranks against matrix_rank of C's
+    # residue, on every edge pole up to 250 of a graph whose quarter lengths
+    # share many poles, and of the inner triangle and the pendant pairs
+    for g in (_quarter_graph(np.random.default_rng(seed)), _inner_triangle(), _pendant_graph()):
+        poles = np.array(_edge_poles(g, 0.0, 250.0))
+        assert _residue_ranks(g, poles).tolist() == [_residue_rank(g, p) for p in poles]
+
+
+def test_residue_ranks_of_inner_triangle():
+    g = _inner_triangle()
+    poles = np.array([(math.pi * k) ** 2 for k in (1, 2, 3, 4)])
+    assert _residue_ranks(g, poles).tolist() == [3, 2, 3, 2]
+
+
 def _stacked_calls(monkeypatch, run):
-    """The assemble_full calls spectra makes while run() runs."""
+    """The stacked evaluations of C that spectra makes while run() runs, at least one."""
     calls = []
-    real = dtnpos.spectra.assemble_full
-    monkeypatch.setattr(dtnpos.spectra, "assemble_full",
-                        lambda g, lam: calls.append(lam) or real(g, lam))
+    real = dtnpos.spectra._inner_block
+
+    def counting(g):
+        block = real(g)
+        return lambda lams: calls.append(len(lams)) or block(lams)
+
+    monkeypatch.setattr(dtnpos.spectra, "_inner_block", counting)
     run()
+    assert len(calls) > 0
     return len(calls)
 
 
@@ -685,7 +838,7 @@ def test_bracketed_root_find_within_safeguard_bound(monkeypatch, path3, left, ri
     got = []
     # pole_scan starts its count at max(lo, 0) too
     calls = _stacked_calls(monkeypatch, lambda: got.extend(_counted_zeros(
-        lambda x: _inner_eigenvalues(path3, x), np.empty(0), np.empty(0, dtype=int),
+        dtnpos.spectra._inner_block(path3), np.empty(0), np.empty(0, dtype=int),
         max(left, 0.0), right)))
     assert len(got) == 1 and abs(got[0] - p) <= POLE_BISECT_TOL * p
     bisections = math.ceil(math.log2((right - max(left, 0.0)) / (POLE_BISECT_TOL * p)))
