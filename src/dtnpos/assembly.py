@@ -7,7 +7,8 @@ For spectral parameter lam and edge length L the per-edge coefficients are
 
 with the hyperbolic continuation for lam < 0 and the common limit 1/L at
 lam = 0.  The full matrix carries -beta on off-diagonal edge positions and the
-sum of incident alphas on the diagonal; eliminating the inner vertices by a
+sum of incident alphas, in edge order, on the diagonal, all formed by one
+assembler from the graph's incidence; eliminating the inner vertices by a
 Schur complement yields the matrix on the outer vertices.
 
 Every function here takes lam as one float or as a 1-D array of parameters.
@@ -150,30 +151,42 @@ def _coefficients(alpha, beta, at_pole, shape) -> EdgeCoefficients:
     return EdgeCoefficients(alpha.reshape(shape), beta.reshape(shape), at_pole.reshape(shape))
 
 
+def _vertex_block(g: MetricGraph, lams: np.ndarray, first: int):
+    """Rows and columns first..n-1 of D at a 1-D stack of parameters, and the edge coefficients.
+
+    D's one assembler, read from g.incidence: an entry off the diagonal is
+    gathered from [0 | -beta], a diagonal entry adds [0 | alpha] slot by
+    slot from 0.0, in edge order.  Entries at an edge pole are not finite.
+    """
+    joins, slots = g.incidence
+    coeff = edge_alpha_beta(lams[:, None], np.array(g.lengths))
+    zero = np.zeros((len(lams), 1))
+    D = np.concatenate([zero, -coeff.beta], axis=1)[:, joins[first:, first:]]
+    # slot by slot, where a reduction may pair the terms differently
+    alphas = np.concatenate([zero, coeff.alpha], axis=1)[:, slots[first:].T]
+    diagonal = alphas[:, 0]
+    for slot in range(1, alphas.shape[1]):
+        diagonal = diagonal + alphas[:, slot]
+    i = np.arange(D.shape[1])
+    D[:, i, i] = diagonal
+    return D, coeff
+
+
 def assemble_full(g: MetricGraph, lam) -> DtnMatrix:
     """Dirichlet-to-Neumann matrix with every vertex treated as a data vertex.
 
     Entries: D[k, j] = -beta_kj on edges, 0 otherwise; D[k, k] = sum of alpha
     over edges at k, added in edge order.  Symmetric by construction (both
-    off-diagonal positions are written from the same float).  A float lam at
-    an edge pole raises AtPole naming the edge; in a stack the sample is
+    off-diagonal positions are gathered from the same float).  A float lam
+    at an edge pole raises AtPole naming the edge; in a stack the sample is
     marked singular.
     """
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1:
         raise ValueError("lam must be a float or a 1-D array")
     single, lams = lams.ndim == 0, lams.reshape(-1)
-    coeff = edge_alpha_beta(lams[:, None], np.array(g.lengths))
+    D, coeff = _vertex_block(g, lams, 0)
     n = g.n_vertices
-    ends = np.array(g.edge_indices).reshape(-1, 2)
-    D = np.zeros((lams.size, n, n))
-    D[:, ends[:, 0], ends[:, 1]] = -coeff.beta
-    D[:, ends[:, 1], ends[:, 0]] = -coeff.beta
-    diag = np.zeros((lams.size, n))
-    # unbuffered and in index order, so each vertex sums its alphas edge by edge
-    np.add.at(diag, (slice(None), ends.reshape(-1)), np.repeat(coeff.alpha, 2, axis=1))
-    D[:, np.arange(n), np.arange(n)] = diag
-
     pole = coeff.at_pole.any(axis=1)
     if single:
         if pole[0]:

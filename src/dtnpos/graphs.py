@@ -104,7 +104,24 @@ class MetricGraph:
         """Edge endpoints as dense vertex indices, in edge order."""
         return tuple((self._index[e.u], self._index[e.v]) for e in self.edges)
 
-    @property
+    @cached_property
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """(joins, slots), read-only: joins[u, v] is 1 + e for the edge e between u
+        and v, 0 for none; row u of slots lists 1 + e for each edge e at u, in
+        edge order, after a leading 0 and padded with 0 (0 picks a zero column)."""
+        n = self.n_vertices
+        joins = np.zeros((n, n), dtype=np.intp)
+        at: list[list[int]] = [[0] for _ in range(n)]
+        for e, (u, v) in enumerate(self.edge_indices):
+            joins[u, v] = joins[v, u] = 1 + e
+            at[u].append(1 + e)
+            at[v].append(1 + e)
+        depth = max(map(len, at))
+        slots = np.array([a + [0] * (depth - len(a)) for a in at], dtype=np.intp)
+        joins.flags.writeable = slots.flags.writeable = False
+        return joins, slots
+
+    @cached_property
     def lengths(self) -> tuple[float, ...]:
         return tuple(e.length for e in self.edges)
 

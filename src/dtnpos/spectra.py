@@ -31,7 +31,7 @@ import numpy as np
 
 # spectra no longer calls assemble_full; the name stays because the
 # benchmark's tracer wraps it here and requires it to resolve
-from .assembly import STACK_CHUNK, assemble_full, edge_alpha_beta  # noqa: F401
+from .assembly import STACK_CHUNK, _vertex_block, assemble_full  # noqa: F401
 from .errors import ResolutionTooLow
 from .graphs import MetricGraph
 
@@ -129,7 +129,9 @@ def _chain_schur(g: MetricGraph, ne: np.ndarray):
     the hyperbolic ratios in expm1 form cannot overflow, and at y = 1 the
     ratios take their limits (ne - 1)/ne and 1/ne.  A fixed scatter matrix
     adds every alpha to the diagonal entries of the edge's inner ends and
-    every beta to the entries between them, so S is one product.
+    every beta to the entries between them, so S is one product.  S keeps
+    this product rather than assembly's gather: it needs no bitwise tie to
+    D, and one product is cheaper at root-find stack sizes.
 
     Returns the function that maps parameters, none of them on a chain pole
     (where U_{ne-1}(x) = 0), to the ascending eigenvalues of S, one row each.
@@ -298,53 +300,20 @@ def _edge_poles(g: MetricGraph, lo: float, hi: float) -> list[float]:
 def _inner_block(g: MetricGraph):
     """C(lam), the inner block of the full matrix, as a stacked evaluator.
 
-    Built once per scan: every edge's alpha and -beta become columns, each
-    entry of C off the diagonal copies the column of its edge (or a zero
-    column), and each diagonal entry is the running sum, from 0.0, of the
-    alphas of the edges at its vertex in edge order, gathered and padded
-    with the zero column.  Every value is the one that
-    assemble_full(g, lam).entries[:, m:, m:] holds, bit for bit, and the
-    outer rows are never formed.
-
     Returns the function that maps parameters to the ascending eigenvalues
-    of C, one row each, STACK_CHUNK parameters per eigvalsh call; a
-    parameter at a pole of any edge, where C has no value, gets a row of NaN.
+    of C, one row each, STACK_CHUNK parameters per eigvalsh call: C is
+    assemble_full's assembler at the inner rows alone, and a parameter at an
+    edge pole, where C has no value, gets a row of NaN.
     """
-    m = g.n_outer
-    k = g.n_vertices - m
-    n_edges = len(g.edges)
-    lengths = np.array(g.lengths)
-    # columns [0 | alpha | -beta], one of each per edge
-    table = np.zeros((k, k), dtype=np.intp)
-    incident: list[list[int]] = [[] for _ in range(k)]
-    for e, (u, v) in enumerate(g.edge_indices):
-        u, v = u - m, v - m
-        if min(u, v) >= 0:
-            table[u, v] = table[v, u] = 1 + n_edges + e
-        for w in (u, v):
-            if w >= 0:
-                incident[w].append(1 + e)
-    table = table.reshape(-1)
-    diagonal_at = np.arange(k) * (k + 1)
-    depth = max(map(len, incident), default=0)
-    slots = np.array([[0] + a + [0] * (depth - len(a)) for a in incident],
-                     dtype=np.intp).reshape(k, depth + 1)
-
     def eigenvalues(lams: np.ndarray) -> np.ndarray:
         if len(lams) > STACK_CHUNK:
             return np.concatenate([eigenvalues(lams[at:at + STACK_CHUNK])
                                    for at in range(0, len(lams), STACK_CHUNK)])
-        coeff = edge_alpha_beta(lams[:, None], lengths)
-        columns = np.concatenate([np.zeros((len(lams), 1)), coeff.alpha, -coeff.beta], axis=1)
-        C = columns[:, table]
-        # a running sum adds in slot order, as assemble_full's np.add.at does,
-        # where a reduction may pair the terms differently
-        C[:, diagonal_at] = np.add.accumulate(columns[:, slots], axis=2)[..., -1]
-        C = C.reshape(len(lams), k, k)
+        C, coeff = _vertex_block(g, lams, g.n_outer)
         if not np.count_nonzero(coeff.at_pole):
             return np.linalg.eigvalsh(C)
         pole = coeff.at_pole.any(axis=1)
-        ev = np.full((len(lams), k), np.nan)
+        ev = np.full(C.shape[:2], np.nan)
         ev[~pole] = np.linalg.eigvalsh(C[~pole])
         return ev
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dtnpos import MetricGraph, catalog, validate
+from dtnpos.graphs import graph_to_json
 
 # distinct squarefree radicands keep any rational relation between the
 # lengths trivial, so independence holds by construction
@@ -38,6 +39,14 @@ def random_surd_graph(rng: np.random.Generator, n_lo: int = 4, n_hi: int = 8) ->
     n_outer = int(rng.integers(2, n + 1))
     outer = [names[int(k)] for k in rng.choice(n, size=n_outer, replace=False)]
     return validate({"vertices": names, "edges": edges, "outer": outer})
+
+
+def random_quarter_graph(rng: np.random.Generator) -> MetricGraph:
+    """A random graph of random_surd_graph's shape with lengths in quarters, 0.5 to 1.5."""
+    raw = graph_to_json(random_surd_graph(rng))
+    for e in raw["edges"]:
+        e["length"] = int(rng.integers(2, 7)) / 4.0
+    return validate(raw)
 
 
 @pytest.fixture

@@ -26,8 +26,9 @@ from dtnpos import (
     validate,
 )
 from dtnpos.assembly import STACK_CHUNK
+from dtnpos.spectra import _inner_block
 
-from conftest import random_surd_graph
+from conftest import random_quarter_graph, random_surd_graph
 
 SQRT17 = math.sqrt(17)
 
@@ -333,3 +334,82 @@ def test_stack_full_marks_poles_float_raises(path3):
 def test_stack_rejects_two_dimensional_lambda(path3):
     with pytest.raises(ValueError):
         assemble_full(path3, np.ones((2, 2)))
+
+
+def edge_loop_reference(g, lams):
+    """D edge by edge: -beta_e on both positions of e, alpha_e added to both
+    diagonal ends in edge order from 0.0; a row of NaN at an edge pole.
+    Shares only edge_alpha_beta's stacked coefficients with assemble_full."""
+    coeff = edge_alpha_beta(lams[:, None], np.array(g.lengths))
+    D = np.zeros((len(lams), g.n_vertices, g.n_vertices))
+    for e, (u, v) in enumerate(g.edge_indices):
+        D[:, u, v] = D[:, v, u] = -coeff.beta[:, e]
+        D[:, u, u] += coeff.alpha[:, e]
+        D[:, v, v] += coeff.alpha[:, e]
+    D[coeff.at_pole.any(axis=1)] = np.nan
+    return D
+
+
+def star_graph(centre_outer):
+    """Ten edges of distinct surd lengths at one centre, inner or outer."""
+    leaves = ["l%d" % k for k in range(10)]
+    return validate({
+        "vertices": ["c", *leaves],
+        "edges": [{"u": "c", "v": leaf, "length": math.sqrt(p)}
+                  for leaf, p in zip(leaves, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29))],
+        "outer": ["c"] if centre_outer else leaves,
+    })
+
+
+def assert_matches_edge_loop(g, lams):
+    """assemble_full and the inner-block evaluator against the edge loop, bit for
+    bit, on the stack and one parameter at a time, NaN rows and AtPole included."""
+    want = edge_loop_reference(g, lams)
+    full = assemble_full(g, lams)
+    assert np.array_equal(full.entries, want, equal_nan=True)
+    assert np.array_equal(full.singular, np.isnan(want).all(axis=(1, 2)))
+    m = g.n_outer
+    inner = np.full((len(lams), g.n_vertices - m), np.nan)
+    inner[~full.singular] = np.linalg.eigvalsh(want[~full.singular][:, m:, m:])
+    evaluator = _inner_block(g)
+    assert np.array_equal(evaluator(lams), inner, equal_nan=True)
+    for k, lam in enumerate(lams.tolist()):
+        assert np.array_equal(evaluator(lams[k:k + 1]), inner[k:k + 1], equal_nan=True)
+        if full.singular[k]:
+            with pytest.raises(AtPole):
+                assemble_full(g, lam)
+        else:
+            assert np.array_equal(assemble_full(g, lam).entries, want[k]), f"lam={lam!r}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["surd", "quarters", "inner centre", "outer centre"]))
+def test_assembly_matches_edge_loop(seed, shape):
+    # one assembler serves assemble_full and the inner-block evaluator; an
+    # edge loop that shares none of its code checks both, at 0, below it, in
+    # the series window, far out on the hyperbolic branch, at and beside edge
+    # poles and at 1e8; the stars sum ten alphas at their centre, where a
+    # pairwise reduction would pair the terms differently
+    rng = np.random.default_rng(seed)
+    g = {"surd": lambda: random_surd_graph(rng, 3, 8),
+         "quarters": lambda: random_quarter_graph(rng),
+         "inner centre": lambda: star_graph(False),
+         "outer centre": lambda: star_graph(True)}[shape]()
+    L = np.array(g.lengths)
+    poles = (math.pi * rng.integers(1, 6, len(L)) / L) ** 2
+    lams = np.concatenate([poles[:3], poles[:3] * (1.0 + 1e-11),
+                           [0.0, -1e-9, -3.0, 1e-12, 3e-9 / L.max() ** 2, 1e8,
+                            -((400.0 / L.min()) ** 2)],
+                           rng.uniform(-10.0, 200.0, 8)])
+    assert_matches_edge_loop(g, lams)
+
+
+def test_with_outer_derives_its_own_incidence(path3):
+    # the re-validated graph takes a new canonical order, and its entries come
+    # from its own incidence
+    flipped = path3.with_outer(["v2"])
+    assert flipped.vertices != path3.vertices
+    assert not np.array_equal(flipped.incidence[0], path3.incidence[0])
+    lams = np.array([2.5, (math.pi / SQRT17) ** 2, -4.0, 30.0])
+    assert_matches_edge_loop(flipped, lams)

@@ -157,6 +157,18 @@ def test_with_outer_revalidates(path3):
         path3.with_outer([])
 
 
+def test_incidence_is_read_only(lasso):
+    # edges (v1, v4), (v2, v4), (v3, v4), (v2, v3): joins holds 1 + e, slots
+    # the edges at each vertex in edge order after a leading 0, padded with 0
+    joins, slots = lasso.incidence
+    assert joins.tolist() == [[0, 0, 0, 1], [0, 0, 4, 2], [0, 4, 0, 3], [1, 2, 3, 0]]
+    assert slots.tolist() == [[0, 1, 0, 0], [0, 2, 4, 0], [0, 3, 4, 0], [0, 1, 2, 3]]
+    for a in (joins, slots):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+    assert lasso.incidence is lasso.incidence
+
+
 def test_load_graph_roundtrip(tmp_path, lasso):
     p = tmp_path / "g.json"
     import json

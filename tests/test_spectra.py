@@ -41,7 +41,7 @@ from dtnpos.spectra import (
     near_pole,
 )
 
-from conftest import random_surd_graph
+from conftest import random_quarter_graph as _quarter_graph, random_surd_graph
 
 SQRT17 = math.sqrt(17)
 PI2 = math.pi**2
@@ -287,14 +287,6 @@ def test_counted_lambda_1_below_fem(seed):
     assert fem - counted <= 2.0 * estimate + 1e-9 * fem
     if not g.inner:
         assert counted == (math.pi / max(g.lengths)) ** 2
-
-
-def _quarter_graph(rng):
-    """A random graph of random_surd_graph's shape with lengths in quarters, 0.5 to 1.5."""
-    raw = graph_to_json(random_surd_graph(rng))
-    for e in raw["edges"]:
-        e["length"] = int(rng.integers(2, 7)) / 4.0
-    return validate(raw)
 
 
 def _located_refuses(g, resolution):
