@@ -1,4 +1,4 @@
-"""Fingerprint the outputs of one benchmark workload's requests, one sha256 per seed.
+"""Fingerprint the outputs of benchmark workloads' requests, one sha256 per seed.
 
 Builds the requests of a workload (``--workload``, default ``search``) for each
 seed with the benchmark's own generator (``benchmark/inputs.py``, read as it
@@ -10,12 +10,15 @@ lines agree answer every request alike; ``--requests`` prints one short digest
 per request to find the ones that differ.  With ``--verdicts`` an ``--out``
 CSV enters the hash through its ``lambda``, ``class`` and ``near_pole``
 columns only, so a change that moves eigenvalue digits can show that no tag,
-near-pole flag or band moved.  The ``dtnpos`` it runs is the one in this
+near-pole flag or band moved.  A comma list such as
+``--workload sweep,spectra,search`` runs each workload in turn and labels
+every digest line with its workload.  The ``dtnpos`` it runs is the one in this
 checkout's ``src``, whatever else is installed.
 
 Example:
     python3 scripts/search_outputs.py --seeds 1-10
     python3 scripts/search_outputs.py --workload sweep --seeds 1-10 --verdicts
+    python3 scripts/search_outputs.py --workload sweep,spectra,search --seeds 1-10
 """
 
 import argparse
@@ -43,6 +46,16 @@ def seed_range(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds += range(int(lo), int(hi or lo) + 1)
     return seeds
+
+
+def workload_list(text: str) -> list[str]:
+    """'search' or 'sweep,spectra,search' as a list of benchmark workloads."""
+    names = text.split(",")
+    unknown = set(names) - {"sweep", "spectra", "search"}
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown workload {', '.join(sorted(unknown))}; "
+                                         "choose from sweep, spectra, search")
+    return names
 
 
 def run_request(argv: list[str]) -> tuple[int | str, str]:
@@ -93,8 +106,9 @@ def seed_digest(workload: str, seed: int, work: Path, per_request: bool,
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload", choices=("sweep", "spectra", "search"), default="search",
-                    help="the benchmark workload whose requests to run (default search)")
+    ap.add_argument("--workload", type=workload_list, default=["search"],
+                    help="the benchmark workloads whose requests to run, comma-separated "
+                         "(default search)")
     ap.add_argument("--seeds", type=seed_range, default=seed_range("1-10"),
                     help="seeds to run, e.g. 1-10 or 1,3,7 (default 1-10)")
     ap.add_argument("--requests", action="store_true",
@@ -102,10 +116,13 @@ def main():
     ap.add_argument("--verdicts", action="store_true",
                     help="hash only the lambda, class and near_pole columns of each --out CSV")
     args = ap.parse_args()
-    with tempfile.TemporaryDirectory(prefix=f"{args.workload}-outputs-") as tmp:
-        for seed in args.seeds:
-            digest = seed_digest(args.workload, seed, Path(tmp), args.requests, args.verdicts)
-            print(f"seed {seed:3d}  {digest}", flush=True)
+    for workload in args.workload:
+        # one workload keeps the plain "seed N  digest" lines
+        label = f"{workload:8s}" if len(args.workload) > 1 else ""
+        with tempfile.TemporaryDirectory(prefix=f"{workload}-outputs-") as tmp:
+            for seed in args.seeds:
+                digest = seed_digest(workload, seed, Path(tmp), args.requests, args.verdicts)
+                print(f"{label}seed {seed:3d}  {digest}", flush=True)
     return 0
 
 

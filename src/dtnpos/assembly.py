@@ -88,7 +88,8 @@ def edge_alpha_beta(lam, length) -> EdgeCoefficients:
     w = lam_b * L * L
     shape = w.shape
     if np.count_nonzero(w >= SERIES_WINDOW) == w.size:
-        return _coefficients(*_trigonometric(np.atleast_1d(lam_b), np.atleast_1d(L)), shape)
+        r, theta = _phases(np.atleast_1d(lam_b), np.atleast_1d(L))
+        return _coefficients(*_trigonometric(r, theta), shape)
 
     ones = np.ones(shape)  # broadcasts both inputs to the shape of w; exact
     lam_b, L, w = (lam_b * ones).reshape(-1), (L * ones).reshape(-1), w.reshape(-1)
@@ -107,7 +108,7 @@ def edge_alpha_beta(lam, length) -> EdgeCoefficients:
         beta[series] = (1.0 + ws / 6.0 + 7.0 * ws * ws / 360.0 + 31.0 * ws ** 3 / 15120.0) / Ls
 
     if trig.any():
-        alpha[trig], beta[trig], at_pole[trig] = _trigonometric(lam_b[trig], L[trig])
+        alpha[trig], beta[trig], at_pole[trig] = _trigonometric(*_phases(lam_b[trig], L[trig]))
 
     if hyp.any():
         s = np.sqrt(-lam_b[hyp])
@@ -129,16 +130,21 @@ def edge_alpha_beta(lam, length) -> EdgeCoefficients:
     return _coefficients(alpha, beta, at_pole, shape)
 
 
-def _trigonometric(lam: np.ndarray, L: np.ndarray):
-    """(alpha, beta, at_pole) for lam > 0 and L, broadcast; both entries inf at a pole."""
+def _phases(lam: np.ndarray, L: np.ndarray):
+    """The phase step (r, theta) = (sqrt(lam), sqrt(lam) L), lam > 0, broadcast in either layout."""
     r = np.sqrt(lam)
-    x = r * L
-    s = np.sin(x)
-    hit = np.abs(s) < POLE_TOL * np.maximum(1.0, x)
+    return r, r * L
+
+
+def _trigonometric(r, theta: np.ndarray):
+    """(alpha, beta, at_pole) = (r cot theta, r csc theta, theta at a pole), broadcast;
+    both entries inf at a pole.  At r = 1 _gather turns them into D / sqrt(lam)."""
+    s = np.sin(theta)
+    hit = np.abs(s) < POLE_TOL * np.maximum(1.0, theta)
     poles = np.count_nonzero(hit)
     if poles:
         s[hit] = math.inf  # keeps the division quiet; these entries become inf below
-    alpha = r * np.cos(x) / s
+    alpha = r * np.cos(theta) / s
     beta = r / s
     if poles:
         alpha[hit] = beta[hit] = math.inf
@@ -152,24 +158,29 @@ def _coefficients(alpha, beta, at_pole, shape) -> EdgeCoefficients:
 
 
 def _vertex_block(g: MetricGraph, lams: np.ndarray, first: int):
-    """Rows and columns first..n-1 of D at a 1-D stack of parameters, and the edge coefficients.
+    """Rows and columns first..n-1 of D at a 1-D stack of parameters, and the edge coefficients."""
+    coeff = edge_alpha_beta(lams[:, None], g.lengths_array)
+    return _gather(g, coeff.alpha, coeff.beta, first), coeff
+
+
+def _gather(g: MetricGraph, alpha: np.ndarray, beta: np.ndarray, first: int) -> np.ndarray:
+    """Rows and columns first..n-1 of D from (N, E) edge coefficients.
 
     D's one assembler, read from g.incidence: an entry off the diagonal is
     gathered from [0 | -beta], a diagonal entry adds [0 | alpha] slot by
     slot from 0.0, in edge order.  Entries at an edge pole are not finite.
     """
     joins, slots = g.incidence
-    coeff = edge_alpha_beta(lams[:, None], np.array(g.lengths))
-    zero = np.zeros((len(lams), 1))
-    D = np.concatenate([zero, -coeff.beta], axis=1)[:, joins[first:, first:]]
+    zero = np.zeros((len(alpha), 1))
+    D = np.concatenate([zero, -beta], axis=1)[:, joins[first:, first:]]
     # slot by slot, where a reduction may pair the terms differently
-    alphas = np.concatenate([zero, coeff.alpha], axis=1)[:, slots[first:].T]
+    alphas = np.concatenate([zero, alpha], axis=1)[:, slots[first:].T]
     diagonal = alphas[:, 0]
     for slot in range(1, alphas.shape[1]):
         diagonal = diagonal + alphas[:, slot]
     i = np.arange(D.shape[1])
     D[:, i, i] = diagonal
-    return D, coeff
+    return D
 
 
 def assemble_full(g: MetricGraph, lam) -> DtnMatrix:

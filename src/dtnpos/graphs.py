@@ -125,6 +125,13 @@ class MetricGraph:
     def lengths(self) -> tuple[float, ...]:
         return tuple(e.length for e in self.edges)
 
+    @cached_property
+    def lengths_array(self) -> np.ndarray:
+        """The edge lengths as one read-only float array, in edge order."""
+        L = np.array(self.lengths)
+        L.flags.writeable = False
+        return L
+
     def with_outer(self, outer: Sequence[VertexId]) -> "MetricGraph":
         """Same metric graph with a different outer set, revalidated."""
         return validate(graph_to_json(self) | {"outer": list(outer)})

@@ -27,7 +27,8 @@ from .assembly import DtnMatrix
 SIGN_TOL = 1e-11
 # entries between tol and MARGINAL_FACTOR * tol below zero are ambiguous
 MARGINAL_FACTOR = 10.0
-# eigenvalues within PROJECTION_TOL * max(1, |s|) of the top one share its eigenspace
+# eigenvalues within PROJECTION_TOL * max(1, |s|) of the top one s share its eigenspace;
+# absolute below |s| = 1, so classify reads D at lambda's scale, not D / sqrt(lambda)
 PROJECTION_TOL = 1e-9
 # the oracle samples ORACLE_TIMES times from ORACLE_T_LO to ORACLE_T_HI over the spectral scale
 ORACLE_TIMES = 24

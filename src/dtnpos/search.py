@@ -39,7 +39,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .assembly import DtnMatrix, assemble_full, assemble_outer, schur_reduce
+from .assembly import DtnMatrix, _phases, assemble_full, assemble_outer, schur_reduce
 from .errors import (
     AtPole,
     BudgetExhausted,
@@ -203,10 +203,10 @@ def _window_survivors(lam: np.ndarray, lengths: Sequence[float], targets: Sequen
 
     A candidate's residual is max_e |sin(sqrt(lam) L_e) - target_e|; it is
     admissible when that is below w and every cos(sqrt(lam) L_e) > 0.  The
-    phases are one edge-major (E, N) array, and cos is taken only on the
-    candidates below w.
+    phases are one edge-major (E, N) array from assembly._phases, and cos
+    is taken only on the candidates below w.
     """
-    x = np.asarray(lengths, dtype=float)[:, None] * np.sqrt(lam)
+    _, x = _phases(lam, np.asarray(lengths, dtype=float)[:, None])
     res = np.abs(np.sin(x) - np.asarray(targets, dtype=float)[:, None]).max(axis=0)
     ok = res < w
     ok[ok] = (np.cos(x[:, ok]) > 0.0).all(axis=0)
@@ -246,12 +246,12 @@ def _arc_survivors(ms: np.ndarray, rho: np.ndarray, beta: np.ndarray,
     - sin space: such a candidate has fl(|fl(sin x) - v|) <= bound, so its
       exact |sin x - v| is below bound + 5u; the window ends are widened by
       16u before acos, which covers that and their own rounding.
-    - phase: `_window_survivors` takes sin of x = fl(fl(sqrt(lam)) L_e), with lam
-      from `_anchor_lam`.  Six roundings on that float path put x / (2 pi)
-      within 5.5u t_e of (theta_c + fl(2 pi) m) rho_e / (2 pi); fl(2 pi)
-      differs from 2 pi by 0.35u in relative terms, which moves the turn count
-      m rho_e by at most 0.35u t_e; and t_e itself is computed with
-      three roundings in rho_e, m rho_e and the sum, at most 3u t_e + u.
+    - phase: `_window_survivors` takes sin of x = fl(fl(sqrt(lam)) L_e) from
+      the phase step `assembly._phases`, lam from `_anchor_lam`.  Six roundings
+      on that path put x / (2 pi) within 5.5u t_e of (theta_c + fl(2 pi) m)
+      rho_e / (2 pi); fl(2 pi) differs from 2 pi by 0.35u in relative terms,
+      which moves the turn count m rho_e by at most 0.35u t_e; and t_e itself
+      is computed with three roundings in rho_e, m rho_e and the sum, at most 3u t_e + u.
       With T_e the largest t_e over ms, every g is therefore within
       9u (T_e + 1) of the g of the evaluated phase, and each interval is
       widened by 16u (T_e + 1), which also covers the rounding of acos, of
@@ -434,19 +434,13 @@ def kronecker_sequence(lengths, spec: TargetSpec, count: int, budget: int,
 def limit_matrix_Q(g: MetricGraph, spec: TargetSpec) -> np.ndarray:
     """Limit of D_lam / (l sqrt(lam)) along the target's admissible sequence.
 
-    Off-diagonal entries -1/gamma_e on edges (zero for infinite targets), and
-    diagonal entries summing the incident 1/gamma_e so that every row adds to
-    exactly zero in floating point.
+    Off-diagonal entries gathered from [0 | 0.0 - 1/gamma] by g.incidence
+    (+0.0 for infinite targets), and diagonal entries minus their row's sum, so
+    that every row adds to exactly zero in floating point.
     """
-    n = g.n_vertices
-    Q = np.zeros((n, n))
-    for e, (i, j) in enumerate(g.edge_indices):
-        x = spec.limit_offdiag(e)
-        Q[i, j] -= x
-        Q[j, i] -= x
-    for k in range(n):
-        Q[k, k] = 0.0
-        Q[k, k] = -Q[k].sum()
+    weights = np.array([0.0] + [0.0 - spec.limit_offdiag(e) for e in range(len(g.edges))])
+    Q = weights[g.incidence[0]]
+    np.fill_diagonal(Q, -Q.sum(axis=1))
     return Q
 
 
@@ -490,7 +484,6 @@ def _hunt(g: MetricGraph, spec: TargetSpec, meter: BudgetMeter, lam_start: float
     rejects (at a pole or with a singular inner block); the candidates that
     level charged stay spent, and its residual stays out of the trail.
     """
-    lengths = list(g.lengths)
     lam = max(lam_start, 0.0)
     trail = []
     first = _first_feasible_level(spec)
@@ -500,7 +493,7 @@ def _hunt(g: MetricGraph, spec: TargetSpec, meter: BudgetMeter, lam_start: float
         if not _sign_safe(targets, w):
             continue
         meter.level = level
-        lam, res = _solve_level(lengths, targets, w, lam, meter)
+        lam, res = _solve_level(g.lengths, targets, w, lam, meter)
         try:
             M = assemble_outer(g, lam)
         except (AtPole, InnerBlockSingular):

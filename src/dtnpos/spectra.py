@@ -149,7 +149,7 @@ def _chain_schur(g: MetricGraph, ne: np.ndarray):
     scatter = scatter.reshape(2 * len(inner), k * k)
     edges = [e for e, _, _ in inner]
     n = ne[edges]
-    h = np.array(g.lengths)[edges] / n
+    h = g.lengths_array[edges] / n
     h2, inv_h, h3, h6 = h * h, 1.0 / h, h / 3.0, h / 6.0
     # per edge, the multiples of phi (or t) in the numerators of
     # [U_{n-2} / U_{n-1}, 1 / U_{n-1}] and in their denominator
@@ -204,7 +204,7 @@ def _fem_eigenvalues(g: MetricGraph, count: int, resolution: float) -> np.ndarra
     `count` and the number of inner vertices, not the mesh.
     """
     ne = np.array(_elements(g, resolution))
-    h = np.array(g.lengths) / ne
+    h = g.lengths_array / ne
     n = g.n_vertices - g.n_outer + int((ne - 1).sum())
     if n < count:
         raise ResolutionTooLow(math.inf, math.nan, (
@@ -484,7 +484,7 @@ def _residue_ranks(g: MetricGraph, poles: np.ndarray) -> np.ndarray:
     m = g.n_outer
     ends = np.array(g.edge_indices) - m
     touch = ends.max(axis=1) >= 0
-    ends, scale = ends[touch], np.array(g.lengths)[touch] / np.pi
+    ends, scale = ends[touch], g.lengths_array[touch] / np.pi
     # k = 0 is no pole: (k / scale)^2 - p is then -p
     k = np.rint(np.sqrt(poles)[:, None] * scale)
     on = np.abs((k / scale) ** 2 - poles[:, None]) <= 1e-12 * np.maximum(1.0, poles)[:, None]

@@ -25,7 +25,8 @@ from dtnpos import (
     schur_reduce,
     validate,
 )
-from dtnpos.assembly import STACK_CHUNK
+from dtnpos.assembly import SERIES_WINDOW, STACK_CHUNK, DtnMatrix, _gather, _phases, _trigonometric
+from dtnpos.positivity import TAG_MARGINAL, classify
 from dtnpos.spectra import _inner_block
 
 from conftest import random_quarter_graph, random_surd_graph
@@ -413,3 +414,83 @@ def test_with_outer_derives_its_own_incidence(path3):
     assert not np.array_equal(flipped.incidence[0], path3.incidence[0])
     lams = np.array([2.5, (math.pi / SQRT17) ** 2, -4.0, 30.0])
     assert_matches_edge_loop(flipped, lams)
+
+
+U = 2.0 ** -53  # unit roundoff
+
+
+def entry_sums(g, a, b):
+    """Per entry of D, the sum of the absolute values of its terms: |b_e| on the
+    two positions of edge e, the incident |a_e| added on the diagonal."""
+    S = np.zeros((len(a), g.n_vertices, g.n_vertices))
+    for e, (u, v) in enumerate(g.edge_indices):
+        S[:, u, v] = S[:, v, u] = np.abs(b[:, e])
+        S[:, u, u] += np.abs(a[:, e])
+        S[:, v, v] += np.abs(a[:, e])
+    return S
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), quarters=st.booleans())
+def test_phase_assembly_is_d_over_sqrt_lambda(seed, quarters):
+    # the gather fed from the coefficient step at r = 1, on the phases of lam,
+    # is assemble_full(g, lam) / sqrt(lam): both read the same theta, so the two
+    # differ by the roundings of r cos / sin, of the diagonal sums and of the
+    # division, a few per entry of its sum of absolute terms; lam spans 1e-4
+    # to 1e10, outside the series window and clear of the edge poles
+    rng = np.random.default_rng(seed)
+    g = random_quarter_graph(rng) if quarters else random_surd_graph(rng, 3, 8)
+    L = g.lengths_array
+    lams = 10.0 ** rng.uniform(-4.0, 10.0, 64)
+    _, theta = _phases(lams[:, None], L)
+    keep = ((lams[:, None] * L * L >= SERIES_WINDOW) & (np.abs(np.sin(theta)) > 1e-6)).all(axis=1)
+    lams, theta = lams[keep], theta[keep]
+    alpha, beta, at_pole = _trigonometric(1.0, theta)
+    assert not at_pole.any()
+    got = _gather(g, alpha, beta, 0)
+    want = assemble_full(g, lams).entries / np.sqrt(lams)[:, None, None]
+    bound = 4.0 * (1 + g.n_vertices) * U * entry_sums(g, alpha, beta)
+    assert (np.abs(got - want) <= bound).all()
+    # the inner rows come out of the same gather
+    m = g.n_outer
+    assert np.array_equal(_gather(g, alpha, beta, m), got[:, m:, m:])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shape=st.sampled_from(["surd", "quarters", "star"]))
+def test_phase_shift_by_full_turns(seed, shape):
+    # the phase torus: theta and theta + 2 pi k_e give the same D / sqrt(lam) up
+    # to the rounding of the shifted phase, whose error delta moves alpha and
+    # beta by at most delta / sin^2 theta; with |sin theta| >= 0.05 the outer
+    # matrices get the same tag wherever neither is marginal
+    rng = np.random.default_rng(seed)
+    g = {"surd": lambda: random_surd_graph(rng, 3, 8),
+         "quarters": lambda: random_quarter_graph(rng),
+         "star": lambda: star_graph(bool(rng.integers(2)))}[shape]()
+    n_edges = len(g.edges)
+    theta = rng.uniform(0.0, 60.0, (64, n_edges))
+    theta = theta[(np.abs(np.sin(theta)) >= 0.05).all(axis=1)]
+    k = rng.integers(-3, 4, theta.shape)
+    shifted = theta + 2.0 * math.pi * k
+    a, b, _ = _trigonometric(1.0, theta)
+    a2, b2, _ = _trigonometric(1.0, shifted)
+    D, D2 = _gather(g, a, b, 0), _gather(g, a2, b2, 0)
+    # per edge: the error of the shifted phase, through d/dtheta of cot and
+    # csc, plus the rounding of each coefficient on both sides
+    delta = 4.0 * U * (np.abs(theta) + np.abs(shifted) + 2.0 * math.pi * np.abs(k) + 1.0)
+    per_edge = delta / np.sin(theta) ** 2 + 4.0 * U * (np.abs(a) + np.abs(b))
+    bound = entry_sums(g, per_edge, per_edge) + 2.0 * (1 + g.n_vertices) * U * entry_sums(g, a, b)
+    assert (np.abs(D - D2) <= bound).all()
+
+    m = g.n_outer
+    tags = []
+    for entries in (D, D2):
+        full = DtnMatrix(lam=theta[:, 0], dim=g.n_vertices, entries=entries,
+                         provenance="direct", singular=np.zeros(len(theta), dtype=bool))
+        outer = schur_reduce(full, m)
+        # a sample whose inner block is singular decides nothing
+        tag = np.full(len(theta), TAG_MARGINAL, dtype=object)
+        tag[~outer.singular] = classify(outer.entries[~outer.singular])[0]
+        tags.append(tag)
+    decided = (tags[0] != TAG_MARGINAL) & (tags[1] != TAG_MARGINAL)
+    assert (tags[0][decided] == tags[1][decided]).all()

@@ -167,6 +167,12 @@ def test_incidence_is_read_only(lasso):
         with pytest.raises(ValueError):
             a[0, 0] = 1
     assert lasso.incidence is lasso.incidence
+    # the lengths array beside it: the lengths in edge order, read-only, derived once
+    L = lasso.lengths_array
+    assert L.dtype == float and L.tolist() == list(lasso.lengths)
+    with pytest.raises(ValueError):
+        L[0] = 1.0
+    assert lasso.lengths_array is L
 
 
 def test_load_graph_roundtrip(tmp_path, lasso):

@@ -103,6 +103,19 @@ def test_outputs_script_verdicts():
         assert a.rsplit(None, 1)[1] != b.rsplit(None, 1)[1]
 
 
+def test_outputs_script_workload_list():
+    # a comma list runs each workload in turn and labels every digest line
+    # with its workload; the digests are those of one run per workload
+    both = run_script("search_outputs.py", "--workload", "spectra,search", "--seeds", "1-2")
+    assert [line.split()[:3] for line in both] == [
+        [w, "seed", s] for w in ("spectra", "search") for s in ("1", "2")]
+    for w in ("spectra", "search"):
+        alone = run_script("search_outputs.py", "--workload", w, "--seeds", "1-2")
+        assert [line.split()[-1] for line in alone] == [
+            line.split()[-1] for line in both if line.startswith(w)]
+    run_script("search_outputs.py", "--workload", "sweep,bogus", returncode=2)
+
+
 def test_cold_start():
     lines = run_script("cold_start.py", "--repeats", "1", "--only", "sweep", "spectrum-kirchhoff")
     assert lines[0].startswith("# 1 fresh processes per row, python ")
