@@ -87,6 +87,15 @@ class ResolutionTooLow(DtnError):
         super().__init__(f"{reason}; increase the resolution")
 
 
+class PoleGroupUnresolved(DtnError):
+    """The count of zeros falls across a pole group, where it can only rise."""
+
+    def __init__(self, lo: float, hi: float, below: int, above: int) -> None:
+        self.lo, self.hi, self.below, self.above = lo, hi, below, above
+        super().__init__(f"the count of zeros falls from {below} at lambda={lo!r} to {above} "
+                         f"at lambda={hi!r}, across a pole group it cannot resolve")
+
+
 # --- searches ---------------------------------------------------------------
 
 class BudgetExhausted(DtnError):

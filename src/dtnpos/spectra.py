@@ -31,8 +31,8 @@ import numpy as np
 
 # spectra no longer calls assemble_full; the name stays because the
 # benchmark's tracer wraps it here and requires it to resolve
-from .assembly import STACK_CHUNK, _vertex_block, assemble_full  # noqa: F401
-from .errors import ResolutionTooLow
+from .assembly import STACK_CHUNK, _gather, _vertex_block, assemble_full  # noqa: F401
+from .errors import PoleGroupUnresolved, ResolutionTooLow
 from .graphs import MetricGraph
 
 DEFAULT_RESOLUTION = 32
@@ -127,27 +127,22 @@ def _chain_schur(g: MetricGraph, ne: np.ndarray):
     U_m(y) = sin((m + 1) phi) / sin phi = sinh((m + 1) t) / sinh t, and
     U_m(-y) = (-1)^m U_m(y); phi and t come from 1 - y without cancellation,
     the hyperbolic ratios in expm1 form cannot overflow, and at y = 1 the
-    ratios take their limits (ne - 1)/ne and 1/ne.  A fixed scatter matrix
-    adds every alpha to the diagonal entries of the edge's inner ends and
-    every beta to the entries between them, so S is one product.  S keeps
-    this product rather than assembly's gather: it needs no bitwise tie to
-    D, and one product is cheaper at root-find stack sizes.
+    ratios take their limits (ne - 1)/ne and 1/ne.  S is one product of the
+    coefficients with a fixed scatter matrix, whose pattern is assembly's
+    gather: it is that gather at unit coefficients, every alpha on the
+    diagonal at the edge's inner ends and every beta between them.
 
     Returns the function that maps parameters, none of them on a chain pole
     (where U_{ne-1}(x) = 0), to the ascending eigenvalues of S, one row each.
     """
     m = g.n_outer
     k = g.n_vertices - m
-    inner = [(e, u - m, v - m) for e, (u, v) in enumerate(g.edge_indices) if max(u, v) >= m]
-    scatter = np.zeros((len(inner), 2, k * k))
-    for r, (_, u, v) in enumerate(inner):
-        for w in (u, v):
-            if w >= 0:
-                scatter[r, 0, w * k + w] = 1.0
-        if min(u, v) >= 0:
-            scatter[r, 1, [u * k + v, v * k + u]] = 1.0
-    scatter = scatter.reshape(2 * len(inner), k * k)
-    edges = [e for e, _, _ in inner]
+    edges = np.flatnonzero(np.max(g.edge_indices, axis=1) >= m)
+    unit = np.eye(len(g.edges))[edges]
+    # each edge's alpha and beta rows; abs clears the gather's -0.0, and C
+    # order fixes the order in which BLAS sums the entries of S
+    scatter = np.abs(np.stack([_gather(g, unit, 0.0 * unit, m), _gather(g, 0.0 * unit, unit, m)],
+                              axis=1), order="C").reshape(2 * len(edges), k * k)
     n = ne[edges]
     h = g.lengths_array[edges] / n
     h2, inv_h, h3, h6 = h * h, 1.0 / h, h / 3.0, h / 6.0
@@ -239,12 +234,17 @@ def kirchhoff_spectrum(g: MetricGraph, count: int = 1,
     or neg C(b) >= 1: one stacked evaluation of C at a and b.
     Where the count does not pass the mesh, lambda_1 is located (see
     lambda_1), for the message of the refusal or because an end falls in
-    p_1's pole group, and the error against it decides.
+    p_1's pole group, and the error against it decides.  More than 2**53
+    elements on an edge is a ValueError, and a count lost beside a chain or
+    edge pole raises PoleGroupUnresolved (see _counted_zeros).
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if not 0 < resolution < math.inf:
         raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
+    if resolution * max(g.lengths) > 2 ** 53:
+        raise ValueError(f"resolution {resolution:g} puts more than 2**53 elements on an edge, "
+                         "past the integers a double holds exactly")
     fine = _fem_eigenvalues(g, count, resolution)
     f = float(fine[0])
     p1 = (math.pi / max(g.lengths)) ** 2
@@ -326,7 +326,7 @@ def _crossings(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarra
     low and high are the negative counts at the ends of each bracket of a
     decreasing matrix function; the eigenvalues j = low, ..., high - 1 cross.
     """
-    held = np.maximum(high - low, 0)
+    held = high - low
     bracket = np.repeat(np.arange(len(low)), held)
     return bracket, low[bracket] + np.arange(len(bracket)) - np.repeat(np.cumsum(held) - held, held)
 
@@ -433,7 +433,9 @@ def _counted_zeros(ev, poles: np.ndarray, weights: np.ndarray, lo: float, hi: fl
     every point.  With `count`, only the rows whose zero is among the lowest
     `count` of N run, and the lowest `count` values are returned.  The
     bracket and group ends take one stacked evaluation of F, and every step
-    of the root-find one more.
+    of the root-find one more.  N cannot fall; where it does between two
+    ends, rounding beside a pole lost a sign, and PoleGroupUnresolved names
+    the two ends and their counts.
     """
     gap = 0.25 * POLE_BISECT_TOL * poles
     first = np.ones(len(poles), dtype=bool)
@@ -453,6 +455,11 @@ def _counted_zeros(ev, poles: np.ndarray, weights: np.ndarray, lo: float, hi: fl
     values = ev(x)
     neg = (values < 0).sum(axis=1)
     below = np.concatenate([[0], np.cumsum(weights)])[np.searchsorted(poles, x)]
+    N = below + neg
+    fall = np.flatnonzero(N[1:] < N[:-1])
+    if len(fall):
+        i = fall[0]
+        raise PoleGroupUnresolved(float(x[i]), float(x[i + 1]), int(N[i]), int(N[i + 1]))
     k = np.arange(1 - head, len(x) - 1, 2)
     bracket, row = _crossings(neg[k], neg[k + 1])
     if count is not None:
@@ -462,7 +469,7 @@ def _counted_zeros(ev, poles: np.ndarray, weights: np.ndarray, lo: float, hi: fl
     a = k[bracket]
     roots = _stacked_root(lambda rows, y: ev(y)[np.arange(len(y)), row[rows]],
                           x[a], values[a, row], x[a + 1], values[a + 1, row])
-    N, group = below + neg, np.arange(head, len(x) - 1, 2)
+    group = np.arange(head, len(x) - 1, 2)
     return np.sort(np.concatenate([np.repeat(at, N[group + 1] - N[group]), roots]))[:count]
 
 
@@ -478,60 +485,24 @@ def _residue_ranks(g: MetricGraph, poles: np.ndarray) -> np.ndarray:
     the count of _counted_zeros moves there only for an inner pole.  rank R
     is 1 for a pole of one edge that touches an inner vertex, 0 where no
     such edge has it, and the rank of the rows w_e where several share it
-    (within 1e-12 relative, as _edge_poles lists them), which _signed_rank
-    counts: 3 at odd k and 2 at even k on a triangle of inner vertices.
+    (within 1e-12 relative, as _edge_poles lists them): 3 at odd k and 2 at
+    even k on a triangle of inner vertices.  Any positive weights give that
+    rank, so R is gathered at alpha = 1, beta = (-1)^k on the sharing edges,
+    every shared pole's R ranked in one stacked call.
     """
     m = g.n_outer
-    ends = np.array(g.edge_indices) - m
-    touch = ends.max(axis=1) >= 0
-    ends, scale = ends[touch], g.lengths_array[touch] / np.pi
+    scale = g.lengths_array / np.pi
     # k = 0 is no pole: (k / scale)^2 - p is then -p
     k = np.rint(np.sqrt(poles)[:, None] * scale)
     on = np.abs((k / scale) ** 2 - poles[:, None]) <= 1e-12 * np.maximum(1.0, poles)[:, None]
+    on &= np.max(g.edge_indices, axis=1) >= m
     ranks = on.sum(axis=1)
-    for i in np.flatnonzero(ranks > 1):
-        ranks[i] = _signed_rank(ends[on[i]].tolist(), k[i, on[i]].tolist())
+    shared = np.flatnonzero(ranks > 1)
+    if len(shared):
+        c = on[shared].astype(float)
+        R = _gather(g, c, (-1.0) ** k[shared] * c, m)
+        ranks[shared] = np.linalg.matrix_rank(R, hermitian=True)
     return ranks
-
-
-def _signed_rank(ends: list, k: list) -> int:
-    """The rank of the rows e_u - (-1)^k e_v of edges (u, v), an outer end (index < 0) dropped.
-
-    A vector x orthogonal to every row has x_u = (-1)^k x_v along each edge
-    between inner vertices and x_u = 0 at an edge to an outer vertex.  On a
-    connected component of the inner ends, joined by the edges between them,
-    that leaves one free value when the component is balanced (every cycle
-    holds an even number of odd k, so signs s_u with s_u = (-1)^k s_v exist)
-    and touches no outer end, and none otherwise.  The rank is the number of
-    inner ends less the number of such components.
-    """
-    adjacent: dict[int, list] = {}
-    grounded = set()
-    for (u, v), kk in zip(ends, k):
-        for a, b in ((u, v), (v, u)):
-            if a >= 0:
-                adjacent.setdefault(a, [])
-                if b >= 0:
-                    adjacent[a].append((b, int(kk) % 2))
-                else:
-                    grounded.add(a)
-    sign: dict[int, int] = {}
-    free = 0
-    for root in adjacent:
-        if root in sign:
-            continue
-        sign[root], stack, balanced, touched = 0, [root], True, False
-        while stack:
-            a = stack.pop()
-            touched |= a in grounded
-            for b, odd in adjacent[a]:
-                if b not in sign:
-                    sign[b] = sign[a] ^ odd
-                    stack.append(b)
-                elif sign[b] != sign[a] ^ odd:
-                    balanced = False
-        free += balanced and not touched
-    return len(adjacent) - free
 
 
 def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
@@ -548,7 +519,8 @@ def pole_scan(g: MetricGraph, lo: float, hi: float) -> list[float]:
     kept when the group's mean lies in the window.  A scan makes at most
     2 N + 3 stacked evaluations of C, N the bisection steps of
     its widest bracket (see _stacked_root); the catalog graphs on windows of
-    60 to 400 take 8 to 12.
+    60 to 400 take 8 to 12.  An inner pole on a shared edge pole can lose
+    the count across its group: PoleGroupUnresolved (see _counted_zeros).
 
     Returns sorted plain floats.
     """

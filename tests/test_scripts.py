@@ -116,6 +116,20 @@ def test_outputs_script_workload_list():
     run_script("search_outputs.py", "--workload", "sweep,bogus", returncode=2)
 
 
+def test_outputs_script_digests_pinned():
+    """The seed-1 digest of every workload, hashes in full.
+
+    A change that moves an output on purpose updates the pinned line here and
+    names the workload and both digests in CHANGES.md.
+    """
+    lines = run_script("search_outputs.py", "--workload", "sweep,spectra,search", "--seeds", "1")
+    assert [line.split() for line in lines] == [
+        ["sweep", "seed", "1", "3d438375547bb9c0b2df3453f01c3ec4d8b409b3212eec36355e3cd2646c0c5d"],
+        ["spectra", "seed", "1", "ef78a2857170a57696d7ba9c12862d1560725e14453c6496b11c7f0aa6474962"],
+        ["search", "seed", "1", "9e7758585085bf0cfaf5a219eef74324099b028f04f6ddbf46be61ffda69a382"],
+    ]
+
+
 def test_cold_start():
     lines = run_script("cold_start.py", "--repeats", "1", "--only", "sweep", "spectrum-kirchhoff")
     assert lines[0].startswith("# 1 fresh processes per row, python ")

@@ -1,5 +1,6 @@
 """Spectra: closed-form Dirichlet values, FEM eigenvalues, pole location."""
 
+import json
 import math
 import time
 from unittest import mock
@@ -7,10 +8,11 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import dtnpos.spectra
 from dtnpos import (
+    PoleGroupUnresolved,
     ResolutionTooLow,
     assemble_full,
     assemble_outer,
@@ -25,6 +27,7 @@ from dtnpos import (
 )
 from dtnpos.assembly import STACK_CHUNK
 from dtnpos.catalog import catalog_names
+from dtnpos.cli import main
 from dtnpos.graphs import graph_to_json
 from dtnpos.spectra import (
     DEFAULT_RESOLUTION,
@@ -994,6 +997,58 @@ def test_resolution_without_coarser_mesh(two_cluster):
     with pytest.raises(ResolutionTooLow, match=r"discretization error 4\.260e-02 exceeds 1% "
                                                r"of lambda_1=0\.707397"):
         kirchhoff_spectrum(two_cluster, resolution=0.25)
+
+
+def test_resolution_past_double_precision_rejected(lasso, capsys):
+    # 1e19 elements per unit length put more than 2**53 on an edge, where the
+    # element counts stop being exact doubles; refused before any array forms
+    with pytest.raises(ValueError, match=r"more than 2\*\*53 elements on an edge"):
+        kirchhoff_spectrum(lasso, resolution=1e19)
+    assert main(["spectrum", "--graph", "catalog:lasso-4", "--resolution", "1e19"]) == 1
+    assert "more than 2**53 elements" in capsys.readouterr().err
+
+
+# an inner pole on a pole that several edges (or chains) share: the count
+# across its group is lost to rounding beside the pole term
+UNRESOLVED_GROUPS = [
+    (25, lambda g: pole_scan(g, 0.5, 60.0)),
+    (89, lambda g: pole_scan(g, 1e4, 1.2e4)),
+    (13, lambda g: kirchhoff_spectrum(g, count=1, resolution=16)),
+    (13, lambda g: kirchhoff_spectrum(g, count=6, resolution=16)),
+]
+
+
+@pytest.mark.parametrize("seed, call", UNRESOLVED_GROUPS)
+def test_unresolved_pole_group_is_refused_by_name(seed, call):
+    with pytest.raises(PoleGroupUnresolved, match=r"count of zeros falls from \d+ at lambda="):
+        call(_quarter_graph(np.random.default_rng(seed)))
+
+
+def test_unresolved_pole_group_exits_as_an_error(tmp_path, capsys):
+    path = tmp_path / "quarter.json"
+    path.write_text(json.dumps(graph_to_json(_quarter_graph(np.random.default_rng(25)))))
+    assert main(["poles", "--graph", str(path), "--from", "0.5", "--to", "60"]) == 1
+    assert "count of zeros falls" in capsys.readouterr().err
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=25)
+@example(seed=89)
+@example(seed=13)
+@settings(max_examples=100, deadline=None)
+def test_quarter_graphs_answer_or_refuse_by_name(seed):
+    # commensurable lengths put inner poles on shared edge and chain poles by
+    # structure; every scan and spectrum returns ascending values, or refuses
+    # with a named error, never with numpy's
+    g = _quarter_graph(np.random.default_rng(seed))
+    calls = [lambda w=w: pole_scan(g, *w) for w in ((0.5, 60.0), (1e4, 1.2e4))]
+    calls += [lambda r=r: kirchhoff_spectrum(g, count=6, resolution=r).values for r in (4, 16, 64)]
+    for call in calls:
+        try:
+            values = np.array(call())
+        except (ResolutionTooLow, PoleGroupUnresolved):
+            continue
+        assert (np.diff(values) >= 0).all()
 
 
 FEM_RESOLUTION = 64
