@@ -112,20 +112,7 @@ def edge_alpha_beta(lam, length) -> EdgeCoefficients:
 
     if hyp.any():
         s = np.sqrt(-lam_b[hyp])
-        x = s * L[hyp]
-        a = np.empty_like(x)
-        b = np.empty_like(x)
-        # sinh/cosh overflow past ~710; asymptotically coth -> 1, 1/sinh -> 2 e^{-x}
-        far = x > 350.0
-        a[far] = s[far] / np.tanh(x[far])
-        b[far] = 2.0 * s[far] * np.exp(-x[far])
-        near = ~far
-        sh = np.sinh(x[near])
-        a[near] = s[near] * np.cosh(x[near]) / sh
-        b[near] = s[near] / sh
-        b[b == 0.0] = TINY
-        alpha[hyp] = a
-        beta[hyp] = b
+        alpha[hyp], beta[hyp] = _hyperbolic(s, s * L[hyp])
 
     return _coefficients(alpha, beta, at_pole, shape)
 
@@ -149,6 +136,23 @@ def _trigonometric(r, theta: np.ndarray):
     if poles:
         alpha[hit] = beta[hit] = math.inf
     return alpha, beta, hit
+
+
+def _hyperbolic(r: np.ndarray, x: np.ndarray):
+    """(alpha, beta) = (r coth x, r csch x) for x > 0, elementwise on arrays of one shape;
+    beta never underflows to 0."""
+    a = np.empty_like(x)
+    b = np.empty_like(x)
+    # sinh/cosh overflow past ~710; asymptotically coth -> 1, 1/sinh -> 2 e^{-x}
+    far = x > 350.0
+    a[far] = r[far] / np.tanh(x[far])
+    b[far] = 2.0 * r[far] * np.exp(-x[far])
+    near = ~far
+    sh = np.sinh(x[near])
+    a[near] = r[near] * np.cosh(x[near]) / sh
+    b[near] = r[near] / sh
+    b[b == 0.0] = TINY
+    return a, b
 
 
 def _coefficients(alpha, beta, at_pole, shape) -> EdgeCoefficients:

@@ -29,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import STACK_CHUNK, _gather, _hyperbolic, _trigonometric, _vertex_block
 # spectra no longer calls assemble_full; the name stays because the
 # benchmark's tracer wraps it here and requires it to resolve
-from .assembly import STACK_CHUNK, _gather, _vertex_block, assemble_full  # noqa: F401
+from .assembly import assemble_full  # noqa: F401
 from .errors import PoleGroupUnresolved, ResolutionTooLow
 from .graphs import MetricGraph
 
@@ -117,59 +118,47 @@ def _chain_schur(g: MetricGraph, ne: np.ndarray):
     """S(lam), the P1 pencil K - lam M reduced to the inner vertices, as a stacked evaluator.
 
     ne is every edge's element count.  Eliminating an edge's ne - 1 interior
-    nodes in closed form leaves the block [[alpha, beta], [beta, alpha]] on
-    its two ends, with h = L/ne, a = 1/h - lam h/3, b = -1/h - lam h/6,
-    x = -a/b and U_m the Chebyshev polynomials of the second kind:
+    nodes leaves on its ends D's edge block at a discrete phase phi: with
+    h = L/ne, s = lam h^2, q = 1/h + lam h/6, cos phi = (6 - 2s)/(6 + s) and
+    r = q sin phi, alpha = r cot(ne phi) and beta = r csc(ne phi), since the
+    element terms a = 1/h - lam h/3 and b = -q meet a = -b cos phi.  As
+    h -> 0 they tend to D's own, and S is D's coefficient step and gather.
 
-        alpha = a + b U_{ne-2}(x) / U_{ne-1}(x),    beta = b / U_{ne-1}(x).
-
-    With y = |x| = cos phi, or cosh t past 1 (lam beyond 12/h^2),
-    U_m(y) = sin((m + 1) phi) / sin phi = sinh((m + 1) t) / sinh t, and
-    U_m(-y) = (-1)^m U_m(y); phi and t come from 1 - y without cancellation,
-    the hyperbolic ratios in expm1 form cannot overflow, and at y = 1 the
-    ratios take their limits (ne - 1)/ne and 1/ne.  S is one product of the
-    coefficients with a fixed scatter matrix, whose pattern is assembly's
-    gather: it is that gather at unit coefficients, every alpha on the
-    diagonal at the edge's inner ends and every beta between them.
+    phi = 2 asin(sqrt(d/2)) comes from d = 1 - |cos phi| without
+    cancellation.  Past s = 3 the step takes pi - phi, which negates alpha
+    and multiplies beta by (-1)^(ne+1); past s = 12 that phase is i t, and
+    the block is _hyperbolic's (q sinh t) coth(ne t), (q sinh t) csch(ne t).
+    At d = 0 (s = 0 and 12) both entries take their limit q/ne.
 
     Returns the function that maps parameters, none of them on a chain pole
-    (where U_{ne-1}(x) = 0), to the ascending eigenvalues of S, one row each.
+    (where sin(ne phi) = 0), to the ascending eigenvalues of S, one row
+    each.  _trigonometric's pole flags go unused: _counted_zeros keeps every
+    evaluation POLE_BISECT_TOL * p / 4 from a chain pole p, which puts
+    |sin(ne phi)| at least 10.6 times outside POLE_TOL's band.
     """
     m = g.n_outer
-    k = g.n_vertices - m
-    edges = np.flatnonzero(np.max(g.edge_indices, axis=1) >= m)
-    unit = np.eye(len(g.edges))[edges]
-    # each edge's alpha and beta rows; abs clears the gather's -0.0, and C
-    # order fixes the order in which BLAS sums the entries of S
-    scatter = np.abs(np.stack([_gather(g, unit, 0.0 * unit, m), _gather(g, 0.0 * unit, unit, m)],
-                              axis=1), order="C").reshape(2 * len(edges), k * k)
-    n = ne[edges]
-    h = g.lengths_array[edges] / n
-    h2, inv_h, h3, h6 = h * h, 1.0 / h, h / 3.0, h / 6.0
-    # per edge, the multiples of phi (or t) in the numerators of
-    # [U_{n-2} / U_{n-1}, 1 / U_{n-1}] and in their denominator
-    multiples = np.stack([n - 1.0, np.ones(len(n)), n], axis=1)
-    flip = np.stack([-np.ones(len(n)), (-1.0) ** (n - 1)], axis=1)
-    limit = np.stack([(n - 1.0) / n, 1.0 / n], axis=1)
+    h = g.lengths_array / ne
+    h2, inv_h, h6 = h * h, 1.0 / h, h / 6.0
+    flip = (-1.0) ** (ne + 1)
 
     def eigenvalues(lams: np.ndarray) -> np.ndarray:
         s = np.multiply.outer(lams, h2)
-        reflect = s > 3.0  # x < 0
-        d = np.where(reflect, 12.0 - s, 3.0 * s) / (6.0 + s)  # 1 - y
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sines = np.sin(2.0 * np.arcsin(np.sqrt(0.5 * d))[..., None] * multiples)
-            ratios = sines[..., :2] / sines[..., 2:]
+        q = inv_h + np.multiply.outer(lams, h6)
+        reflect = s > 3.0  # cos phi < 0
+        d = np.where(reflect, 12.0 - s, 3.0 * s) / (6.0 + s)  # 1 - |cos phi|
+        with np.errstate(invalid="ignore"):
+            phi = 2.0 * np.arcsin(np.sqrt(0.5 * d))
+            alpha, beta, _ = _trigonometric(q * np.sin(phi), ne * phi)
             if not (d > 0).all():
-                t = 2.0 * np.arcsinh(np.sqrt(-0.5 * d))[..., None]
-                e = np.expm1(-2.0 * t * multiples)
-                hyperbolic = np.exp(-t * multiples[:, [1, 0]]) * e[..., :2] / e[..., 2:]
-                ratios = np.where((d < 0)[..., None], hyperbolic, ratios)
-                ratios = np.where((d == 0)[..., None], limit, ratios)
-        ratios = np.where(reflect[..., None], flip * ratios, ratios)
-        coefficients = -(inv_h + np.multiply.outer(lams, h6))[..., None] * ratios
-        coefficients[..., 0] += inv_h - np.multiply.outer(lams, h3)
-        S = coefficients.reshape(len(lams), -1) @ scatter
-        return np.linalg.eigvalsh(S.reshape(len(lams), k, k))
+                hyperbolic = d < 0
+                t = 2.0 * np.arcsinh(np.sqrt(-0.5 * d))
+                alpha[hyperbolic], beta[hyperbolic] = _hyperbolic((q * np.sinh(t))[hyperbolic],
+                                                                  (ne * t)[hyperbolic])
+                limit = d == 0
+                alpha[limit] = beta[limit] = (q / ne)[limit]
+        alpha = np.where(reflect, -alpha, alpha)
+        beta = np.where(reflect, flip * beta, beta)
+        return np.linalg.eigvalsh(_gather(g, alpha, beta, m))
 
     return eigenvalues
 
@@ -179,16 +168,16 @@ def _fem_eigenvalues(g: MetricGraph, count: int, resolution: float) -> np.ndarra
 
     Order the free nodes as inner vertices, then edge interiors.  The
     interior block of K - lam M is one tridiagonal chain per edge, singular
-    only at its chain poles
+    only at its chain poles, where the discrete phase is ne phi = j pi:
 
         mu_j = (6/h^2)(1 - cos(j pi/ne))/(2 + cos(j pi/ne)),   0 < j < ne,
 
-    and its Schur complement S(lam) on the inner vertices (_chain_schur)
-    decreases between them, its derivative minus a compression of M.  By
-    Haynsworth's inertia additivity (1968), #{eigenvalues < lam} is
-    sum_e #{j : mu_j^e < lam} + neg S(lam): the count of _counted_zeros with
-    F = S, each chain pole weighted by its multiplicity (equal edges share
-    their poles).
+    and its Schur complement S(lam) on the inner vertices (_chain_schur, D's
+    edge blocks at phase phi) decreases between them, its derivative minus a
+    compression of M.  By Haynsworth's inertia additivity (1968),
+    #{eigenvalues < lam} is sum_e #{j : mu_j^e < lam} + neg S(lam): the
+    count of _counted_zeros with F = S, each chain pole weighted by its
+    multiplicity (equal edges share their poles).
 
     The chains alone are the pencil on the interior nodes, so by Cauchy
     interlacing the count has reached `count` at the `count`-th chain pole;

@@ -125,7 +125,7 @@ def test_outputs_script_digests_pinned():
     lines = run_script("search_outputs.py", "--workload", "sweep,spectra,search", "--seeds", "1")
     assert [line.split() for line in lines] == [
         ["sweep", "seed", "1", "3d438375547bb9c0b2df3453f01c3ec4d8b409b3212eec36355e3cd2646c0c5d"],
-        ["spectra", "seed", "1", "ef78a2857170a57696d7ba9c12862d1560725e14453c6496b11c7f0aa6474962"],
+        ["spectra", "seed", "1", "2632b2f7cea0d5441b3f62eb98a90c369b29c47e9ce8c74a71d33c3738ce3553"],
         ["search", "seed", "1", "9e7758585085bf0cfaf5a219eef74324099b028f04f6ddbf46be61ffda69a382"],
     ]
 

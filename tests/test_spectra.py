@@ -34,6 +34,7 @@ from dtnpos.spectra import (
     NEAR_POLE_REACH,
     POLE_BISECT_TOL,
     RESOLUTION_DRIFT_MAX,
+    _chain_schur,
     _counted_zeros,
     _edge_poles,
     _elements,
@@ -219,6 +220,67 @@ def test_fem_schur_evaluations_do_not_grow_with_mesh(monkeypatch, two_cluster, r
     _fem_eigenvalues(two_cluster, 8, resolution)
     assert len(calls) <= 12
     assert calls[0] <= 2 * 8 + 1
+
+
+def _check_chain_schur(g, resolution, lams):
+    # against the Schur complement of K - lam M on the inner vertices, formed
+    # densely, to within 1e-12 of the pencil's largest entry
+    got = _chain_schur(g, np.array(_elements(g, resolution)))(np.array(lams, dtype=float))
+    K, M = _fem_matrices(g, resolution)
+    k = g.n_vertices - g.n_outer
+    for lam, row in zip(lams, got):
+        A = K - lam * M
+        S = A[:k, :k] - A[:k, k:] @ np.linalg.solve(A[k:, k:], A[k:, :k])
+        want = np.linalg.eigvalsh(0.5 * (S + S.T))
+        assert row == pytest.approx(want, rel=1e-9, abs=1e-12 * np.abs(A).max())
+
+
+def _star(legs, length=0.75):
+    # legs of one length from the inner vertex c to outer vertices
+    tips = ["a", "b", "d"][:legs]
+    return validate({
+        "vertices": ["c", *tips],
+        "edges": [{"u": "c", "v": v, "length": length} for v in tips],
+        "outer": tips,
+    })
+
+
+@pytest.mark.parametrize("legs, resolution, lams", [
+    # three elements of h = 1/4: s = lam h^2 is 0 and 12 (the limits q/ne,
+    # 1/L and 3/L), 3 (cos phi = 0), and past 12 (the hyperbolic branch)
+    (3, 4, [0.0, 48.0, 192.0, 200.0, 1e3, 1e5]),
+    # 768 elements of h = 1/1024 at s = 1000: ne t is about 1000, past the
+    # overflow guard at 350 and past sinh's overflow
+    (1, 1024, [1000.0 * 1024.0**2]),
+])
+def test_chain_schur_matches_dense_schur_complement(legs, resolution, lams):
+    _check_chain_schur(_star(legs), resolution, lams)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_chain_schur_matches_dense_schur_complement_on_random_graphs(seed):
+    # quarter lengths at resolution 4 put every edge at h = 1/4 (s = 3 and 12
+    # at lam = 48 and 192); beta's sign past s = 3 follows ne's parity
+    rng = np.random.default_rng(seed)
+    for g, resolution in ((_quarter_graph(rng), 4), (random_surd_graph(rng), 5)):
+        if g.n_outer == g.n_vertices:
+            continue
+        ne = np.array(_elements(g, resolution))
+        h = g.lengths_array / ne
+        j = np.arange(1, ne.max())
+        c = np.cos(np.pi * j / ne[:, None])
+        poles = (6.0 * (1.0 - c) / ((2.0 + c) * (h * h)[:, None]))[j < ne[:, None]]
+        lams = [lam for lam in (0.0, 0.7, 5.0, 48.0, 100.0, 192.0, 300.0, 2e3)
+                if not len(poles) or np.abs(poles - lam).min() > 1e-3 * max(1.0, lam)]
+        _check_chain_schur(g, resolution, lams)
+
+
+@pytest.mark.parametrize("resolution", [1e8, 1e12, 1e14])
+def test_fem_lambda_1_at_high_resolution(lasso, resolution):
+    # the P1 lowest value tends to lambda_1 as h^2; at these meshes rounding
+    # in S, not the discretization, decides how far off it is
+    got = _fem_eigenvalues(lasso, 1, resolution)[0]
+    assert got == pytest.approx(lambda_1(lasso), rel=2 * POLE_BISECT_TOL)
 
 
 def test_resolution_too_low(interval, path3):
@@ -767,9 +829,9 @@ def test_pole_scan_weights_shared_edge_pole_by_residue_rank():
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_residue_ranks_match_matrix_rank(seed):
-    # the signed-graph count of _residue_ranks against matrix_rank of C's
-    # residue, on every edge pole up to 250 of a graph whose quarter lengths
-    # share many poles, and of the inner triangle and the pendant pairs
+    # _residue_ranks against matrix_rank of C's residue summed edge by edge,
+    # on every edge pole up to 250 of a graph whose quarter lengths share
+    # many poles, and of the inner triangle and the pendant pairs
     for g in (_quarter_graph(np.random.default_rng(seed)), _inner_triangle(), _pendant_graph()):
         poles = np.array(_edge_poles(g, 0.0, 250.0))
         assert _residue_ranks(g, poles).tolist() == [_residue_rank(g, p) for p in poles]
@@ -1013,8 +1075,8 @@ def test_resolution_past_double_precision_rejected(lasso, capsys):
 UNRESOLVED_GROUPS = [
     (25, lambda g: pole_scan(g, 0.5, 60.0)),
     (89, lambda g: pole_scan(g, 1e4, 1.2e4)),
-    (13, lambda g: kirchhoff_spectrum(g, count=1, resolution=16)),
-    (13, lambda g: kirchhoff_spectrum(g, count=6, resolution=16)),
+    (194, lambda g: kirchhoff_spectrum(g, count=6, resolution=4)),
+    (328, lambda g: kirchhoff_spectrum(g, count=6, resolution=4)),
 ]
 
 
@@ -1022,6 +1084,26 @@ UNRESOLVED_GROUPS = [
 def test_unresolved_pole_group_is_refused_by_name(seed, call):
     with pytest.raises(PoleGroupUnresolved, match=r"count of zeros falls from \d+ at lambda="):
         call(_quarter_graph(np.random.default_rng(seed)))
+
+
+def _seed_13_spectrum(count):
+    g = _quarter_graph(np.random.default_rng(13))
+    K, M = _fem_matrices(g, 16)
+    want = scipy.linalg.eigh(K, M, eigvals_only=True)[:count]
+    return kirchhoff_spectrum(g, count=count, resolution=16).values, want
+
+
+def test_seed_13_lowest_value_beside_chain_pole():
+    # the count of S across the chain pole 4.39276 holds in the phase form
+    got, want = _seed_13_spectrum(1)
+    assert got == pytest.approx(want, rel=POLE_BISECT_TOL)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18: the P1 eigenvalue on the chain pole "
+                                       "4.392757860759 is root-found 6.7e-9 off it")
+def test_seed_13_eigenvalue_on_chain_pole():
+    got, want = _seed_13_spectrum(6)
+    assert got == pytest.approx(want, rel=POLE_BISECT_TOL)
 
 
 def test_unresolved_pole_group_exits_as_an_error(tmp_path, capsys):
