@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 from .graphs import MetricGraph, validate
 
 # surd lengths keep every ratio irrational, so Kronecker searches apply
@@ -86,6 +88,7 @@ def catalog_names() -> list[str]:
     return sorted(_CATALOG)
 
 
+@cache  # one shared graph per name; an unknown name raises and is not kept
 def catalog(name: str) -> MetricGraph:
     return validate(catalog_raw(name))
 

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -32,6 +33,10 @@ from .errors import (
 )
 
 VertexId = str | int
+
+# distinct graph files load_graph keeps validated, least recently used dropped
+# first; a search pass reads 17
+LOADED_GRAPHS_HELD = 64
 
 _SQRT_EXPR = re.compile(
     r"^\s*(?:(?P<a>\d+(?:\s*/\s*\d+)?)\s*\*\s*)?sqrt\(\s*(?P<p>\d+)\s*\)\s*$"
@@ -194,6 +199,13 @@ def _components(vertex_list: Sequence[VertexId], adjacency: Mapping[VertexId, se
     return comps
 
 
+def _check_id(v: object) -> VertexId:
+    """v itself when it can name a vertex (a string or an integer), else GraphValidationError."""
+    if isinstance(v, str) or (isinstance(v, numbers.Integral) and not isinstance(v, bool)):
+        return v
+    raise GraphValidationError(f"vertex id {v!r} is not a string or an integer")
+
+
 def validate(raw: Mapping | MetricGraph) -> MetricGraph:
     """Check all graph invariants and return the graph in canonical vertex order.
 
@@ -206,8 +218,13 @@ def validate(raw: Mapping | MetricGraph) -> MetricGraph:
         raise GraphValidationError("graph description must be a JSON object")
     if not isinstance(raw.get("vertices"), (list, tuple)):
         raise GraphValidationError("graph description needs a vertices list")
+    for key in ("edges", "outer"):
+        if not isinstance(raw.get(key, []), (list, tuple)):
+            raise GraphValidationError(f"graph description's {key} must be a list")
 
     vertices = list(raw["vertices"])
+    for v in vertices:
+        _check_id(v)
     if len(set(vertices)) != len(vertices):
         dup = next(v for v in vertices if vertices.count(v) > 1)
         raise NotSimple(dup)
@@ -220,7 +237,7 @@ def validate(raw: Mapping | MetricGraph) -> MetricGraph:
             raise GraphValidationError(
                 "each edge must be an object with keys u, v and length or length_expr"
             )
-        u, v = item["u"], item["v"]
+        u, v = _check_id(item["u"]), _check_id(item["v"])
         if u not in vertex_set or v not in vertex_set:
             raise Disconnected(u if u not in vertex_set else v)
         if u == v:
@@ -232,12 +249,16 @@ def validate(raw: Mapping | MetricGraph) -> MetricGraph:
         expr = item.get("length_expr")
         if expr is None and "length" not in item:
             raise GraphValidationError(f"edge {(u, v)!r} has no length or length_expr")
+        value = expr if expr is not None else item["length"]
+        # JSON true is a bool, which Python counts as the integer 1
+        if expr is None and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise GraphValidationError(f"edge {(u, v)!r} has a length that is not a number: "
+                                       f"{value!r}")
         try:
-            length = parse_length_expr(expr) if expr is not None else float(item["length"])
-        except TypeError:
-            bad = expr if expr is not None else item["length"]
+            length = parse_length_expr(expr) if expr is not None else float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise GraphValidationError(
-                f"edge {(u, v)!r} has an unusable length value: {bad!r}"
+                f"edge {(u, v)!r} has an unusable length value {value!r}: {exc}"
             ) from None
         if not (math.isfinite(length) and length > 0):
             raise NonPositiveLength((u, v), length)
@@ -247,7 +268,7 @@ def validate(raw: Mapping | MetricGraph) -> MetricGraph:
     if not outer:
         raise EmptyOuterSet()
     for v in outer:
-        if v not in vertex_set:
+        if _check_id(v) not in vertex_set:
             raise Disconnected(v)
     if len(set(outer)) != len(outer):
         raise NotSimple(next(v for v in outer if outer.count(v) > 1))
@@ -269,12 +290,23 @@ def validate(raw: Mapping | MetricGraph) -> MetricGraph:
 
 
 def load_graph(spec: str) -> MetricGraph:
-    """The catalog graph for ``catalog:NAME``, else the validated JSON file at spec."""
+    """The catalog graph for ``catalog:NAME``, else the validated JSON file at spec.
+
+    The file is read on every call.  Equal text gives the one graph validated
+    from it while it is among the last LOADED_GRAPHS_HELD distinct texts, so
+    the arrays it derives on first use (incidence, lengths_array) carry over to
+    the next load; text that fails to validate raises again on every call.
+    """
     if spec.startswith("catalog:"):
         from .catalog import catalog  # catalog builds its graphs with this module
         return catalog(spec.split(":", 1)[1])
     with open(spec, "r", encoding="utf-8") as f:
-        return validate(json.load(f))
+        return _validated(f.read())
+
+
+@lru_cache(maxsize=LOADED_GRAPHS_HELD)
+def _validated(text: str) -> MetricGraph:
+    return validate(json.loads(text))
 
 
 def graph_to_json(g: MetricGraph) -> dict:

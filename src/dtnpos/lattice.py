@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 # Lovasz constant of lll_reduce
 DELTA = 0.99
 _RELATION_SCALE, _RELATION_BOX = 1e12, 10 ** 10  # S and the box bound of integer_relation
+# value tuples integer_relation keeps its answer for, least recently used dropped first
+RELATIONS_HELD = 256
 
 
 def gram_schmidt(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,8 +165,15 @@ def integer_relation(values) -> tuple[int, ...] | None:
     overfills the box; K stays 1 and the spurious chance grows as 16u 3^n, to
     the safe side.  math.fsum, within 2u |c|_1 max|v| of the exact sum,
     screens each row at twice the bound before the exact Fraction sum.
+
+    The answer depends on the float values alone, so it is kept for the last
+    RELATIONS_HELD value tuples and a repeated length set is tested once.
     """
-    v = [float(x) for x in values]
+    return _integer_relation(tuple(float(x) for x in values))
+
+
+@lru_cache(maxsize=RELATIONS_HELD)
+def _integer_relation(v: tuple[float, ...]) -> tuple[int, ...] | None:
     n = len(v)
     if n < 2:
         return None

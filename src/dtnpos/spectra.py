@@ -43,6 +43,8 @@ POLE_BISECT_TOL = 1e-10
 NEAR_POLE_REACH = 1e-9
 # largest error of kirchhoff_spectrum's lowest value against lambda_1, relative to it
 RESOLUTION_DRIFT_MAX = 0.01
+# most edge poles _edge_poles lists in one window; above it the window is refused
+EDGE_POLES_MAX = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -271,14 +273,18 @@ def _edge_poles(g: MetricGraph, lo: float, hi: float) -> list[float]:
     Each edge lists only k from floor(sqrt(lo) L / pi) to floor(sqrt(hi) L / pi)
     + 1, which brackets the window with a step of k to spare against roundoff,
     so the cost follows the width of the window and not its distance from 0.
-    Values within 1e-12 relative of the previous one are the same pole.
+    Values within 1e-12 relative of the previous one are the same pole.  The
+    k-ranges are counted before any pole is listed: a window with more than
+    EDGE_POLES_MAX of them (or an infinite count) raises ValueError.
     """
-    values = []
-    for e in g.edges:
-        scale = e.length / math.pi
-        first = max(1, math.floor(math.sqrt(max(lo, 0.0)) * scale))
-        last = math.floor(math.sqrt(max(hi, 0.0)) * scale) + 1
-        values += [(math.pi * k / e.length) ** 2 for k in range(first, last + 1)]
+    ends = [(e.length, math.sqrt(max(lo, 0.0)) * (e.length / math.pi),
+             math.sqrt(max(hi, 0.0)) * (e.length / math.pi)) for e in g.edges]
+    count = sum(k_hi - k_lo + 1.0 for _, k_lo, k_hi in ends)
+    if not count <= EDGE_POLES_MAX:
+        raise ValueError(f"the window ({float(lo)!r}, {float(hi)!r}) spans about {count:.3g} "
+                         f"edge poles, more than the {EDGE_POLES_MAX} one scan lists")
+    values = [(math.pi * k / L) ** 2 for L, k_lo, k_hi in ends
+              for k in range(max(1, math.floor(k_lo)), math.floor(k_hi) + 2)]
     poles: list[float] = []
     for p in sorted(values):
         if lo < p < hi and (not poles or p - poles[-1] > 1e-12 * max(1.0, p)):

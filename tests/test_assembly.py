@@ -26,6 +26,8 @@ from dtnpos import (
     validate,
 )
 from dtnpos.assembly import SERIES_WINDOW, STACK_CHUNK, DtnMatrix, _gather, _phases, _trigonometric
+from dtnpos.catalog import catalog_names
+from dtnpos.graphs import graph_to_json
 from dtnpos.positivity import TAG_MARGINAL, classify
 from dtnpos.spectra import _inner_block
 
@@ -494,3 +496,48 @@ def test_phase_shift_by_full_turns(seed, shape):
         tags.append(tag)
     decided = (tags[0] != TAG_MARGINAL) & (tags[1] != TAG_MARGINAL)
     assert (tags[0][decided] == tags[1][decided]).all()
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_length_shift_by_full_turns(name):
+    # the phase torus reached through lam: lengths L_e + 2 pi k_e / sqrt(lam)
+    # give the phases theta_e + 2 pi k_e.  Rounding the shift, the sum and the
+    # product with sqrt(lam) (the same sqrt(lam) on both sides) leaves the
+    # shifted phase within delta = 4 u (theta + theta' + 2 pi k + 1) of it,
+    # which moves alpha and beta by at most sqrt(lam) delta / sin^2 theta;
+    # lam in [0.5, 400] is outside the series window, |sin theta_e| >= 0.05
+    # keeps it off the poles, and the tags agree wherever neither is marginal
+    g = catalog(name)
+    rng = np.random.default_rng(sum(map(ord, name)))
+    L = g.lengths_array
+    lams = rng.uniform(0.5, 400.0, 40)
+    lams = lams[(np.abs(np.sin(np.sqrt(lams)[:, None] * L)) >= 0.05).all(axis=1)]
+    decided = 0
+    for lam in lams:
+        k = rng.integers(1, 4, len(L))
+        raw = graph_to_json(g)
+        for edge, turns in zip(raw["edges"], k):
+            edge.pop("length_expr", None)
+            edge["length"] += 2.0 * math.pi * int(turns) / math.sqrt(lam)
+        shifted = validate(raw)
+        assert shifted.vertices == g.vertices and (shifted.lengths_array > L).all()
+        r, theta = _phases(lam, L)
+        theta2 = _phases(lam, shifted.lengths_array)[1]
+        a, b, _ = _trigonometric(r, theta[None])
+        delta = 4.0 * U * (theta + theta2 + 2.0 * math.pi * k + 1.0)
+        per_edge = r * delta / np.sin(theta) ** 2 + 4.0 * U * (np.abs(a) + np.abs(b))
+        bound = (entry_sums(g, per_edge, per_edge)
+                 + 2.0 * (1 + g.n_vertices) * U * entry_sums(g, a, b))
+        D, D2 = assemble_full(g, lam).entries, assemble_full(shifted, lam).entries
+        assert (np.abs(D - D2) <= bound[0]).all(), lam
+
+        tags = []
+        for h in (g, shifted):
+            try:
+                tags.append(classify(assemble_outer(h, lam)).tag)
+            except InnerBlockSingular:
+                tags.append(TAG_MARGINAL)
+        if TAG_MARGINAL not in tags:
+            decided += 1
+            assert tags[0] == tags[1], lam
+    assert decided >= len(lams) // 2

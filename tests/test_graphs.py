@@ -1,5 +1,6 @@
 """Graph validation, canonical ordering, and reduced-graph structure."""
 
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,13 @@ from dtnpos.errors import (
     NonPositiveLength,
     NotSimple,
 )
-from dtnpos.graphs import graph_to_json, is_connected, parse_length_expr
+from dtnpos.graphs import (
+    LOADED_GRAPHS_HELD,
+    _validated,
+    graph_to_json,
+    is_connected,
+    parse_length_expr,
+)
 
 
 def _raw(vertices, edges, outer):
@@ -115,6 +122,31 @@ class TestValidate:
         with pytest.raises(GraphValidationError):
             validate(raw)
 
+    @pytest.mark.parametrize(
+        "raw,named",
+        [
+            ({"vertices": [[1], [2]], "edges": [], "outer": [[1]]}, "vertex id [1]"),
+            ({"vertices": [True, "b"], "edges": [], "outer": ["b"]}, "vertex id True"),
+            (_raw(["a", "b"], [({"x": 1}, "b", 1.0)], ["a"]), "vertex id {'x': 1}"),
+            (_raw(["a", "b"], [("a", "b", 1.0)], [["a"]]), "vertex id ['a']"),
+            (_raw(["a", "b"], [("a", "b", True)], ["a"]), "edge ('a', 'b')"),
+            (_raw(["a", "b"], [("a", "b", "abc")], ["a"]), "edge ('a', 'b')"),
+            (_raw(["a", "b"], [("a", "b", "1.5")], ["a"]), "edge ('a', 'b')"),
+            (_raw(["a", "b"], [("a", "b", 10 ** 400)], ["a"]), "edge ('a', 'b')"),
+            ({"vertices": ["a", "b"], "edges": 5, "outer": ["a"]}, "edges"),
+            ({"vertices": ["a", "b"], "edges": [], "outer": "ab"}, "outer"),
+        ],
+        ids=["list-vertex", "bool-vertex", "object-endpoint", "list-outer", "bool-length",
+             "word-length", "numeral-length", "huge-length", "number-edges", "string-outer"],
+    )
+    def test_refuses_what_json_allows_by_name(self, raw, named):
+        # JSON values that cannot be vertex ids, lists or lengths: each is a
+        # GraphValidationError naming the vertex or edge, not a TypeError, a
+        # bare conversion error or an accepted graph
+        with pytest.raises(GraphValidationError) as info:
+            validate(raw)
+        assert named in str(info.value)
+
     def test_length_expr_wins_over_nothing(self):
         g = validate(
             {
@@ -189,6 +221,41 @@ def test_load_graph_resolves_catalog_names():
     assert load_graph("catalog:lasso-4") == catalog("lasso-4")
     with pytest.raises(KeyError, match="unknown catalog graph 'nope'"):
         load_graph("catalog:nope")
+
+
+def test_load_graph_shares_one_graph_per_text(tmp_path, lasso):
+    # keyed on the text, not the path: a second file with the same text gets
+    # the same object, with its incidence already derived
+    p, q = tmp_path / "g.json", tmp_path / "h.json"
+    p.write_text(json.dumps(graph_to_json(lasso)))
+    q.write_text(p.read_text())
+    g = load_graph(str(p))
+    joins, slots = g.incidence
+    again = load_graph(str(q))
+    assert again is g and again.incidence[0] is joins and again.incidence[1] is slots
+    # a rewritten file is read and validated again
+    p.write_text(json.dumps(graph_to_json(lasso.with_outer(["v1"]))))
+    changed = load_graph(str(p))
+    assert changed is not g and changed.outer == ("v1",)
+    assert load_graph(str(q)) is g
+    # one graph per catalog name
+    assert load_graph("catalog:lasso-4") is load_graph("catalog:lasso-4") is catalog("lasso-4")
+
+
+def test_load_graph_keeps_no_failure(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"vertices": [[1], [2]], "edges": [], "outer": [[1]]}))
+    held = _validated.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(GraphValidationError, match=r"vertex id \[1\]"):
+            load_graph(str(p))
+    assert _validated.cache_info().currsize == held
+
+
+def test_loaded_graphs_are_bounded():
+    # more than the 17 files of a search pass, and finite
+    assert _validated.cache_info().maxsize == LOADED_GRAPHS_HELD
+    assert 17 < LOADED_GRAPHS_HELD < math.inf
 
 
 REDUCED_EXPECT = {

@@ -50,6 +50,8 @@ from dtnpos import (
 from dtnpos.cli import main
 from dtnpos.lattice import (
     DELTA,
+    RELATIONS_HELD,
+    _integer_relation,
     babai_nearest,
     box_offsets,
     enumerate_near,
@@ -137,6 +139,29 @@ def test_integer_relation_finds_planted_relations():
         found = integer_relation(values)
         assert found is not None, c
         assert _is_witness(found, values)
+
+
+def test_integer_relation_answers_from_memory_as_computed():
+    # planted relations as in the test above, each asked as a list, a tuple
+    # and an array: the kept answer is the one a fresh computation gives, and
+    # the second and third forms are answered without running LLL again
+    rng = np.random.default_rng(36)
+    for _ in range(40):
+        n = int(rng.integers(2, 8))
+        c = [int(x) for x in rng.integers(-4, 5, size=n)]
+        c[-1] = int(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]))
+        c[0] = c[0] or 1
+        base = [float(x) for x in rng.uniform(0.2, 5.0, size=n - 1)]
+        values = base + [float(-sum(ci * Fraction(x) for ci, x in zip(c, base)) / c[-1])]
+        fresh = _integer_relation.__wrapped__(tuple(values))
+        assert fresh is not None
+        hits = _integer_relation.cache_info().hits
+        for form in (list(values), tuple(values), np.array(values)):
+            assert integer_relation(form) == fresh
+        assert _integer_relation.cache_info().hits >= hits + 2
+    # bounded, above the 17 length sets of a search pass
+    assert _integer_relation.cache_info().maxsize == RELATIONS_HELD
+    assert 17 < RELATIONS_HELD < math.inf
 
 
 def test_integer_relation_witnesses_meet_the_bound():

@@ -1033,6 +1033,25 @@ def test_pole_scan_far_window_is_fast(lasso):
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_edge_pole_count_is_bounded_before_listing(lasso, monkeypatch, capsys):
+    # the k-ranges are counted before any pole is listed: (0, 1e300) spans
+    # about 2.4e150 edge poles and is refused at once, naming the window and
+    # the count, instead of listing them
+    for argv in (["poles", "--graph", "catalog:lasso-4", "--from", "0", "--to", "1e300"],
+                 ["sweep", "--graph", "catalog:lasso-4", "--from", "0", "--to", "1e300",
+                  "--steps", "10"]):
+        t0 = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - t0 < 5.0
+        assert "spans about 2.42e+150 edge poles" in capsys.readouterr().err
+    # the same rule at a bound of 100: (0, 1e4) spans about 246 k-values over
+    # the four edges, (0, 1e3) about 81
+    monkeypatch.setattr(dtnpos.spectra, "EDGE_POLES_MAX", 100)
+    with pytest.raises(ValueError, match=r"window \(0\.0, 10000\.0\) spans about 24\d edge poles"):
+        _edge_poles(lasso, 0.0, 1e4)
+    assert _edge_poles(lasso, 0.0, 1e3) == _edge_poles_from_1(lasso, 0.0, 1e3)
+
+
 def test_pole_scan_rejects_non_finite_window(interval):
     for lo, hi in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
         with pytest.raises(ValueError):
